@@ -101,25 +101,52 @@ def save_checkpoint(
             _write_tensor(f, name, arr, dtype)
 
 
+def _read_header(f) -> tuple[dict, EncoderConfig, str]:
+    """The JSON header after the magic, with its encoder config and payload
+    dtype.  Every malformed header is a CheckpointError."""
+    (header_len,) = struct.unpack("<I", _read_exact(f, 4))
+    try:
+        header = json.loads(_read_exact(f, header_len).decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"unreadable header ({exc})") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("header is not a JSON object")
+    if header.get("version") != VERSION:
+        raise CheckpointError(f"unsupported version {header.get('version')}")
+    dtype = header.get("dtype", DEFAULT_DTYPE)
+    if dtype not in _SUPPORTED_DTYPES:
+        raise CheckpointError(f"unsupported payload dtype {dtype!r}")
+    if "config" not in header:
+        raise CheckpointError("header carries no encoder config")
+    try:
+        config = EncoderConfig.from_dict(header["config"])
+    except ValueError as exc:
+        raise CheckpointError(f"bad encoder config: {exc}") from None
+    if not isinstance(header.get("extra", {}), dict):
+        raise CheckpointError("header extra is not a JSON object")
+    adam_step = header.get("adam_step")
+    if adam_step is not None and (isinstance(adam_step, bool) or not isinstance(adam_step, int) or adam_step < 0):
+        raise CheckpointError(f"bad optimizer step {adam_step!r}")
+    return header, config, dtype
+
+
 def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = None) -> Checkpoint:
-    """Read a checkpoint; validates magic, version, and parameter shapes.
+    """Read a checkpoint; validates magic, header, version, and parameter
+    shapes.  Every unreadable or malformed file is a CheckpointError that
+    names it.
 
     If expected_config is given, every differing field is an error (this is
     how a reranker refuses a checkpoint with, say, the wrong vocab_size).
     """
     with Path(path).open("rb") as f:
-        if _read_exact(f, len(MAGIC)) != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<I", _read_exact(f, 4))
-        header = json.loads(_read_exact(f, header_len).decode("utf-8"))
-        if header.get("version") != VERSION:
-            raise CheckpointError(f"{path}: unsupported version {header.get('version')}")
-        dtype = header.get("dtype", DEFAULT_DTYPE)
-        if dtype not in _SUPPORTED_DTYPES:
-            raise CheckpointError(f"{path}: unsupported payload dtype {dtype!r}")
-        config = EncoderConfig.from_dict(header["config"])
-        (n_tensors,) = struct.unpack("<I", _read_exact(f, 4))
-        tensors = dict(_read_tensor(f, dtype) for _ in range(n_tensors))
+        try:
+            if _read_exact(f, len(MAGIC)) != MAGIC:
+                raise CheckpointError("not a checkpoint file")
+            header, config, dtype = _read_header(f)
+            (n_tensors,) = struct.unpack("<I", _read_exact(f, 4))
+            tensors = dict(_read_tensor(f, dtype) for _ in range(n_tensors))
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
 
     if expected_config is not None and expected_config != config:
         diff = [
@@ -147,6 +174,6 @@ def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = No
             v = {n: tensors[f"adam.v.{n}"] for n in shapes}
         except KeyError as exc:
             raise CheckpointError(f"{path}: incomplete optimizer state ({exc})") from None
-        adam = AdamState(step=int(header["adam_step"]), m=m, v=v)
+        adam = AdamState(step=header["adam_step"], m=m, v=v)
 
     return Checkpoint(params=params, config=config, extra=header.get("extra", {}), adam=adam)

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -40,4 +40,19 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
+        """Inverse of to_dict.  d must hold every field and nothing else, each
+        an int (a float field also takes an int); anything else is a
+        ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"encoder config must be a mapping, got {type(d).__name__}")
+        names = {f.name: f for f in fields(cls)}
+        unknown, missing = sorted(set(d) - set(names)), sorted(set(names) - set(d))
+        if unknown:
+            raise ValueError(f"encoder config has unknown keys {unknown}")
+        if missing:
+            raise ValueError(f"encoder config is missing keys {missing}")
+        for name, f in names.items():
+            kinds = (int, float) if isinstance(f.default, float) else (int,)
+            if isinstance(d[name], bool) or not isinstance(d[name], kinds):
+                raise ValueError(f"encoder config field {name} must be {f.type}, got {d[name]!r}")
         return cls(**d)

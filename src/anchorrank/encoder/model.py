@@ -1,6 +1,7 @@
 """Encoder forward graph: embeddings + post-norm transformer layers, with
 attention map extraction, CLS scoring and MLM heads, and an exact analytic
-backward pass."""
+backward pass; plus a forward-only [CLS] scorer for inference that shares
+the same layer code."""
 
 from __future__ import annotations
 
@@ -10,6 +11,103 @@ from anchorrank.corpus import CLS_ID
 from anchorrank.encoder import layers as lyr
 from anchorrank.encoder.config import EncoderConfig
 from anchorrank.encoder.params import zero_grads
+
+
+# Query-row selections for _layer: a basic slice is a view, so the all-rows
+# case computes exactly what a layer over the whole sequence computes.
+ALL_ROWS = slice(None)
+CLS_ROW = slice(0, 1)
+
+
+def _check_inputs(config: EncoderConfig, token_ids, segment_ids):
+    """Validated int64 (token_ids, segment_ids); segment ids default to 0."""
+    token_ids = np.asarray(token_ids, dtype=np.int64)
+    if token_ids.ndim != 1 or token_ids.size == 0:
+        raise ValueError("token_ids must be a non-empty 1-d sequence")
+    n = token_ids.size
+    if n > config.max_len:
+        raise ValueError(f"sequence length {n} exceeds max_len {config.max_len}; caller must truncate")
+    if token_ids.min() < 0 or token_ids.max() >= config.vocab_size:
+        raise ValueError("token id out of vocabulary range")
+    if segment_ids is None:
+        segment_ids = np.zeros(n, dtype=np.int64)
+    else:
+        segment_ids = np.asarray(segment_ids, dtype=np.int64)
+        if segment_ids.shape != (n,):
+            raise ValueError("segment_ids must align with token_ids")
+        if segment_ids.size and (segment_ids.min() < 0 or segment_ids.max() > 1):
+            raise ValueError("segment ids must be 0 or 1")
+    return token_ids, segment_ids
+
+
+def _require_leading_cls(token_ids) -> None:
+    if token_ids[0] != CLS_ID:
+        raise ValueError("sequence must begin with [CLS] to be scored")
+
+
+def _embed(params, token_ids, segment_ids):
+    """Layer-normed token + position + segment embeddings; (out, ln cache)."""
+    n = token_ids.size
+    e = params["tok_emb"][token_ids] + params["pos_emb"][:n] + params["seg_emb"][segment_ids]
+    return lyr.layer_norm(e, params["emb_ln_g"], params["emb_ln_b"])
+
+
+def _layer(params, config: EncoderConfig, i: int, x, rows, p_drop: float = 0.0, dropout_rng=None):
+    """Post-norm transformer layer i over x (n, hidden).
+
+    Keys and values come from every row of x; queries, the residual
+    stream, both layer norms and the FFN only from x[rows], so the output
+    has the rows of x[rows].  Returns (out, cache); the cache holds what
+    EncoderGraph.backward needs, including the attention probabilities
+    (heads, len(rows), n).
+    """
+    pre = f"layer{i}."
+    heads, head_dim = config.heads, config.head_dim
+    scale = 1.0 / np.sqrt(head_dim)
+    xq = x[rows]
+    n, m = x.shape[0], xq.shape[0]
+    q, q_cache = lyr.linear(xq, params[pre + "wq"], params[pre + "bq"])
+    k, k_cache = lyr.linear(x, params[pre + "wk"], params[pre + "bk"])
+    v, v_cache = lyr.linear(x, params[pre + "wv"], params[pre + "bv"])
+    qh = q.reshape(m, heads, head_dim).transpose(1, 0, 2)
+    kh = k.reshape(n, heads, head_dim).transpose(1, 0, 2)
+    vh = v.reshape(n, heads, head_dim).transpose(1, 0, 2)
+    scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    probs = lyr.softmax(scores)
+    ctx = probs @ vh
+    merged = ctx.transpose(1, 0, 2).reshape(m, config.hidden)
+    attn_out, o_cache = lyr.linear(merged, params[pre + "wo"], params[pre + "bo"])
+    attn_out, attn_drop = lyr.dropout(attn_out, p_drop, dropout_rng)
+    h1, ln1_cache = lyr.layer_norm(xq + attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])
+    f_pre, f1_cache = lyr.linear(h1, params[pre + "w1"], params[pre + "b1"])
+    f_act, gelu_cache = lyr.gelu(f_pre)
+    ffn_out, f2_cache = lyr.linear(f_act, params[pre + "w2"], params[pre + "b2"])
+    ffn_out, ffn_drop = lyr.dropout(ffn_out, p_drop, dropout_rng)
+    out, ln2_cache = lyr.layer_norm(h1 + ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"])
+    cache = {
+        "q_cache": q_cache,
+        "k_cache": k_cache,
+        "v_cache": v_cache,
+        "qh": qh,
+        "kh": kh,
+        "vh": vh,
+        "probs": probs,
+        "o_cache": o_cache,
+        "attn_drop": attn_drop,
+        "ln1_cache": ln1_cache,
+        "f1_cache": f1_cache,
+        "gelu_cache": gelu_cache,
+        "f2_cache": f2_cache,
+        "ffn_drop": ffn_drop,
+        "ln2_cache": ln2_cache,
+    }
+    return out, cache
+
+
+def _cls_head(params, h_cls):
+    """Two-layer tanh MLP over the [CLS] row; (score, tanh activations)."""
+    c_act = np.tanh(h_cls @ params["cls_w1"] + params["cls_b1"])
+    return float(c_act @ params["cls_w2"] + params["cls_b2"][0]), c_act
 
 
 class EncoderGraph:
@@ -22,82 +120,22 @@ class EncoderGraph:
     """
 
     def __init__(self, params, config: EncoderConfig, token_ids, segment_ids=None, dropout_rng=None):
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim != 1 or token_ids.size == 0:
-            raise ValueError("token_ids must be a non-empty 1-d sequence")
-        n = token_ids.size
-        if n > config.max_len:
-            raise ValueError(f"sequence length {n} exceeds max_len {config.max_len}; caller must truncate")
-        if token_ids.min() < 0 or token_ids.max() >= config.vocab_size:
-            raise ValueError("token id out of vocabulary range")
-        if segment_ids is None:
-            segment_ids = np.zeros(n, dtype=np.int64)
-        else:
-            segment_ids = np.asarray(segment_ids, dtype=np.int64)
-            if segment_ids.shape != (n,):
-                raise ValueError("segment_ids must align with token_ids")
-            if segment_ids.size and (segment_ids.min() < 0 or segment_ids.max() > 1):
-                raise ValueError("segment ids must be 0 or 1")
-
+        token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids)
         self.params = params
         self.config = config
         self.token_ids = token_ids
         self.segment_ids = segment_ids
         p_drop = config.dropout if dropout_rng is not None else 0.0
 
-        heads, head_dim = config.heads, config.head_dim
-        scale = 1.0 / np.sqrt(head_dim)
-
-        e = params["tok_emb"][token_ids] + params["pos_emb"][:n] + params["seg_emb"][segment_ids]
-        h, self._emb_ln_cache = lyr.layer_norm(e, params["emb_ln_g"], params["emb_ln_b"])
+        h, self._emb_ln_cache = _embed(params, token_ids, segment_ids)
         h, self._emb_drop = lyr.dropout(h, p_drop, dropout_rng)
-
         self._layer_caches: list[dict] = []
-        attn_maps = []
         for i in range(config.layers):
-            pre = f"layer{i}."
-            x = h
-            q, q_cache = lyr.linear(x, params[pre + "wq"], params[pre + "bq"])
-            k, k_cache = lyr.linear(x, params[pre + "wk"], params[pre + "bk"])
-            v, v_cache = lyr.linear(x, params[pre + "wv"], params[pre + "bv"])
-            qh = q.reshape(n, heads, head_dim).transpose(1, 0, 2)
-            kh = k.reshape(n, heads, head_dim).transpose(1, 0, 2)
-            vh = v.reshape(n, heads, head_dim).transpose(1, 0, 2)
-            scores = (qh @ kh.transpose(0, 2, 1)) * scale
-            probs = lyr.softmax(scores)
-            ctx = probs @ vh
-            merged = ctx.transpose(1, 0, 2).reshape(n, config.hidden)
-            attn_out, o_cache = lyr.linear(merged, params[pre + "wo"], params[pre + "bo"])
-            attn_out, attn_drop = lyr.dropout(attn_out, p_drop, dropout_rng)
-            h1, ln1_cache = lyr.layer_norm(x + attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])
-            f_pre, f1_cache = lyr.linear(h1, params[pre + "w1"], params[pre + "b1"])
-            f_act, gelu_cache = lyr.gelu(f_pre)
-            ffn_out, f2_cache = lyr.linear(f_act, params[pre + "w2"], params[pre + "b2"])
-            ffn_out, ffn_drop = lyr.dropout(ffn_out, p_drop, dropout_rng)
-            h, ln2_cache = lyr.layer_norm(h1 + ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"])
-            attn_maps.append(probs)
-            self._layer_caches.append(
-                {
-                    "q_cache": q_cache,
-                    "k_cache": k_cache,
-                    "v_cache": v_cache,
-                    "qh": qh,
-                    "kh": kh,
-                    "vh": vh,
-                    "probs": probs,
-                    "o_cache": o_cache,
-                    "attn_drop": attn_drop,
-                    "ln1_cache": ln1_cache,
-                    "f1_cache": f1_cache,
-                    "gelu_cache": gelu_cache,
-                    "f2_cache": f2_cache,
-                    "ffn_drop": ffn_drop,
-                    "ln2_cache": ln2_cache,
-                }
-            )
+            h, cache = _layer(params, config, i, h, ALL_ROWS, p_drop, dropout_rng)
+            self._layer_caches.append(cache)
 
         self.hidden = h
-        self.attention = np.stack(attn_maps)  # (layers, heads, n, n)
+        self.attention = np.stack([c["probs"] for c in self._layer_caches])  # (layers, heads, n, n)
         self._cls_cache = None
         self._cls_value = None
         self._mlm_cache = None
@@ -105,13 +143,11 @@ class EncoderGraph:
 
     def cls_score(self) -> float:
         """Two-layer tanh MLP over the [CLS] representation; unbounded."""
-        if self.token_ids[0] != CLS_ID:
-            raise ValueError("sequence must begin with [CLS] to be scored")
+        _require_leading_cls(self.token_ids)
         if self._cls_cache is None:
             h_cls = self.hidden[0]
-            c_act = np.tanh(h_cls @ self.params["cls_w1"] + self.params["cls_b1"])
+            self._cls_value, c_act = _cls_head(self.params, h_cls)
             self._cls_cache = (h_cls, c_act)
-            self._cls_value = float(c_act @ self.params["cls_w2"] + self.params["cls_b2"][0])
         return self._cls_value
 
     def mlm_logits(self, positions) -> np.ndarray:
@@ -238,7 +274,21 @@ def attention_from_position(attention, layer: int, query_positions) -> np.ndarra
 
 
 def cls_score(params, config, token_ids, segment_ids=None) -> float:
-    return EncoderGraph(params, config, token_ids, segment_ids).cls_score()
+    """Forward-only [CLS] score of one sequence: EncoderGraph(...).cls_score()
+    without dropout, backward caches or attention maps.
+
+    The last layer computes keys and values for every row but the rest of
+    the layer for the [CLS] row only.  Its one-row matrix products round
+    differently from the all-rows ones, so the score matches the graph's to
+    about 1e-16 rather than bitwise.
+    """
+    token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids)
+    _require_leading_cls(token_ids)
+    h, _ = _embed(params, token_ids, segment_ids)
+    last = config.layers - 1
+    for i in range(config.layers):
+        h, _ = _layer(params, config, i, h, CLS_ROW if i == last else ALL_ROWS)
+    return _cls_head(params, h[0])[0]
 
 
 def mlm_logits(params, config, token_ids, segment_ids, positions) -> np.ndarray:

@@ -21,7 +21,7 @@ from anchorrank.corpus import (
     Vocabulary,
     page_summary,
 )
-from anchorrank.encoder import AdamState, EncoderConfig, EncoderGraph, adam_step, init_params, save_checkpoint, zero_grads
+from anchorrank.encoder import AdamState, EncoderConfig, EncoderGraph, adam_step, cls_score, init_params, save_checkpoint, zero_grads
 from anchorrank.taskgen import TASKS, PretrainPair, derive_rng
 
 log = logging.getLogger(__name__)
@@ -37,12 +37,11 @@ class TrainError(RuntimeError):
 
 @dataclass
 class PackedSequence:
-    """[CLS] query [SEP] document [SEP] with 0/1 segment ids and an all-ones
-    attention mask (sequences are packed unpadded)."""
+    """[CLS] query [SEP] document [SEP] with 0/1 segment ids; sequences are
+    packed unpadded, so every position is attended to."""
 
     token_ids: np.ndarray
     segment_ids: np.ndarray
-    attention_mask: np.ndarray
 
 
 @dataclass
@@ -67,12 +66,7 @@ def pack_input(query_tokens: Sequence[str], doc_tokens: Sequence[str], vocab: Vo
     doc = list(doc_tokens)[:budget]
     ids = [CLS_ID] + vocab.encode(query) + [SEP_ID] + vocab.encode(doc) + [SEP_ID]
     segs = [0] * (len(query) + 2) + [1] * (len(doc) + 1)
-    n = len(ids)
-    return PackedSequence(
-        token_ids=np.array(ids, dtype=np.int64),
-        segment_ids=np.array(segs, dtype=np.int64),
-        attention_mask=np.ones(n, dtype=np.int64),
-    )
+    return PackedSequence(token_ids=np.array(ids, dtype=np.int64), segment_ids=np.array(segs, dtype=np.int64))
 
 
 def mask_tokens(seq: PackedSequence, vocab_size: int, rng: np.random.Generator, mask_rate: float = 0.15) -> MaskedBatch:
@@ -94,7 +88,7 @@ def mask_tokens(seq: PackedSequence, vocab_size: int, rng: np.random.Generator, 
             elif roll < 0.9:
                 ids[pos] = int(rng.integers(NUM_SPECIAL_TOKENS, vocab_size))
             # else: unchanged
-    masked = PackedSequence(token_ids=ids, segment_ids=seq.segment_ids, attention_mask=seq.attention_mask)
+    masked = PackedSequence(token_ids=ids, segment_ids=seq.segment_ids)
     return MaskedBatch(seq=masked, labels=labels)
 
 
@@ -407,8 +401,8 @@ def pairwise_accuracy(
             neg = pack_input(pair.neg_query_tokens, pos_doc, vocab, config.max_len)
         else:
             neg = pack_input(pair.query_tokens, doc_tokens(pair.neg_doc_id), vocab, config.max_len)
-        s_pos = EncoderGraph(params, enc_config, pos.token_ids, pos.segment_ids).cls_score()
-        s_neg = EncoderGraph(params, enc_config, neg.token_ids, neg.segment_ids).cls_score()
+        s_pos = cls_score(params, enc_config, pos.token_ids, pos.segment_ids)
+        s_neg = cls_score(params, enc_config, neg.token_ids, neg.segment_ids)
         if s_pos > s_neg:
             wins += 1
     return wins / len(pairs)

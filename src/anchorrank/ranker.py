@@ -7,33 +7,40 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from anchorrank.corpus import HyperlinkCorpus, Vocabulary, tokenize
-from anchorrank.encoder import AdamState, EncoderConfig, EncoderGraph, adam_step, load_checkpoint, save_checkpoint, zero_grads
+from anchorrank.encoder import AdamState, EncoderConfig, EncoderGraph, adam_step, cls_score, load_checkpoint, save_checkpoint, zero_grads
 from anchorrank.pretrain import pack_input
 from anchorrank.taskgen import derive_rng
 
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DocRecord:
     id: str
     title: str
     url: str
     body: str
 
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """Tokens of title + url + body, in that order, computed on first use
+        and kept; truncation happens at pack time, not here.  The record is
+        frozen, so they cannot go stale."""
+        if not (self.title or self.url or self.body):
+            raise ValueError(f"document {self.id!r} has no text fields")
+        return tuple(tokenize(self.title) + tokenize(self.url) + tokenize(self.body))
+
 
 def document_text(doc: DocRecord) -> list[str]:
-    """Tokens of title + url + body, in that order; truncation happens at
-    pack time, not here."""
-    if not (doc.title or doc.url or doc.body):
-        raise ValueError(f"document {doc.id!r} has no text fields")
-    return tokenize(doc.title) + tokenize(doc.url) + tokenize(doc.body)
+    """A fresh list of the document's tokens (DocRecord.tokens)."""
+    return list(doc.tokens)
 
 
 @dataclass
@@ -101,8 +108,7 @@ def score_tokens(model: RankerModel, query_tokens: Sequence[str], doc_tokens: Se
     """Relevance probability in (0, 1): logistic over the CLS score of the
     packed (query, document) sequence."""
     packed = pack_input(query_tokens, doc_tokens, model.vocab, model.config.max_len)
-    graph = EncoderGraph(model.params, model.config, packed.token_ids, packed.segment_ids)
-    return _sigmoid(graph.cls_score())
+    return _sigmoid(cls_score(model.params, model.config, packed.token_ids, packed.segment_ids))
 
 
 def score(model: RankerModel, query_text: str, doc: DocRecord) -> float:
@@ -131,12 +137,6 @@ def finetune(
     params = {k: v.copy() for k, v in model.params.items()}
     adam = AdamState.zeros(params)
     drop_rng = derive_rng(config.seed, "finetune", "dropout") if model.config.dropout > 0.0 else None
-    doc_cache: dict[str, list[str]] = {}
-
-    def doc_tokens(doc_id: str) -> list[str]:
-        if doc_id not in doc_cache:
-            doc_cache[doc_id] = document_text(collection[doc_id])
-        return doc_cache[doc_id]
 
     steps_per_epoch = math.ceil(len(examples) / config.batch_size) if examples else 0
     total_steps = config.epochs * steps_per_epoch
@@ -155,7 +155,7 @@ def finetune(
             grads = zero_grads(params)
             loss = 0.0
             for ex in batch:
-                packed = pack_input(tokenize(ex.query_text), doc_tokens(ex.doc_id), model.vocab, config.max_len)
+                packed = pack_input(tokenize(ex.query_text), collection[ex.doc_id].tokens, model.vocab, config.max_len)
                 graph = EncoderGraph(params, model.config, packed.token_ids, packed.segment_ids, dropout_rng=drop_rng)
                 z = graph.cls_score()
                 s = _sigmoid(z)
@@ -200,7 +200,7 @@ def rerank(
     for idx, (doc_id, _) in enumerate(candidates):
         if doc_id not in collection:
             raise ValueError(f"candidate document {doc_id!r} missing from collection")
-        scored.append((doc_id, score_tokens(model, query_tokens, document_text(collection[doc_id])), idx))
+        scored.append((doc_id, score_tokens(model, query_tokens, collection[doc_id].tokens), idx))
     scored.sort(key=lambda t: (-t[1], t[2]))
     return [(doc_id, s) for doc_id, s, _ in scored[:k]]
 

@@ -1,6 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from anchorrank.cli import main
 from anchorrank.corpus import CLS_ID, SEP_ID
 from anchorrank.encoder import (
     AdamState,
@@ -128,6 +132,36 @@ class TestClsScore:
     def test_requires_leading_cls(self, params):
         with pytest.raises(ValueError, match="CLS"):
             cls_score(params, CFG, seq(7, 8))
+
+    @pytest.mark.parametrize(
+        "ids, segs, match",
+        [
+            (seq(), None, "non-empty"),
+            (np.full(CFG.max_len + 1, CLS_ID), None, "max_len"),
+            (seq(CLS_ID, CFG.vocab_size), None, "vocabulary"),
+            (seq(CLS_ID, -1), None, "vocabulary"),
+            (seq(CLS_ID, 7), np.array([0, 2]), "0 or 1"),
+            (seq(CLS_ID, 7), np.array([0]), "align"),
+        ],
+    )
+    def test_input_checks_match_graph(self, params, ids, segs, match):
+        with pytest.raises(ValueError, match=match):
+            cls_score(params, CFG, ids, segs)
+        with pytest.raises(ValueError, match=match):
+            EncoderGraph(params, CFG, ids, segs)
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_matches_encoder_graph(self, layers):
+        # the scorer runs the last layer on the [CLS] row alone, so one-row
+        # products round differently: equal to float64 rounding, not bitwise
+        cfg = EncoderConfig(layers=layers, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24)
+        rng = np.random.default_rng(layers)
+        p = {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}
+        for n in range(1, cfg.max_len + 1):
+            ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
+            segs = rng.integers(0, 2, n)
+            expected = EncoderGraph(p, cfg, ids, segs).cls_score()
+            assert cls_score(p, cfg, ids, segs) == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 
 class TestMlmLogits:
@@ -294,6 +328,63 @@ class TestCheckpoint:
         path.write_bytes(b"definitely not a checkpoint")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda h: {k: v for k, v in h.items() if k != "config"}, "no encoder config"),
+            (lambda h: {**h, "config": [2, 2]}, "mapping"),
+            (lambda h: {**h, "config": {**h["config"], "depth": 3}}, "unknown keys"),
+            (lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "max_len"}}, "missing keys"),
+            (lambda h: {**h, "config": {**h["config"], "layers": "2"}}, "layers"),
+            (lambda h: {**h, "config": {**h["config"], "hidden": 32.0}}, "hidden"),
+            (lambda h: {**h, "config": {**h["config"], "layers": 0}}, "layers"),
+            (lambda h: [h], "JSON object"),
+            (lambda h: b"{not json", "unreadable header"),
+            (lambda h: b"\xff\xfe", "unreadable header"),
+            (lambda h: {**h, "extra": "vocab"}, "extra"),
+            (lambda h: {**h, "adam_step": "1"}, "optimizer step"),
+        ],
+        ids=[
+            "no-config",
+            "config-not-object",
+            "unknown-key",
+            "missing-key",
+            "string-value",
+            "float-for-int",
+            "invalid-value",
+            "header-not-object",
+            "header-not-json",
+            "header-not-utf8",
+            "extra-not-object",
+            "bad-adam-step",
+        ],
+    )
+    def test_malformed_header_rejected(self, params, tmp_path, capsys, edit, match):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, CFG, extra={"vocab": ["t"] * CFG.vocab_size})
+        raw = path.read_bytes()
+        start = len(b"ANCRCKPT") + 4
+        (header_len,) = struct.unpack("<I", raw[start - 4 : start])
+        header = edit(json.loads(raw[start : start + header_len]))
+        encoded = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[: start - 4] + struct.pack("<I", len(encoded)) + encoded + raw[start + header_len :])
+
+        with pytest.raises(CheckpointError, match=match) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+        capsys.readouterr()
+        assert main(["rerank", "--seed", "1", "--workdir", str(tmp_path), "--init", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(path) in errors[0]
+
+    def test_truncated_file_names_path(self, params, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, CFG)
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(CheckpointError, match="truncated") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_encode_identical_after_round_trip(self, params, tmp_path):
         path = tmp_path / "model.ckpt"

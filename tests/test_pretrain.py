@@ -40,7 +40,6 @@ class TestPack:
         assert seq.token_ids[-1] == SEP_ID
         assert list(seq.segment_ids[:5]) == [0] * 5
         assert list(seq.segment_ids[5:]) == [1] * 11
-        assert seq.attention_mask.sum() == 16
 
     def test_doc_truncated_from_tail(self):
         vocab = small_vocab()

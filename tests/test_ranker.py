@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from anchorrank import ranker
 from anchorrank.corpus import build_vocab
 from anchorrank.encoder import EncoderConfig, encode, init_params, save_checkpoint
 from anchorrank.ranker import (
@@ -51,6 +52,14 @@ class TestDocumentText:
     def test_url_tokenized(self):
         doc = DocRecord(id="d", title="", url="https://example.org/ocean", body="")
         assert document_text(doc) == ["https", "example", "org", "ocean"]
+
+    def test_returned_list_does_not_alias_cached_tokens(self):
+        doc = DocRecord(id="d", title="a", url="u", body="b c")
+        tokens = document_text(doc)
+        tokens[0] = "z"
+        tokens.append("extra")
+        assert document_text(doc) == ["a", "u", "b", "c"]
+        assert doc.tokens == ("a", "u", "b", "c")
 
 
 class TestScore:
@@ -182,6 +191,24 @@ class TestRerank:
         shifted.params["cls_b2"][:] += 3.0  # strictly increasing transform of every score
         again = rerank(shifted, "technology company", candidates, k=10, collection=collection)
         assert [d for d, _ in base] == [d for d, _ in again]
+
+    def test_each_document_tokenized_once(self, corpus, monkeypatch):
+        model = make_model(corpus)
+        collection = collection_from_corpus(corpus)
+        calls = []
+        real_tokenize = ranker.tokenize
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return real_tokenize(text)
+
+        monkeypatch.setattr(ranker, "tokenize", counting_tokenize)
+        candidates = [(doc_id, 1.0) for doc_id in sorted(collection)]
+        queries = ["laptop hardware", "orchard fruit", "water stream", "laptop hardware"]
+        for query in queries:
+            rerank(model, query, candidates, k=3, collection=collection)
+        # one call per query, three per document (title, url, body)
+        assert len(calls) == len(queries) + 3 * len(collection)
 
 
 class TestModelIO:
