@@ -7,14 +7,7 @@ checkable, and fast enough at desk scale.
 from anchorrank.encoder.adam import AdamState, adam_step
 from anchorrank.encoder.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from anchorrank.encoder.config import EncoderConfig
-from anchorrank.encoder.model import (
-    EncoderGraph,
-    attention_from_position,
-    backward,
-    cls_score,
-    encode,
-    mlm_logits,
-)
+from anchorrank.encoder.model import EncoderGraph, attention_from_position, cls_score
 from anchorrank.encoder.params import init_params, param_shapes, zero_grads
 
 __all__ = [
@@ -25,12 +18,9 @@ __all__ = [
     "EncoderConfig",
     "EncoderGraph",
     "attention_from_position",
-    "backward",
     "cls_score",
-    "encode",
     "init_params",
     "load_checkpoint",
-    "mlm_logits",
     "param_shapes",
     "save_checkpoint",
     "zero_grads",

@@ -3,7 +3,7 @@
 Layout: 8-byte magic, u32 header length, JSON header (version, encoder
 config, dtype, free-form extra such as the vocabulary and provenance),
 u32 tensor count, then named tensors as (u16 name length, name, u8 ndim,
-u64 dims, raw little-endian row-major payload).  Optimizer moments ride
+u64 dims, raw little-endian float64 row-major payload).  Optimizer moments ride
 along under an "adam." name prefix so training can resume exactly.
 """
 
@@ -22,8 +22,7 @@ from anchorrank.encoder.params import param_shapes
 
 MAGIC = b"ANCRCKPT"
 VERSION = 1
-DEFAULT_DTYPE = "<f8"
-_SUPPORTED_DTYPES = ("<f8", "<f4")
+DTYPE = "<f8"
 
 
 class CheckpointError(ValueError):
@@ -38,8 +37,8 @@ class Checkpoint:
     adam: AdamState | None
 
 
-def _write_tensor(f, name: str, arr: np.ndarray, dtype: str) -> None:
-    payload = np.ascontiguousarray(arr, dtype=np.dtype(dtype)).tobytes()
+def _write_tensor(f, name: str, arr: np.ndarray) -> None:
+    payload = np.ascontiguousarray(arr, dtype=DTYPE).tobytes()
     encoded = name.encode("utf-8")
     f.write(struct.pack("<H", len(encoded)))
     f.write(encoded)
@@ -56,14 +55,14 @@ def _read_exact(f, count: int) -> bytes:
     return data
 
 
-def _read_tensor(f, dtype: str) -> tuple[str, np.ndarray]:
+def _read_tensor(f) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(f, 2))
     name = _read_exact(f, name_len).decode("utf-8")
     (ndim,) = struct.unpack("<B", _read_exact(f, 1))
     shape = tuple(struct.unpack("<Q", _read_exact(f, 8))[0] for _ in range(ndim))
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    raw = _read_exact(f, count * np.dtype(dtype).itemsize)
-    arr = np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(shape).astype(np.float64)
+    raw = _read_exact(f, count * np.dtype(DTYPE).itemsize)
+    arr = np.frombuffer(raw, dtype=DTYPE).reshape(shape).astype(np.float64)
     return name, arr
 
 
@@ -73,14 +72,11 @@ def save_checkpoint(
     config: EncoderConfig,
     extra: dict | None = None,
     adam: AdamState | None = None,
-    dtype: str = DEFAULT_DTYPE,
 ) -> None:
-    if dtype not in _SUPPORTED_DTYPES:
-        raise CheckpointError(f"unsupported payload dtype {dtype!r}")
     header = {
         "version": VERSION,
         "config": config.to_dict(),
-        "dtype": dtype,
+        "dtype": DTYPE,
         "extra": extra or {},
         "adam_step": adam.step if adam is not None else None,
     }
@@ -98,12 +94,12 @@ def save_checkpoint(
         f.write(header_bytes)
         f.write(struct.pack("<I", len(tensors)))
         for name, arr in tensors:
-            _write_tensor(f, name, arr, dtype)
+            _write_tensor(f, name, arr)
 
 
-def _read_header(f) -> tuple[dict, EncoderConfig, str]:
-    """The JSON header after the magic, with its encoder config and payload
-    dtype.  Every malformed header is a CheckpointError."""
+def _read_header(f) -> tuple[dict, EncoderConfig]:
+    """The JSON header after the magic, with its encoder config.  Every
+    malformed header is a CheckpointError."""
     (header_len,) = struct.unpack("<I", _read_exact(f, 4))
     try:
         header = json.loads(_read_exact(f, header_len).decode("utf-8"))
@@ -113,8 +109,8 @@ def _read_header(f) -> tuple[dict, EncoderConfig, str]:
         raise CheckpointError("header is not a JSON object")
     if header.get("version") != VERSION:
         raise CheckpointError(f"unsupported version {header.get('version')}")
-    dtype = header.get("dtype", DEFAULT_DTYPE)
-    if dtype not in _SUPPORTED_DTYPES:
+    dtype = header.get("dtype", DTYPE)
+    if dtype != DTYPE:
         raise CheckpointError(f"unsupported payload dtype {dtype!r}")
     if "config" not in header:
         raise CheckpointError("header carries no encoder config")
@@ -127,7 +123,7 @@ def _read_header(f) -> tuple[dict, EncoderConfig, str]:
     adam_step = header.get("adam_step")
     if adam_step is not None and (isinstance(adam_step, bool) or not isinstance(adam_step, int) or adam_step < 0):
         raise CheckpointError(f"bad optimizer step {adam_step!r}")
-    return header, config, dtype
+    return header, config
 
 
 def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = None) -> Checkpoint:
@@ -142,9 +138,9 @@ def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = No
         try:
             if _read_exact(f, len(MAGIC)) != MAGIC:
                 raise CheckpointError("not a checkpoint file")
-            header, config, dtype = _read_header(f)
+            header, config = _read_header(f)
             (n_tensors,) = struct.unpack("<I", _read_exact(f, 4))
-            tensors = dict(_read_tensor(f, dtype) for _ in range(n_tensors))
+            tensors = dict(_read_tensor(f) for _ in range(n_tensors))
         except CheckpointError as exc:
             raise CheckpointError(f"{path}: {exc}") from None
 

@@ -12,9 +12,12 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
+    # sum / d is what ndarray.mean computes, bit for bit, without the
+    # Python-level dispatch that dominates the cost at one or a few rows
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = xhat * g + b
@@ -26,10 +29,11 @@ def layer_norm_backward(dout, cache):
     dg = (dout * xhat).sum(axis=tuple(range(dout.ndim - 1)))
     db = dout.sum(axis=tuple(range(dout.ndim - 1)))
     dxhat = dout * g
+    d = dout.shape[-1]
     dx = inv * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - dxhat.sum(axis=-1, keepdims=True) / d
+        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d
     )
     return dx, dg, db
 

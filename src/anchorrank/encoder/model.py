@@ -10,7 +10,6 @@ import numpy as np
 from anchorrank.corpus import CLS_ID
 from anchorrank.encoder import layers as lyr
 from anchorrank.encoder.config import EncoderConfig
-from anchorrank.encoder.params import zero_grads
 
 
 # Query-row selections for _layer: a basic slice is a view, so the all-rows
@@ -245,13 +244,6 @@ class EncoderGraph:
         np.add.at(grads["seg_emb"], self.segment_ids, de)
 
 
-def encode(params, config, token_ids, segment_ids=None):
-    """Run the encoder; returns (hidden states (n, d), attention maps
-    (layers, heads, n, n))."""
-    g = EncoderGraph(params, config, token_ids, segment_ids)
-    return g.hidden, g.attention
-
-
 def attention_from_position(attention, layer: int, query_positions) -> np.ndarray:
     """Head-averaged attention row for a set of query positions.
 
@@ -289,18 +281,3 @@ def cls_score(params, config, token_ids, segment_ids=None) -> float:
     for i in range(config.layers):
         h, _ = _layer(params, config, i, h, CLS_ROW if i == last else ALL_ROWS)
     return _cls_head(params, h[0])[0]
-
-
-def mlm_logits(params, config, token_ids, segment_ids, positions) -> np.ndarray:
-    return EncoderGraph(params, config, token_ids, segment_ids).mlm_logits(positions)
-
-
-def backward(params, graph: EncoderGraph, d_score: float = 0.0, d_mlm_logits=None) -> dict[str, np.ndarray]:
-    """Fresh gradient tree for one recorded graph's upstream gradients."""
-    if not np.isfinite(d_score):
-        raise ValueError("non-finite upstream score gradient")
-    if d_mlm_logits is not None and not np.all(np.isfinite(d_mlm_logits)):
-        raise ValueError("non-finite upstream MLM gradient")
-    grads = zero_grads(params)
-    graph.backward(grads, d_score=d_score, d_mlm_logits=d_mlm_logits)
-    return grads

@@ -62,20 +62,3 @@ def init_params(config: EncoderConfig, seed: int) -> dict[str, np.ndarray]:
 
 def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: np.zeros_like(v) for k, v in params.items()}
-
-
-def copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in params.items()}
-
-
-def validate_params(params: dict[str, np.ndarray], config: EncoderConfig) -> None:
-    shapes = param_shapes(config)
-    missing = sorted(set(shapes) - set(params))
-    extra = sorted(set(params) - set(shapes))
-    if missing or extra:
-        raise ValueError(f"parameter tree mismatch: missing={missing} extra={extra}")
-    for name, shape in shapes.items():
-        if params[name].shape != shape:
-            raise ValueError(f"parameter {name}: expected shape {shape}, got {params[name].shape}")
-        if not np.all(np.isfinite(params[name])):
-            raise ValueError(f"parameter {name} contains non-finite values")

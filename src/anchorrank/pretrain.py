@@ -6,9 +6,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,14 +92,6 @@ def mask_tokens(seq: PackedSequence, vocab_size: int, rng: np.random.Generator, 
     return MaskedBatch(seq=masked, labels=labels)
 
 
-def unmask(batch: MaskedBatch) -> np.ndarray:
-    """Restore the original token ids from the labels."""
-    ids = batch.seq.token_ids.copy()
-    for pos, original in batch.labels:
-        ids[pos] = original
-    return ids
-
-
 def hinge_loss(p_pos: float, p_neg: float) -> float:
     """max(0, 1 - p_pos + p_neg)."""
     if not (math.isfinite(p_pos) and math.isfinite(p_neg)):
@@ -159,23 +151,13 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if not 0.0 < self.mask_rate < 1.0:
             raise ValueError("mask_rate must be in (0, 1)")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
         for key in default_task_weights():
             self.task_weights.setdefault(key, 1.0)
 
     def to_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "max_len": self.max_len,
-            "mask_rate": self.mask_rate,
-            "task_weights": dict(self.task_weights),
-            "summary_max_tokens": self.summary_max_tokens,
-            "log_every": self.log_every,
-            "max_steps": self.max_steps,
-        }
+        return asdict(self)
 
 
 def summary_lookup(corpus: HyperlinkCorpus, max_tokens: int) -> Callable[[str], list[str]]:
@@ -189,6 +171,23 @@ def summary_lookup(corpus: HyperlinkCorpus, max_tokens: int) -> Callable[[str], 
         return cache[page_id]
 
     return lookup
+
+
+def pack_pair(
+    pair: PretrainPair, vocab: Vocabulary, doc_tokens: Callable[[str], list[str]], max_len: int
+) -> tuple[PackedSequence, PackedSequence]:
+    """The positive and negative packings of a pair: an rqp negative swaps
+    in the negative query against the same document, every other task the
+    negative document against the same query."""
+    pos_doc = doc_tokens(pair.pos_doc_id)
+    pos = pack_input(pair.query_tokens, pos_doc, vocab, max_len)
+    if pair.task == "rqp":
+        if not pair.neg_query_tokens:
+            raise TrainError(f"rqp pair {pair.seed_path} missing negative query")
+        neg = pack_input(pair.neg_query_tokens, pos_doc, vocab, max_len)
+    else:
+        neg = pack_input(pair.query_tokens, doc_tokens(pair.neg_doc_id), vocab, max_len)
+    return pos, neg
 
 
 def joint_step(
@@ -221,15 +220,7 @@ def joint_step(
     drop_rng = rng if enc_config.dropout > 0.0 else None
 
     for pair in pairs:
-        pos_doc = doc_tokens(pair.pos_doc_id)
-        pos_packed = pack_input(pair.query_tokens, pos_doc, vocab, config.max_len)
-        if pair.task == "rqp":
-            if not pair.neg_query_tokens:
-                raise TrainError(f"rqp pair {pair.seed_path} missing negative query")
-            neg_packed = pack_input(pair.neg_query_tokens, pos_doc, vocab, config.max_len)
-        else:
-            neg_packed = pack_input(pair.query_tokens, doc_tokens(pair.neg_doc_id), vocab, config.max_len)
-
+        pos_packed, neg_packed = pack_pair(pair, vocab, doc_tokens, config.max_len)
         g_pos = EncoderGraph(params, enc_config, pos_packed.token_ids, pos_packed.segment_ids, dropout_rng=drop_rng)
         s_pos = g_pos.cls_score()
         g_neg = EncoderGraph(params, enc_config, neg_packed.token_ids, neg_packed.segment_ids, dropout_rng=drop_rng)
@@ -262,9 +253,25 @@ def joint_step(
     return {"total": total, "components": components, "task_counts": task_counts, "pairs": n}
 
 
-def _batches(order: np.ndarray, batch_size: int) -> Iterable[np.ndarray]:
-    for start in range(0, order.size, batch_size):
-        yield order[start : start + batch_size]
+def batch_schedule(n: int, config, stage: str) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(step, epoch, indices) for each optimizer step of a training stage;
+    `config` is a TrainConfig or a ranker.FinetuneConfig.
+
+    Each epoch draws one permutation of range(n) from the stage's own
+    stream, derive_rng(config.seed, stage, "epoch", epoch), and cuts it
+    into config.batch_size slices (the last may be short).  Steps count
+    from 1 across epochs; the schedule ends after config.epochs epochs or
+    config.max_steps steps, whichever comes first, so max_steps=0 yields
+    nothing.
+    """
+    step = 0
+    for epoch in range(config.epochs):
+        order = derive_rng(config.seed, stage, "epoch", epoch).permutation(n)
+        for start in range(0, n, config.batch_size):
+            if config.max_steps is not None and step >= config.max_steps:
+                return
+            step += 1
+            yield step, epoch, order[start : start + config.batch_size]
 
 
 def train(
@@ -289,25 +296,11 @@ def train(
 
     logs: list[dict] = []
     step = 0
-    done = False
-    for epoch in range(config.epochs):
-        if done:
-            break
-        order = derive_rng(config.seed, "pretrain", "epoch", epoch).permutation(len(pairs))
-        for batch_idx in _batches(order, config.batch_size):
-            metrics = joint_step(
-                [pairs[i] for i in batch_idx], params, enc_config, vocab, doc_tokens, config, adam, mask_rng
-            )
-            step += 1
-            if step % config.log_every == 0 or (config.max_steps is not None and step >= config.max_steps):
-                entry = {"step": step, "epoch": epoch, **metrics}
-                logs.append(entry)
-                log.info(
-                    "step %d total %.4f mlm %.4f", step, metrics["total"], metrics["components"]["mlm"]
-                )
-            if config.max_steps is not None and step >= config.max_steps:
-                done = True
-                break
+    for step, epoch, batch_idx in batch_schedule(len(pairs), config, "pretrain"):
+        metrics = joint_step([pairs[i] for i in batch_idx], params, enc_config, vocab, doc_tokens, config, adam, mask_rng)
+        if step % config.log_every == 0 or step == config.max_steps:
+            logs.append({"step": step, "epoch": epoch, **metrics})
+            log.info("step %d total %.4f mlm %.4f", step, metrics["total"], metrics["components"]["mlm"])
 
     meta = {"stage": "pretrain", "train_config": config.to_dict(), "vocab": vocab.id_to_term, "steps": step}
     if extra_meta:
@@ -343,37 +336,27 @@ def mlm_warmup(
     adam = AdamState.zeros(params)
     mask_rng = derive_rng(config.seed, "warmup", "mask")
     drop_rng = mask_rng if enc_config.dropout > 0.0 else None
-    step = 0
-    done = False
-    for epoch in range(config.epochs):
-        if done:
-            break
-        order = derive_rng(config.seed, "warmup", "epoch", epoch).permutation(len(examples))
-        for batch_idx in _batches(order, config.batch_size):
-            batch = [examples[i] for i in batch_idx]
-            grads = zero_grads(params)
-            total = 0.0
-            contributing = 0
-            for sent in batch:
-                packed = pack_input(list(sent.tokens), doc_tokens(sent.page_id), vocab, config.max_len)
-                masked = mask_tokens(packed, enc_config.vocab_size, mask_rng, config.mask_rate)
-                if not masked.labels:
-                    continue
-                graph = EncoderGraph(params, enc_config, masked.seq.token_ids, masked.seq.segment_ids, dropout_rng=drop_rng)
-                logits = graph.mlm_logits([p for p, _ in masked.labels])
-                loss, d_logits = mlm_loss_and_grad(logits, masked.labels)
-                total += loss
-                contributing += 1
-                graph.backward(grads, d_mlm_logits=d_logits / len(batch))
-            if not math.isfinite(total):
-                raise TrainError("non-finite warm-up loss")
-            adam_step(params, grads, adam, lr=config.lr)
-            step += 1
-            if step % config.log_every == 0:
-                log.info("warmup step %d mlm %.4f", step, total / max(contributing, 1))
-            if config.max_steps is not None and step >= config.max_steps:
-                done = True
-                break
+    for step, _, batch_idx in batch_schedule(len(examples), config, "warmup"):
+        batch = [examples[i] for i in batch_idx]
+        grads = zero_grads(params)
+        total = 0.0
+        contributing = 0
+        for sent in batch:
+            packed = pack_input(list(sent.tokens), doc_tokens(sent.page_id), vocab, config.max_len)
+            masked = mask_tokens(packed, enc_config.vocab_size, mask_rng, config.mask_rate)
+            if not masked.labels:
+                continue
+            graph = EncoderGraph(params, enc_config, masked.seq.token_ids, masked.seq.segment_ids, dropout_rng=drop_rng)
+            logits = graph.mlm_logits([p for p, _ in masked.labels])
+            loss, d_logits = mlm_loss_and_grad(logits, masked.labels)
+            total += loss
+            contributing += 1
+            graph.backward(grads, d_mlm_logits=d_logits / len(batch))
+        if not math.isfinite(total):
+            raise TrainError("non-finite warm-up loss")
+        adam_step(params, grads, adam, lr=config.lr)
+        if step % config.log_every == 0:
+            log.info("warmup step %d mlm %.4f", step, total / max(contributing, 1))
 
     if checkpoint_path is not None:
         meta = {"stage": "sampler-warmup", "train_config": config.to_dict(), "vocab": vocab.id_to_term}
@@ -395,12 +378,7 @@ def pairwise_accuracy(
     doc_tokens = summary_lookup(corpus, config.summary_max_tokens)
     wins = 0
     for pair in pairs:
-        pos_doc = doc_tokens(pair.pos_doc_id)
-        pos = pack_input(pair.query_tokens, pos_doc, vocab, config.max_len)
-        if pair.task == "rqp":
-            neg = pack_input(pair.neg_query_tokens, pos_doc, vocab, config.max_len)
-        else:
-            neg = pack_input(pair.query_tokens, doc_tokens(pair.neg_doc_id), vocab, config.max_len)
+        pos, neg = pack_pair(pair, vocab, doc_tokens, config.max_len)
         s_pos = cls_score(params, enc_config, pos.token_ids, pos.segment_ids)
         s_neg = cls_score(params, enc_config, neg.token_ids, neg.segment_ids)
         if s_pos > s_neg:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -15,7 +15,7 @@ import numpy as np
 
 from anchorrank.corpus import HyperlinkCorpus, Vocabulary, tokenize
 from anchorrank.encoder import AdamState, EncoderConfig, EncoderGraph, adam_step, cls_score, load_checkpoint, save_checkpoint, zero_grads
-from anchorrank.pretrain import pack_input
+from anchorrank.pretrain import batch_schedule, pack_input
 from anchorrank.taskgen import derive_rng
 
 log = logging.getLogger(__name__)
@@ -67,18 +67,11 @@ class FinetuneConfig:
             raise ValueError("lr and batch_size must be positive, epochs >= 0")
         if not 0.0 <= self.warmup < 1.0:
             raise ValueError("warmup portion must be in [0, 1)")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "warmup": self.warmup,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "max_len": self.max_len,
-            "log_every": self.log_every,
-            "max_steps": self.max_steps,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -145,34 +138,25 @@ def finetune(
     warmup_steps = max(1, round(config.warmup * total_steps)) if total_steps else 1
 
     step = 0
-    done = False
-    for epoch in range(config.epochs):
-        if done:
-            break
-        order = derive_rng(config.seed, "finetune", "epoch", epoch).permutation(len(examples))
-        for start in range(0, order.size, config.batch_size):
-            batch = [examples[i] for i in order[start : start + config.batch_size]]
-            grads = zero_grads(params)
-            loss = 0.0
-            for ex in batch:
-                packed = pack_input(tokenize(ex.query_text), collection[ex.doc_id].tokens, model.vocab, config.max_len)
-                graph = EncoderGraph(params, model.config, packed.token_ids, packed.segment_ids, dropout_rng=drop_rng)
-                z = graph.cls_score()
-                s = _sigmoid(z)
-                eps = 1e-12
-                loss += -(ex.label * math.log(s + eps) + (1 - ex.label) * math.log(1.0 - s + eps))
-                graph.backward(grads, d_score=(s - ex.label) / len(batch))
-            loss /= len(batch)
-            if not math.isfinite(loss):
-                raise RuntimeError(f"non-finite fine-tune loss at step {step + 1}")
-            step += 1
-            lr = config.lr * min(1.0, step / warmup_steps)
-            adam_step(params, grads, adam, lr=lr)
-            if step % config.log_every == 0:
-                log.info("finetune step %d/%d loss %.4f lr %.2e", step, total_steps, loss, lr)
-            if config.max_steps is not None and step >= config.max_steps:
-                done = True
-                break
+    for step, _, batch_idx in batch_schedule(len(examples), config, "finetune"):
+        batch = [examples[i] for i in batch_idx]
+        grads = zero_grads(params)
+        loss = 0.0
+        for ex in batch:
+            packed = pack_input(tokenize(ex.query_text), collection[ex.doc_id].tokens, model.vocab, config.max_len)
+            graph = EncoderGraph(params, model.config, packed.token_ids, packed.segment_ids, dropout_rng=drop_rng)
+            z = graph.cls_score()
+            s = _sigmoid(z)
+            eps = 1e-12
+            loss += -(ex.label * math.log(s + eps) + (1 - ex.label) * math.log(1.0 - s + eps))
+            graph.backward(grads, d_score=(s - ex.label) / len(batch))
+        loss /= len(batch)
+        if not math.isfinite(loss):
+            raise RuntimeError(f"non-finite fine-tune loss at step {step}")
+        lr = config.lr * min(1.0, step / warmup_steps)
+        adam_step(params, grads, adam, lr=lr)
+        if step % config.log_every == 0:
+            log.info("finetune step %d/%d loss %.4f lr %.2e", step, total_steps, loss, lr)
 
     out = RankerModel(params=params, config=model.config, vocab=model.vocab)
     if checkpoint_path is not None:

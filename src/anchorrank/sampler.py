@@ -9,7 +9,6 @@ Poisson.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -108,15 +107,6 @@ def normalize(beta: dict[str, float], exclusions=(), provenance: str = "anchor",
     e = np.exp(weights)
     probs = e / e.sum()
     return TermDistribution(terms=[t for t, _ in support], probs=probs, provenance=provenance, source=source)
-
-
-def poisson_pmf(lam: float, x: int) -> float:
-    """P(X=x) for a true Poisson: lam^x e^-lam / x!."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if x < 0:
-        return 0.0
-    return math.exp(x * math.log(lam) - lam - math.lgamma(x + 1))
 
 
 def poisson_length(lam: float, rng: np.random.Generator) -> int:

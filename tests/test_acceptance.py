@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from anchorrank.corpus import build_vocab, clean_corpus, page_summary
-from anchorrank.encoder import EncoderConfig, encode, init_params
+from anchorrank.encoder import EncoderConfig, init_params
 from anchorrank.evalkit import mrr_at_k, ndcg_at_k
 from anchorrank.pretrain import (
     TrainConfig,
@@ -41,7 +41,7 @@ from anchorrank.sampler import (
 from anchorrank.synth import SynthConfig, build_retrieval_split, build_synthetic_corpus
 from anchorrank.taskgen import PairGenerator, TaskGenConfig
 from test_evalkit import brute_mrr, brute_ndcg
-from util import finite_difference_grads, joint_loss, joint_loss_gradients, max_relative_error
+from util import encode, finite_difference_grads, joint_loss, joint_loss_gradients, max_relative_error
 
 SEED = 7
 PER_TASK_CAP = {"rdp": 100, "acm": 200}

@@ -15,19 +15,19 @@ from anchorrank.encoder import (
     adam_step,
     attention_from_position,
     cls_score,
-    encode,
     init_params,
     load_checkpoint,
-    mlm_logits,
     save_checkpoint,
     zero_grads,
 )
 from anchorrank.encoder.layers import layer_norm, softmax
 from util import (
+    encode,
     finite_difference_grads,
     joint_loss,
     joint_loss_gradients,
     max_relative_error,
+    mlm_logits,
     mlm_nll,
 )
 
@@ -344,6 +344,7 @@ class TestCheckpoint:
             (lambda h: b"\xff\xfe", "unreadable header"),
             (lambda h: {**h, "extra": "vocab"}, "extra"),
             (lambda h: {**h, "adam_step": "1"}, "optimizer step"),
+            (lambda h: {**h, "dtype": "<f4"}, "payload dtype"),
         ],
         ids=[
             "no-config",
@@ -358,6 +359,7 @@ class TestCheckpoint:
             "header-not-utf8",
             "extra-not-object",
             "bad-adam-step",
+            "float32-payload",
         ],
     )
     def test_malformed_header_rejected(self, params, tmp_path, capsys, edit, match):

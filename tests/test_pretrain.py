@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -10,20 +12,22 @@ from anchorrank.pretrain import (
     PackError,
     TrainConfig,
     TrainError,
+    batch_schedule,
     hinge_loss,
     joint_step,
     mask_tokens,
     mlm_loss,
     mlm_warmup,
     pack_input,
+    pack_pair,
     pairwise_accuracy,
     train,
-    unmask,
 )
 from anchorrank.encoder.adam import AdamState
-from anchorrank.taskgen import PairGenerator, PretrainPair, TaskGenConfig
+from anchorrank.taskgen import PairGenerator, PretrainPair, TaskGenConfig, derive_rng
 from anchorrank.sampler import default_stopwords
 from conftest import TableAttentionSampler
+from util import unmask
 
 
 def small_vocab(n_terms=30):
@@ -167,6 +171,26 @@ def make_pair(task, query, pos, neg, neg_query=None, seed_path="x"):
     )
 
 
+class TestPackPair:
+    def setup_method(self):
+        self.vocab = small_vocab()
+        docs = {"A": ["t3", "t4"], "B": ["t7"]}
+        self.docs = lambda pid: docs[pid]
+
+    def test_negative_swaps_document_or_query(self):
+        pos, neg = pack_pair(make_pair("qdm", ["t1"], "A", "B"), self.vocab, self.docs, 32)
+        assert np.array_equal(pos.token_ids, pack_input(["t1"], ["t3", "t4"], self.vocab, 32).token_ids)
+        assert np.array_equal(neg.token_ids, pack_input(["t1"], ["t7"], self.vocab, 32).token_ids)
+        pos, neg = pack_pair(make_pair("rqp", ["t1"], "A", None, neg_query=["t2"]), self.vocab, self.docs, 32)
+        assert np.array_equal(pos.token_ids, pack_input(["t1"], ["t3", "t4"], self.vocab, 32).token_ids)
+        assert np.array_equal(neg.token_ids, pack_input(["t2"], ["t3", "t4"], self.vocab, 32).token_ids)
+
+    def test_rqp_without_negative_query_errors(self):
+        pair = make_pair("rqp", ["t1"], "A", None, seed_path="rqp/7")
+        with pytest.raises(TrainError, match="rqp/7 missing negative query"):
+            pack_pair(pair, self.vocab, self.docs, 32)
+
+
 class TestJointStep:
     CFG = EncoderConfig(layers=1, heads=2, hidden=16, ffn_dim=32, vocab_size=40, max_len=32)
 
@@ -275,6 +299,38 @@ class TestTrainLoop:
             assert np.array_equal(params[k], reference[k])
         assert logs == []
 
+    def test_max_steps_zero_returns_init(self, corpus):
+        vocab, pairs, enc = self.make_setup(corpus)
+        tcfg = TrainConfig(lr=1e-3, epochs=2, batch_size=4, max_len=48, seed=5, summary_max_tokens=24, max_steps=0)
+        params, logs = train(pairs, corpus, enc, tcfg, vocab)
+        reference = init_params(enc, tcfg.seed)
+        for k in params:
+            assert np.array_equal(params[k], reference[k])
+        assert logs == []
+
+    def test_warmup_max_steps_zero_returns_init(self, corpus):
+        vocab, _, enc = self.make_setup(corpus)
+        tcfg = TrainConfig(lr=1e-3, epochs=2, batch_size=4, max_len=48, seed=2, summary_max_tokens=24, max_steps=0)
+        params = mlm_warmup(corpus, enc, tcfg, vocab)
+        reference = init_params(enc, tcfg.seed)
+        for k in params:
+            assert np.array_equal(params[k], reference[k])
+
+    def test_negative_max_steps_rejected(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            TrainConfig(max_steps=-3)
+
+    def test_one_log_record_per_step(self, corpus, caplog):
+        # the benchmark times training steps from these records
+        vocab, pairs, enc = self.make_setup(corpus)
+        tcfg = TrainConfig(lr=1e-3, epochs=2, batch_size=4, max_len=48, seed=5, summary_max_tokens=24, log_every=1)
+        caplog.set_level(logging.INFO, logger="anchorrank.pretrain")
+        _, logs = train(pairs, corpus, enc, tcfg, vocab)
+        steps = 2 * math.ceil(len(pairs) / 4)
+        records = [r for r in caplog.records if r.name == "anchorrank.pretrain"]
+        assert len(records) == steps
+        assert [e["step"] for e in logs] == list(range(1, steps + 1))
+
     def test_loss_decreases(self, corpus):
         vocab, pairs, enc = self.make_setup(corpus)
         assert len(pairs) >= 4
@@ -314,3 +370,33 @@ class TestTrainLoop:
         params = init_params(enc, 0)
         acc = pairwise_accuracy(pairs, params, enc, vocab, corpus, tcfg)
         assert 0.0 <= acc <= 1.0
+
+
+class TestBatchSchedule:
+    CFG = TrainConfig(epochs=2, batch_size=3, seed=4)
+
+    def schedule(self, n, stage="pretrain", **changes):
+        cfg = dataclasses.replace(self.CFG, **changes)
+        return [(step, epoch, idx.tolist()) for step, epoch, idx in batch_schedule(n, cfg, stage)]
+
+    def expected(self, stage):
+        o0, o1 = (derive_rng(4, stage, "epoch", e).permutation(7).tolist() for e in (0, 1))
+        return [(1, 0, o0[:3]), (2, 0, o0[3:6]), (3, 0, o0[6:]), (4, 1, o1[:3]), (5, 1, o1[3:6]), (6, 1, o1[6:])]
+
+    def test_exact_sequence(self):
+        got = self.schedule(7)
+        assert got == self.expected("pretrain")
+        for epoch in (0, 1):
+            assert sorted(i for _, e, idx in got if e == epoch for i in idx) == list(range(7))
+
+    def test_each_stage_has_its_own_stream(self):
+        assert self.schedule(7, "finetune") == self.expected("finetune")
+        assert self.expected("finetune") != self.expected("pretrain")
+
+    def test_stops_mid_epoch(self):
+        assert self.schedule(7, max_steps=4) == self.expected("pretrain")[:4]
+
+    def test_nothing_to_run(self):
+        assert self.schedule(7, epochs=0) == []
+        assert self.schedule(7, max_steps=0) == []
+        assert self.schedule(0) == []

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from anchorrank import ranker
 from anchorrank.corpus import build_vocab
-from anchorrank.encoder import EncoderConfig, encode, init_params, save_checkpoint
+from anchorrank.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from anchorrank.ranker import (
     DocRecord,
     FinetuneConfig,
@@ -25,6 +26,7 @@ from anchorrank.ranker import (
     write_collection,
     write_queries,
 )
+from util import encode
 
 def make_model(corpus, seed=0, zero_head=False):
     vocab = build_vocab(corpus, max_size=300)
@@ -118,6 +120,29 @@ class TestFinetune:
         h0, _ = encode(model.params, model.config, ids)
         h1, _ = encode(tuned.params, tuned.config, ids)
         assert np.array_equal(h0, h1)
+
+    def test_max_steps_zero_keeps_params_bitwise(self, corpus, tmp_path):
+        collection, examples = self.setup_examples(corpus)
+        model = make_model(corpus)
+        cfg = FinetuneConfig(lr=1e-3, epochs=2, batch_size=2, max_steps=0)
+        tuned = finetune(model, examples, collection, cfg, checkpoint_path=tmp_path / "f.ckpt")
+        for k in model.params:
+            assert np.array_equal(tuned.params[k], model.params[k])
+        assert load_checkpoint(tmp_path / "f.ckpt").extra["steps"] == 0
+
+    def test_negative_max_steps_rejected(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            FinetuneConfig(max_steps=-3)
+
+    def test_one_log_record_per_step(self, corpus, caplog):
+        # the benchmark times training steps from these records
+        collection, examples = self.setup_examples(corpus)
+        model = make_model(corpus)
+        cfg = FinetuneConfig(lr=1e-3, epochs=3, batch_size=4, log_every=1, max_steps=3)
+        caplog.set_level(logging.INFO, logger="anchorrank.ranker")
+        finetune(model, examples, collection, cfg)
+        records = [r for r in caplog.records if r.name == "anchorrank.ranker"]
+        assert [r.getMessage().split()[2] for r in records] == ["1/3", "2/3", "3/3"]
 
     def test_input_model_never_mutated(self, corpus):
         collection, examples = self.setup_examples(corpus)

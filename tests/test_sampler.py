@@ -13,9 +13,9 @@ from anchorrank.sampler import (
     merge_position_weights,
     normalize,
     poisson_length,
-    poisson_pmf,
     sample_word_set,
 )
+from util import poisson_pmf
 
 
 def make_vocab(*texts):

@@ -1,9 +1,40 @@
 """Shared oracles for the test suite: finite differences, independent NLL,
-and the joint hinge+MLM loss used for gradient checking."""
+the joint hinge+MLM loss used for gradient checking, and small helpers
+that only tests need."""
+
+import math
 
 import numpy as np
 
 from anchorrank.encoder import EncoderGraph, zero_grads
+
+
+def encode(params, config, token_ids, segment_ids=None):
+    """Run the encoder; returns (hidden states (n, d), attention maps
+    (layers, heads, n, n))."""
+    g = EncoderGraph(params, config, token_ids, segment_ids)
+    return g.hidden, g.attention
+
+
+def mlm_logits(params, config, token_ids, segment_ids, positions) -> np.ndarray:
+    return EncoderGraph(params, config, token_ids, segment_ids).mlm_logits(positions)
+
+
+def unmask(batch) -> np.ndarray:
+    """Restore the original token ids of a MaskedBatch from its labels."""
+    ids = batch.seq.token_ids.copy()
+    for pos, original in batch.labels:
+        ids[pos] = original
+    return ids
+
+
+def poisson_pmf(lam: float, x: int) -> float:
+    """P(X=x) for a true Poisson: lam^x e^-lam / x!."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if x < 0:
+        return 0.0
+    return math.exp(x * math.log(lam) - lam - math.lgamma(x + 1))
 
 
 def log_softmax(logits):
