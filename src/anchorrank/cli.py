@@ -3,7 +3,9 @@ finetune, rerank, eval.
 
 Every command resolves one configuration (profile defaults <- config file
 <- flags), prints it with the seed, and embeds both into its outputs (as
-checkpoint metadata or a .meta.json sidecar) for provenance.
+checkpoint metadata or a .meta.json sidecar) for provenance.  Each config
+section holds the fields of one config dataclass and is passed to it
+whole, so a key that DEFAULTS lacks is rejected when the file is read.
 """
 
 from __future__ import annotations
@@ -31,26 +33,27 @@ from anchorrank.ranker import (
 )
 from anchorrank.sampler import AttentionSampler, default_stopwords, load_stopwords
 from anchorrank.synth import SynthConfig, synth_dataset
-from anchorrank.taskgen import PairGenerator, TaskGenConfig, read_pairs, write_pairs
+from anchorrank.taskgen import TASKS, PairGenerator, TaskGenConfig, read_pairs, write_pairs
 
-log = logging.getLogger(__name__)
-
-PRODUCERS = {
-    "corpus": "synth",
-    "corpus_clean": "ingest",
-    "vocab": "ingest",
-    "sampler_ckpt": "warm-sampler",
-    "pairs": "build-pairs",
-    "pretrain_ckpt": "pretrain",
-    "finetune_ckpt": "finetune",
-    "run": "rerank",
-    "collection": "synth",
-    "eval_queries": "synth",
-    "eval_qrels": "synth",
-    "eval_candidates": "synth",
-    "train_queries": "synth",
-    "train_qrels": "synth",
-    "train_candidates": "synth",
+# artifact key -> (default file name under the workdir, command that writes it)
+ARTIFACTS = {
+    "corpus": ("corpus.jsonl", "synth"),
+    "corpus_clean": ("clean.jsonl", "ingest"),
+    "vocab": ("vocab.txt", "ingest"),
+    "sampler_ckpt": ("sampler.ckpt", "warm-sampler"),
+    "pairs": ("pairs.jsonl", "build-pairs"),
+    "pretrain_ckpt": ("pretrained.ckpt", "pretrain"),
+    "pretrain_metrics": ("pretrain_metrics.jsonl", "pretrain"),
+    "finetune_ckpt": ("finetuned.ckpt", "finetune"),
+    "collection": ("collection.jsonl", "synth"),
+    "train_queries": ("train_queries.tsv", "synth"),
+    "train_qrels": ("train_qrels.txt", "synth"),
+    "train_candidates": ("train_candidates.txt", "synth"),
+    "eval_queries": ("eval_queries.tsv", "synth"),
+    "eval_qrels": ("eval_qrels.txt", "synth"),
+    "eval_candidates": ("eval_candidates.txt", "synth"),
+    "run": ("rerank.run", "rerank"),
+    "metrics": ("metrics.json", "eval"),
 }
 
 DEFAULTS = {
@@ -88,26 +91,6 @@ FULL_PROFILE = {
     "finetune": {"lr": 1e-5, "epochs": 2, "warmup": 0.1, "batch_size": 128, "max_steps": None},
 }
 
-DEFAULT_FILENAMES = {
-    "corpus": "corpus.jsonl",
-    "corpus_clean": "clean.jsonl",
-    "vocab": "vocab.txt",
-    "sampler_ckpt": "sampler.ckpt",
-    "pairs": "pairs.jsonl",
-    "pretrain_ckpt": "pretrained.ckpt",
-    "pretrain_metrics": "pretrain_metrics.jsonl",
-    "finetune_ckpt": "finetuned.ckpt",
-    "collection": "collection.jsonl",
-    "train_queries": "train_queries.tsv",
-    "train_qrels": "train_qrels.txt",
-    "train_candidates": "train_candidates.txt",
-    "eval_queries": "eval_queries.tsv",
-    "eval_qrels": "eval_qrels.txt",
-    "eval_candidates": "eval_candidates.txt",
-    "run": "rerank.run",
-    "metrics": "metrics.json",
-}
-
 
 class CommandError(RuntimeError):
     pass
@@ -123,6 +106,25 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _check_config_file(path: Path, file_cfg) -> None:
+    """Every key must be one of DEFAULTS (a paths key one of ARTIFACTS), and
+    every section an object, so that each section can be passed whole to
+    the dataclass it builds."""
+    if not isinstance(file_cfg, dict):
+        raise CommandError(f"config file {path}: expected a JSON object, got {type(file_cfg).__name__}")
+    for key, value in file_cfg.items():
+        if key not in DEFAULTS:
+            raise CommandError(f"config file {path}: unknown key {key!r}; expected one of {sorted(DEFAULTS)}")
+        allowed = ARTIFACTS if key == "paths" else DEFAULTS[key]
+        if not isinstance(allowed, dict):
+            continue
+        if not isinstance(value, dict):
+            raise CommandError(f"config file {path}: section {key!r} must be an object, got {type(value).__name__}")
+        unknown = sorted(set(value) - set(allowed))
+        if unknown:
+            raise CommandError(f"config file {path}: unknown keys {unknown} in {key!r} (known: {sorted(allowed)})")
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     profile = getattr(args, "profile", None)
@@ -131,7 +133,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise CommandError(f"config file {path} not found")
-        file_cfg = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            file_cfg = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise CommandError(f"config file {path}: not valid JSON: {exc}") from None
+        _check_config_file(path, file_cfg)
         profile = profile or file_cfg.get("profile")
     profile = profile or cfg["profile"]
     if profile == "full":
@@ -152,15 +158,21 @@ def resolve_config(args: argparse.Namespace) -> dict:
 def resolve_path(cfg: dict, key: str, override: str | None = None) -> Path:
     if override:
         return Path(override)
-    if key in cfg.get("paths", {}):
+    if key in cfg["paths"]:
         return Path(cfg["paths"][key])
-    return Path(cfg["workdir"]) / DEFAULT_FILENAMES[key]
+    return Path(cfg["workdir"]) / ARTIFACTS[key][0]
 
 
-def require_input(path: Path, key: str) -> Path:
+def input_path(cfg: dict, key: str, override: str | None = None) -> Path:
+    path = resolve_path(cfg, key, override)
     if not path.exists():
-        producer = PRODUCERS.get(key, "an earlier command")
-        raise CommandError(f"missing input {path} ({key}); produce it with `anchorrank {producer}`")
+        raise CommandError(f"missing input {path} ({key}); produce it with `anchorrank {ARTIFACTS[key][1]}`")
+    return path
+
+
+def output_path(cfg: dict, key: str, override: str | None = None) -> Path:
+    path = resolve_path(cfg, key, override)
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -175,16 +187,7 @@ def write_sidecar(path: Path, command: str, cfg: dict) -> None:
 
 
 def encoder_config(cfg: dict, vocab_size: int) -> EncoderConfig:
-    e = cfg["encoder"]
-    return EncoderConfig(
-        layers=e["layers"],
-        heads=e["heads"],
-        hidden=e["hidden"],
-        ffn_dim=e["ffn_dim"],
-        vocab_size=vocab_size,
-        max_len=e["max_len"],
-        dropout=e.get("dropout", 0.0),
-    )
+    return EncoderConfig(**cfg["encoder"], vocab_size=vocab_size)
 
 
 def stopword_set(cfg: dict):
@@ -194,50 +197,32 @@ def stopword_set(cfg: dict):
 
 
 def train_config(section: dict, cfg: dict, task_weights=None) -> TrainConfig:
+    """The warm-up section has no lam or task_weights of its own.  TrainConfig
+    fills task_weights in place, so it gets a copy."""
+    weights = dict(section["task_weights"] if task_weights is None else task_weights)
     return TrainConfig(
-        lam=section.get("lam", cfg["taskgen"]["lam"]),
-        lr=section["lr"],
-        epochs=section["epochs"],
-        batch_size=section["batch_size"],
+        **{"lam": cfg["taskgen"]["lam"], **section, "task_weights": weights},
         seed=cfg["seed"],
         max_len=cfg["encoder"]["max_len"],
-        task_weights=dict(task_weights if task_weights is not None else section.get("task_weights", {})),
         summary_max_tokens=cfg["taskgen"]["summary_max_tokens"],
-        log_every=section.get("log_every", 50),
-        max_steps=section.get("max_steps"),
     )
 
 
-def cmd_synth(args) -> int:
-    cfg = resolve_config(args)
-    announce("synth", cfg)
-    s = cfg["synth"]
-    synth_cfg = SynthConfig(
-        pages=s["pages"],
-        topics=s["topics"],
-        train_queries=s["train_queries"],
-        eval_queries=s["eval_queries"],
-        candidates_per_query=s["candidates_per_query"],
-        seed=cfg["seed"],
-    )
+def cmd_synth(args, cfg: dict) -> int:
     out_dir = Path(args.out) if args.out else Path(cfg["workdir"])
-    paths = synth_dataset(out_dir, synth_cfg)
+    paths = synth_dataset(out_dir, SynthConfig(**cfg["synth"], seed=cfg["seed"]))
     write_sidecar(paths["corpus"], "synth", cfg)
     print(f"wrote synthetic dataset under {out_dir}")
     return 0
 
 
-def cmd_ingest(args) -> int:
-    cfg = resolve_config(args)
-    announce("ingest", cfg)
-    corpus_path = require_input(resolve_path(cfg, "corpus", args.corpus), "corpus")
-    corpus = read_corpus(corpus_path)
+def cmd_ingest(args, cfg: dict) -> int:
+    corpus = read_corpus(input_path(cfg, "corpus", args.corpus))
     cleaned = clean_corpus(corpus, min_words=cfg["corpus"]["min_words"])
     if len(cleaned) == 0:
         raise CommandError("cleaning removed every page; lower corpus.min_words")
     vocab = build_vocab(cleaned, max_size=cfg["corpus"]["vocab_size"])
-    clean_path = resolve_path(cfg, "corpus_clean", args.out)
-    clean_path.parent.mkdir(parents=True, exist_ok=True)
+    clean_path = output_path(cfg, "corpus_clean", args.out)
     write_corpus(cleaned, clean_path)
     vocab_path = resolve_path(cfg, "vocab")
     vocab.save(vocab_path)
@@ -248,145 +233,111 @@ def cmd_ingest(args) -> int:
 
 
 def _load_clean_corpus_and_vocab(cfg: dict):
-    corpus = read_corpus(require_input(resolve_path(cfg, "corpus_clean"), "corpus_clean"))
-    vocab = Vocabulary.load(require_input(resolve_path(cfg, "vocab"), "vocab"))
-    return corpus, vocab
+    return read_corpus(input_path(cfg, "corpus_clean")), Vocabulary.load(input_path(cfg, "vocab"))
 
 
-def cmd_warm_sampler(args) -> int:
-    cfg = resolve_config(args)
-    announce("warm-sampler", cfg)
+def cmd_warm_sampler(args, cfg: dict) -> int:
     corpus, vocab = _load_clean_corpus_and_vocab(cfg)
     enc = encoder_config(cfg, len(vocab))
-    weights = {"rqp": 0.0, "qdm": 0.0, "rdp": 0.0, "acm": 0.0, "mlm": 1.0}
-    tcfg = train_config(cfg["warmup"], cfg, task_weights=weights)
-    out = resolve_path(cfg, "sampler_ckpt", args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    tcfg = train_config(cfg["warmup"], cfg, task_weights={"rqp": 0.0, "qdm": 0.0, "rdp": 0.0, "acm": 0.0, "mlm": 1.0})
+    out = output_path(cfg, "sampler_ckpt", args.out)
     mlm_warmup(corpus, enc, tcfg, vocab, checkpoint_path=out)
     print(f"sampler checkpoint -> {out}")
     return 0
 
 
-def cmd_build_pairs(args) -> int:
-    cfg = resolve_config(args)
-    announce("build-pairs", cfg)
+def cmd_build_pairs(args, cfg: dict) -> int:
     corpus, vocab = _load_clean_corpus_and_vocab(cfg)
-    ckpt_path = require_input(resolve_path(cfg, "sampler_ckpt"), "sampler_ckpt")
-    ck = load_checkpoint(ckpt_path, expected_config=encoder_config(cfg, len(vocab)))
+    ck = load_checkpoint(input_path(cfg, "sampler_ckpt"), expected_config=encoder_config(cfg, len(vocab)))
     sampler = AttentionSampler(ck.params, ck.config, vocab, stopwords=stopword_set(cfg))
-    gen_cfg = TaskGenConfig(
-        lam=cfg["taskgen"]["lam"],
-        summary_max_tokens=cfg["taskgen"]["summary_max_tokens"],
-        per_task_cap=cfg["taskgen"]["per_task_cap"],
-        pair_budget=cfg["taskgen"]["pair_budget"],
-        seed=cfg["seed"],
-    )
-    pairs = PairGenerator(corpus, sampler, gen_cfg).generate()
+    pairs = PairGenerator(corpus, sampler, TaskGenConfig(**cfg["taskgen"], seed=cfg["seed"])).generate()
     if not pairs:
         raise CommandError("no pairs were generated; corpus has too few usable anchors")
-    out = resolve_path(cfg, "pairs", args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = output_path(cfg, "pairs", args.out)
     count = write_pairs(pairs, out)
     write_sidecar(out, "build-pairs", cfg)
-    by_task = {t: sum(1 for p in pairs if p.task == t) for t in ("rqp", "qdm", "rdp", "acm")}
+    by_task = {t: sum(1 for p in pairs if p.task == t) for t in TASKS}
     print(f"{count} pairs ({by_task}) -> {out}")
     return 0
 
 
-def cmd_pretrain(args) -> int:
-    cfg = resolve_config(args)
-    announce("pretrain", cfg)
+def cmd_pretrain(args, cfg: dict) -> int:
     corpus, vocab = _load_clean_corpus_and_vocab(cfg)
-    pairs = read_pairs(require_input(resolve_path(cfg, "pairs"), "pairs"))
+    pairs = read_pairs(input_path(cfg, "pairs"))
     enc = encoder_config(cfg, len(vocab))
     tcfg = train_config(cfg["pretrain"], cfg)
-    init = None
-    if args.init:
-        init = load_checkpoint(Path(args.init), expected_config=enc).params
-    out = resolve_path(cfg, "pretrain_ckpt", args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    init = load_checkpoint(Path(args.init), expected_config=enc).params if args.init else None
+    out = output_path(cfg, "pretrain_ckpt", args.out)
     metrics_path = resolve_path(cfg, "pretrain_metrics")
-    train(
-        pairs,
-        corpus,
-        enc,
-        tcfg,
-        vocab,
-        init=init,
-        checkpoint_path=out,
-        metrics_path=metrics_path,
-        extra_meta={"seed": cfg["seed"], "command": "pretrain"},
-    )
+    meta = {"seed": cfg["seed"], "command": "pretrain"}
+    train(pairs, corpus, enc, tcfg, vocab, init=init, checkpoint_path=out, metrics_path=metrics_path, extra_meta=meta)
     print(f"pre-trained checkpoint -> {out}")
     print(f"metrics log -> {metrics_path}")
     return 0
 
 
-def cmd_finetune(args) -> int:
-    cfg = resolve_config(args)
-    announce("finetune", cfg)
-    ckpt = require_input(Path(args.init) if args.init else resolve_path(cfg, "pretrain_ckpt"), "pretrain_ckpt")
-    model = load_model(ckpt)
-    collection = read_collection(require_input(resolve_path(cfg, "collection"), "collection"))
-    queries = read_queries(require_input(resolve_path(cfg, "train_queries"), "train_queries"))
-    qrels = evalkit.read_qrels(require_input(resolve_path(cfg, "train_qrels"), "train_qrels"))
-    candidates = read_candidates(require_input(resolve_path(cfg, "train_candidates"), "train_candidates"))
+def cmd_finetune(args, cfg: dict) -> int:
+    model = load_model(input_path(cfg, "pretrain_ckpt", args.init))
+    collection = read_collection(input_path(cfg, "collection"))
+    queries = read_queries(input_path(cfg, "train_queries"))
+    qrels = evalkit.read_qrels(input_path(cfg, "train_qrels"))
+    candidates = read_candidates(input_path(cfg, "train_candidates"))
     examples = examples_from_candidates(queries, candidates, qrels)
     if not examples:
         raise CommandError("no fine-tuning examples; check the train queries/candidates/qrels files")
-    f = cfg["finetune"]
-    fcfg = FinetuneConfig(
-        lr=f["lr"],
-        epochs=f["epochs"],
-        warmup=f["warmup"],
-        batch_size=f["batch_size"],
-        seed=cfg["seed"],
-        max_len=cfg["encoder"]["max_len"],
-        log_every=f.get("log_every", 50),
-        max_steps=f.get("max_steps"),
-    )
-    out = resolve_path(cfg, "finetune_ckpt", args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    fcfg = FinetuneConfig(**cfg["finetune"], seed=cfg["seed"], max_len=cfg["encoder"]["max_len"])
+    out = output_path(cfg, "finetune_ckpt", args.out)
     finetune(model, examples, collection, fcfg, checkpoint_path=out)
     print(f"fine-tuned checkpoint ({len(examples)} examples) -> {out}")
     return 0
 
 
-def cmd_rerank(args) -> int:
-    cfg = resolve_config(args)
-    announce("rerank", cfg)
-    ckpt = require_input(Path(args.init) if args.init else resolve_path(cfg, "finetune_ckpt"), "finetune_ckpt")
-    model = load_model(ckpt)
-    collection = read_collection(require_input(resolve_path(cfg, "collection"), "collection"))
-    queries = read_queries(require_input(resolve_path(cfg, "eval_queries"), "eval_queries"))
-    candidates = read_candidates(require_input(resolve_path(cfg, "eval_candidates"), "eval_candidates"))
-    k = cfg["rerank"]["k"]
+def cmd_rerank(args, cfg: dict) -> int:
+    model = load_model(input_path(cfg, "finetune_ckpt", args.init))
+    collection = read_collection(input_path(cfg, "collection"))
+    queries = read_queries(input_path(cfg, "eval_queries"))
+    candidates = read_candidates(input_path(cfg, "eval_candidates"))
     run: evalkit.RankedRun = {}
     for qid in sorted(candidates):
         if qid not in queries:
             raise CommandError(f"candidate query {qid!r} missing from queries file")
-        run[qid] = rerank(model, queries[qid], candidates[qid], k=k, collection=collection)
-    out = resolve_path(cfg, "run", args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+        run[qid] = rerank(model, queries[qid], candidates[qid], k=cfg["rerank"]["k"], collection=collection)
+    out = output_path(cfg, "run", args.out)
     evalkit.write_run(run, out, tag=f"anchorrank-seed{cfg['seed']}")
     write_sidecar(out, "rerank", cfg)
     print(f"run over {len(run)} queries -> {out}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
-    announce("eval", cfg)
-    run = evalkit.read_run(require_input(resolve_path(cfg, "run"), "run"))
-    qrels = evalkit.read_qrels(require_input(resolve_path(cfg, "eval_qrels"), "eval_qrels"))
+def cmd_eval(args, cfg: dict) -> int:
+    run = evalkit.read_run(input_path(cfg, "run"))
+    qrels = evalkit.read_qrels(input_path(cfg, "eval_qrels"))
     report = evalkit.evaluate(run, qrels, ks=tuple(cfg["eval"]["ks"]))
     print(evalkit.format_report(report))
-    out = resolve_path(cfg, "metrics", args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = output_path(cfg, "metrics", args.out)
     record = {"command": "eval", "seed": cfg["seed"], "metrics": report, "config": cfg}
     out.write_text(json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
     print(f"metrics record -> {out}")
     return 0
+
+
+# command -> (handler, help, --out help, *extra (flag, help) options)
+COMMANDS = {
+    "synth": (cmd_synth, "generate the bundled synthetic topic corpus and retrieval splits",
+              "output directory (default workdir)"),
+    "ingest": (cmd_ingest, "parse + clean the corpus and build the vocabulary", "cleaned corpus path",
+               ("--corpus", "raw corpus JSONL path")),
+    "warm-sampler": (cmd_warm_sampler, "MLM-only warm-up producing the fixed sampling checkpoint",
+                     "sampler checkpoint path"),
+    "build-pairs": (cmd_build_pairs, "construct the four-task pre-training pairs file", "pairs file path"),
+    "pretrain": (cmd_pretrain, "joint pairwise + MLM pre-training", "checkpoint path",
+                 ("--init", "optional checkpoint to initialize from")),
+    "finetune": (cmd_finetune, "pointwise cross-entropy fine-tuning on the train split", "checkpoint path",
+                 ("--init", "checkpoint to initialize from (default: pretrain output)")),
+    "rerank": (cmd_rerank, "rerank the eval candidate lists", "run file path",
+               ("--init", "checkpoint to rerank with (default: finetune output)")),
+    "eval": (cmd_eval, "score a run against qrels (MRR@k, nDCG@k)", "metrics record path"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,60 +346,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hyperlink-derived pre-training and document reranking pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, out_help: str | None = None) -> None:
+    for name, (func, help_text, out_help, *options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="random seed (mandatory here or in the config)")
         p.add_argument("--profile", choices=["toy", "full"], help="preset profile")
         p.add_argument("--workdir", help="artifact directory (default ./work)")
-        if out_help:
-            p.add_argument("--out", help=out_help)
-
-    p = sub.add_parser("synth", help="generate the bundled synthetic topic corpus and retrieval splits")
-    common(p, out_help="output directory (default workdir)")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("ingest", help="parse + clean the corpus and build the vocabulary")
-    common(p, out_help="cleaned corpus path")
-    p.add_argument("--corpus", help="raw corpus JSONL path")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("warm-sampler", help="MLM-only warm-up producing the fixed sampling checkpoint")
-    common(p, out_help="sampler checkpoint path")
-    p.set_defaults(func=cmd_warm_sampler)
-
-    p = sub.add_parser("build-pairs", help="construct the four-task pre-training pairs file")
-    common(p, out_help="pairs file path")
-    p.set_defaults(func=cmd_build_pairs)
-
-    p = sub.add_parser("pretrain", help="joint pairwise + MLM pre-training")
-    common(p, out_help="checkpoint path")
-    p.add_argument("--init", help="optional checkpoint to initialize from")
-    p.set_defaults(func=cmd_pretrain)
-
-    p = sub.add_parser("finetune", help="pointwise cross-entropy fine-tuning on the train split")
-    common(p, out_help="checkpoint path")
-    p.add_argument("--init", help="checkpoint to initialize from (default: pretrain output)")
-    p.set_defaults(func=cmd_finetune)
-
-    p = sub.add_parser("rerank", help="rerank the eval candidate lists")
-    common(p, out_help="run file path")
-    p.add_argument("--init", help="checkpoint to rerank with (default: finetune output)")
-    p.set_defaults(func=cmd_rerank)
-
-    p = sub.add_parser("eval", help="score a run against qrels (MRR@k, nDCG@k)")
-    common(p, out_help="metrics record path")
-    p.set_defaults(func=cmd_eval)
-
+        p.add_argument("--out", help=out_help)
+        for flag, flag_help in options:
+            p.add_argument(flag, help=flag_help)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = resolve_config(args)
+        announce(args.command, cfg)
+        return args.func(args, cfg)
     except (CommandError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -235,12 +235,15 @@ def _page_from_record(rec: dict, line_no: int) -> Page:
         raise CorpusError(f"line {line_no}: empty page id")
 
     text = rec["text"]
+    raw_anchors = rec.get("anchors", [])
+    if not isinstance(raw_anchors, list):
+        raise CorpusError(f"line {line_no}: anchors must be a list, got {type(raw_anchors).__name__}")
     anchors: list[AnchorSpan] = []
-    for j, a in enumerate(rec.get("anchors", [])):
+    for j, a in enumerate(raw_anchors):
         try:
             start, end = int(a["start"]), int(a["end"])
             surface, target = a["surface"], a["target_id"]
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise CorpusError(f"line {line_no}: anchor {j}: missing or malformed fields") from None
         if not (0 <= start < end <= len(text)):
             raise CorpusError(
@@ -417,6 +420,19 @@ def write_corpus(corpus: HyperlinkCorpus, path: str | Path) -> None:
     )
 
 
-def read_corpus(path: str | Path) -> HyperlinkCorpus:
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) over a UTF-8 text file; text that does not decode
+    is a ValueError naming the file."""
     with Path(path).open("r", encoding="utf-8") as f:
-        return parse_corpus(f)
+        try:
+            yield from enumerate(f, start=1)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_corpus(path: str | Path) -> HyperlinkCorpus:
+    """parse_corpus over a file; its CorpusError names the file."""
+    try:
+        return parse_corpus(line for _, line in numbered_lines(path))
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None

@@ -7,6 +7,8 @@ import logging
 import math
 from pathlib import Path
 
+from anchorrank.corpus import numbered_lines
+
 log = logging.getLogger(__name__)
 
 # run: query id -> ordered (doc id, score); qrels: query id -> doc id -> grade
@@ -18,19 +20,18 @@ def read_run(path: str | Path) -> RankedRun:
     """Lines of "qid Q0 docid rank score tag"; per query, ranks must be
     contiguous from 1 and docs unique."""
     rows: dict[str, list[tuple[int, str, float]]] = {}
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ValueError(f"{path}: line {line_no}: expected 6 fields 'qid Q0 docid rank score tag'")
-            qid, _, doc_id, rank_s, score_s, _ = parts
-            try:
-                rank, score = int(rank_s), float(score_s)
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: bad rank or score") from None
-            rows.setdefault(qid, []).append((rank, doc_id, score))
+    for line_no, line in numbered_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 6:
+            raise ValueError(f"{path}: line {line_no}: expected 6 fields 'qid Q0 docid rank score tag'")
+        qid, _, doc_id, rank_s, score_s, _ = parts
+        try:
+            rank, score = int(rank_s), float(score_s)
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: bad rank or score") from None
+        rows.setdefault(qid, []).append((rank, doc_id, score))
     run: RankedRun = {}
     for qid, entries in rows.items():
         entries.sort(key=lambda t: t[0])
@@ -54,21 +55,20 @@ def write_run(run: RankedRun, path: str | Path, tag: str = "anchorrank") -> None
 def read_qrels(path: str | Path) -> Qrels:
     """Lines of "qid 0 docid grade"; grades are non-negative integers."""
     qrels: Qrels = {}
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {line_no}: expected 4 fields 'qid 0 docid grade'")
-            qid, _, doc_id, grade_s = parts
-            try:
-                grade = int(grade_s)
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: bad grade") from None
-            if grade < 0:
-                raise ValueError(f"{path}: line {line_no}: negative grade")
-            qrels.setdefault(qid, {})[doc_id] = grade
+    for line_no, line in numbered_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise ValueError(f"{path}: line {line_no}: expected 4 fields 'qid 0 docid grade'")
+        qid, _, doc_id, grade_s = parts
+        try:
+            grade = int(grade_s)
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: bad grade") from None
+        if grade < 0:
+            raise ValueError(f"{path}: line {line_no}: negative grade")
+        qrels.setdefault(qid, {})[doc_id] = grade
     return qrels
 
 

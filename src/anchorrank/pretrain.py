@@ -153,6 +153,9 @@ class TrainConfig:
             raise ValueError("mask_rate must be in (0, 1)")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
+        unknown = sorted(set(self.task_weights) - set(default_task_weights()))
+        if unknown:
+            raise ValueError(f"unknown task_weights keys {unknown} (expected among {', '.join(default_task_weights())})")
         for key in default_task_weights():
             self.task_weights.setdefault(key, 1.0)
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from anchorrank.corpus import HyperlinkCorpus, Vocabulary, tokenize
+from anchorrank.corpus import HyperlinkCorpus, Vocabulary, numbered_lines, tokenize
 from anchorrank.encoder import AdamState, EncoderConfig, EncoderGraph, adam_step, cls_score, load_checkpoint, save_checkpoint, zero_grads
 from anchorrank.pretrain import batch_schedule, pack_input
 from anchorrank.taskgen import derive_rng
@@ -192,19 +192,20 @@ def rerank(
 def read_collection(path: str | Path) -> dict[str, DocRecord]:
     """JSONL records with id, title, url, body."""
     docs: dict[str, DocRecord] = {}
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                doc = DocRecord(id=rec["id"], title=rec.get("title", ""), url=rec.get("url", ""), body=rec.get("body", ""))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: line {line_no}: bad document record: {exc}") from None
-            if doc.id in docs:
-                raise ValueError(f"{path}: line {line_no}: duplicate document id {doc.id!r}")
-            docs[doc.id] = doc
+    for line_no, line in numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            doc = DocRecord(id=rec["id"], title=rec.get("title", ""), url=rec.get("url", ""), body=rec.get("body", ""))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: line {line_no}: bad document record: {exc}") from None
+        if not all(isinstance(v, str) for v in (doc.id, doc.title, doc.url, doc.body)):
+            raise ValueError(f"{path}: line {line_no}: id, title, url and body must be strings")
+        if doc.id in docs:
+            raise ValueError(f"{path}: line {line_no}: duplicate document id {doc.id!r}")
+        docs[doc.id] = doc
     return docs
 
 
@@ -225,19 +226,18 @@ def write_collection(docs: dict[str, DocRecord], path: str | Path) -> None:
 def read_candidates(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     """First-stage lists: lines of "qid docid rank score"."""
     rows: dict[str, list[tuple[int, str, float]]] = {}
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {line_no}: expected 'qid docid rank score'")
-            qid, doc_id, rank_s, score_s = parts
-            try:
-                rank, retrieval = int(rank_s), float(score_s)
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: bad rank or score") from None
-            rows.setdefault(qid, []).append((rank, doc_id, retrieval))
+    for line_no, line in numbered_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise ValueError(f"{path}: line {line_no}: expected 'qid docid rank score'")
+        qid, doc_id, rank_s, score_s = parts
+        try:
+            rank, retrieval = int(rank_s), float(score_s)
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: bad rank or score") from None
+        rows.setdefault(qid, []).append((rank, doc_id, retrieval))
     out: dict[str, list[tuple[str, float]]] = {}
     for qid, entries in rows.items():
         entries.sort(key=lambda t: t[0])
@@ -258,15 +258,14 @@ def write_candidates(candidates: dict[str, list[tuple[str, float]]], path: str |
 def read_queries(path: str | Path) -> dict[str, str]:
     """Tab-separated "qid<TAB>query text" lines."""
     queries: dict[str, str] = {}
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}: line {line_no}: expected 'qid<TAB>text'")
-            qid, text = line.split("\t", 1)
-            queries[qid] = text
+    for line_no, line in numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            raise ValueError(f"{path}: line {line_no}: expected 'qid<TAB>text'")
+        qid, text = line.split("\t", 1)
+        queries[qid] = text
     return queries
 
 

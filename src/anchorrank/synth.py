@@ -19,7 +19,7 @@ import numpy as np
 
 from anchorrank.corpus import HyperlinkCorpus, parse_corpus, write_corpus
 from anchorrank.evalkit import Qrels, write_qrels
-from anchorrank.ranker import write_candidates, write_queries
+from anchorrank.ranker import collection_from_corpus, write_candidates, write_collection, write_queries
 from anchorrank.taskgen import derive_rng
 
 log = logging.getLogger(__name__)
@@ -268,16 +268,7 @@ def synth_dataset(out_dir: str | Path, cfg: SynthConfig) -> dict[str, Path]:
         "eval_candidates": out / "eval_candidates.txt",
     }
     write_corpus(corpus, paths["corpus"])
-    with paths["collection"].open("w", encoding="utf-8") as f:
-        for pid in corpus.page_ids():
-            page = corpus.pages[pid]
-            f.write(
-                json.dumps(
-                    {"id": page.id, "title": page.title, "url": page.url, "body": page.text},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_collection(collection_from_corpus(corpus), paths["collection"])
     write_queries(train["queries"], paths["train_queries"])
     write_qrels(train["qrels"], paths["train_qrels"])
     write_candidates(train["candidates"], paths["train_candidates"])

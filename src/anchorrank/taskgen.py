@@ -23,6 +23,7 @@ from anchorrank.corpus import (
     HyperlinkCorpus,
     Sentence,
     anchor_occurrence_index,
+    numbered_lines,
     page_summary,
 )
 from anchorrank.sampler import AttentionSampler, SamplerError, poisson_length, sample_word_set
@@ -321,6 +322,11 @@ class TaskGenConfig:
     pair_budget: int | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        unknown = sorted(set(self.per_task_cap) - set(TASKS)) if isinstance(self.per_task_cap, dict) else []
+        if unknown:
+            raise ValueError(f"unknown per_task_cap keys {unknown} (expected among {', '.join(TASKS)})")
+
     def cap_for(self, task: str) -> int | None:
         if self.per_task_cap is None:
             return None
@@ -432,13 +438,28 @@ def pair_to_record(pair: PretrainPair) -> dict:
     }
 
 
+def _tokens(rec: dict, key: str) -> list[str]:
+    value = rec[key]
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise ValueError(f"{key} is not a list of strings")
+    return list(value)
+
+
 def pair_from_record(rec: dict) -> PretrainPair:
+    """Inverse of pair_to_record; a record that pre-training could not use
+    is a ValueError, KeyError or TypeError."""
+    if rec["task"] not in TASKS:
+        raise ValueError(f"unknown task {rec['task']!r} (expected one of {', '.join(TASKS)})")
+    if rec["task"] == TASK_RQP and rec.get("neg_query") is None:
+        raise ValueError("rqp record has no neg_query")
+    if not isinstance(rec["pos_doc_id"], str) or not isinstance(rec["neg_doc_id"], str):
+        raise ValueError("pos_doc_id and neg_doc_id must be strings")
     return PretrainPair(
         task=rec["task"],
-        query_tokens=list(rec["query"]),
+        query_tokens=_tokens(rec, "query"),
         pos_doc_id=rec["pos_doc_id"],
         neg_doc_id=rec["neg_doc_id"],
-        neg_query_tokens=list(rec["neg_query"]) if rec.get("neg_query") is not None else None,
+        neg_query_tokens=_tokens(rec, "neg_query") if rec.get("neg_query") is not None else None,
         provenance=rec.get("provenance", {}),
         seed_path=rec.get("seed_path", ""),
     )
@@ -455,13 +476,12 @@ def write_pairs(pairs: Iterable[PretrainPair], path: str | Path) -> int:
 
 def read_pairs(path: str | Path) -> list[PretrainPair]:
     pairs = []
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                pairs.append(pair_from_record(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: line {line_no}: bad pair record: {exc}") from None
+    for line_no, line in numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            pairs.append(pair_from_record(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: line {line_no}: bad pair record: {exc}") from None
     return pairs

@@ -2,9 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from anchorrank.corpus import CLS_TOKEN, SEP_TOKEN, clean_corpus, parse_corpus
 from anchorrank.sampler import AttentionSampler
+
+# Reproducible property tests: a fixed example sequence, no per-example time
+# limit (timings on a loaded host say nothing about correctness) and no
+# example database written into the checkout.
+settings.register_profile("anchorrank", derandomize=True, deadline=None, database=None)
+settings.load_profile("anchorrank")
 
 
 def anchor_in(text, surface, target, occurrence=0):

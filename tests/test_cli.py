@@ -156,3 +156,79 @@ class TestProfiles:
         cfg = resolve_config(args)
         assert cfg["seed"] == 42
         assert cfg["workdir"] == "cli-dir"
+
+
+MALFORMED_CONFIGS = {
+    "not-an-object": "[1, 2]",
+    "not-json": '{"seed": 1,',
+    "unknown-top-level-key": '{"seed": 1, "learning_rate": 0.5}',
+    "section-not-an-object": '{"seed": 1, "pretrain": 5}',
+    "unknown-section-key": '{"seed": 1, "pretrain": {"learnig_rate": 0.5}}',
+    "unknown-path-key": '{"seed": 1, "paths": {"corpse": "x.jsonl"}}',
+}
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_is_one_error_naming_the_file(self, case, tmp_path, capsys):
+        path = tmp_path / f"{case}.json"
+        path.write_text(MALFORMED_CONFIGS[case])
+        assert main(["synth", "--config", str(path), "--workdir", str(tmp_path / "w")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert str(path) in errors[0]
+        assert not (tmp_path / "w").exists()
+
+    def test_every_section_key_is_a_field_of_its_config(self):
+        from dataclasses import fields
+
+        from anchorrank.cli import DEFAULTS, FULL_PROFILE
+        from anchorrank.encoder import EncoderConfig
+        from anchorrank.pretrain import TrainConfig
+        from anchorrank.ranker import FinetuneConfig
+        from anchorrank.synth import SynthConfig
+        from anchorrank.taskgen import TaskGenConfig
+
+        built_by = {
+            "encoder": EncoderConfig,
+            "taskgen": TaskGenConfig,
+            "warmup": TrainConfig,
+            "pretrain": TrainConfig,
+            "finetune": FinetuneConfig,
+            "synth": SynthConfig,
+        }
+        for profile in (DEFAULTS, FULL_PROFILE):
+            for section, cls in built_by.items():
+                assert set(profile.get(section, {})) <= {f.name for f in fields(cls)}, section
+
+    @pytest.mark.parametrize("profile", ["toy", "full"])
+    def test_each_profile_builds_every_stage_config(self, profile):
+        import argparse
+
+        from anchorrank.cli import encoder_config, resolve_config, train_config
+        from anchorrank.ranker import FinetuneConfig
+        from anchorrank.synth import SynthConfig
+        from anchorrank.taskgen import TaskGenConfig
+
+        cfg = resolve_config(argparse.Namespace(config=None, seed=3, profile=profile, workdir=None))
+        assert encoder_config(cfg, 100).max_len == cfg["encoder"]["max_len"]
+        warmup = train_config(cfg["warmup"], cfg, task_weights={"mlm": 1.0})
+        assert warmup.lam == cfg["taskgen"]["lam"] and warmup.lr == cfg["warmup"]["lr"]
+        pretrain = train_config(cfg["pretrain"], cfg)
+        assert pretrain.task_weights == cfg["pretrain"]["task_weights"]
+        assert pretrain.task_weights is not cfg["pretrain"]["task_weights"]
+        assert TaskGenConfig(**cfg["taskgen"], seed=3).summary_max_tokens == cfg["taskgen"]["summary_max_tokens"]
+        assert FinetuneConfig(**cfg["finetune"], seed=3, max_len=48).lr == cfg["finetune"]["lr"]
+        assert SynthConfig(**cfg["synth"], seed=3).pages == cfg["synth"]["pages"]
+
+    def test_section_override_reaches_the_config(self, tmp_path):
+        import argparse
+
+        from anchorrank.cli import resolve_config, train_config
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 2, "pretrain": {"lr": 0.5, "task_weights": {"mlm": 0.25}}}))
+        cfg = resolve_config(argparse.Namespace(config=str(path), seed=None, profile=None, workdir=None))
+        tcfg = train_config(cfg["pretrain"], cfg)
+        assert tcfg.lr == 0.5
+        assert tcfg.task_weights == {"rqp": 1.0, "qdm": 1.0, "rdp": 1.0, "acm": 1.0, "mlm": 0.25}

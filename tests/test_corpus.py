@@ -64,6 +64,11 @@ class TestParse:
         with pytest.raises(CorpusError, match="line 1"):
             parse_corpus(lines(rec))
 
+    def test_anchor_offset_not_finite(self):
+        rec = record("p1", "short", [{"start": float("inf"), "end": 3, "surface": "sho", "target_id": "p2"}])
+        with pytest.raises(CorpusError, match="line 1: anchor 0: missing or malformed fields"):
+            parse_corpus(lines(rec))
+
     def test_surface_mismatch(self):
         rec = record("p1", "some body", [{"start": 0, "end": 4, "surface": "nope", "target_id": "p2"}])
         with pytest.raises(CorpusError, match="surface"):
@@ -72,6 +77,18 @@ class TestParse:
     def test_duplicate_page_id(self):
         with pytest.raises(CorpusError, match="duplicate"):
             parse_corpus(lines(record("p1", "a"), record("p1", "b")))
+
+    @pytest.mark.parametrize("anchors", [5, None, "apple", {"start": 0}])
+    def test_anchors_not_a_list(self, anchors):
+        with pytest.raises(CorpusError, match="line 2: anchors must be a list"):
+            parse_corpus(lines(record("p0", "a"), {**record("p1", "a"), "anchors": anchors}))
+
+    def test_read_corpus_names_the_file(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(lines(record("p1", "a"), {**record("p2", "b"), "anchors": 5})) + "\n")
+        with pytest.raises(CorpusError, match="line 2: anchors must be a list") as info:
+            read_corpus(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_malformed_json_reports_line(self):
         with pytest.raises(CorpusError, match="line 2"):

@@ -320,6 +320,10 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="max_steps"):
             TrainConfig(max_steps=-3)
 
+    def test_unknown_task_weight_rejected(self):
+        with pytest.raises(ValueError, match="task_weights keys \\['rqq'\\]"):
+            TrainConfig(task_weights={"rqp": 1.0, "rqq": 0.5})
+
     def test_one_log_record_per_step(self, corpus, caplog):
         # the benchmark times training steps from these records
         vocab, pairs, enc = self.make_setup(corpus)

@@ -261,6 +261,18 @@ class TestDataFiles:
         write_collection(collection, path)
         assert read_collection(path) == collection
 
+    @pytest.mark.parametrize("field", ["id", "title", "url", "body"])
+    @pytest.mark.parametrize("value", [7, None, ["x"]])
+    def test_collection_non_string_field_rejected(self, tmp_path, field, value):
+        import json
+
+        rec = {"id": "d1", "title": "t", "url": "u", "body": "b", field: value}
+        path = tmp_path / "collection.jsonl"
+        path.write_text(json.dumps({"id": "d0", "body": "x"}) + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ValueError, match="line 2: id, title, url and body must be strings") as info:
+            read_collection(path)
+        assert str(path) in str(info.value)
+
     def test_candidates_round_trip(self, tmp_path):
         cands = {"q1": [("d1", 9.5), ("d2", 8.0)], "q2": [("d3", 1.0)]}
         path = tmp_path / "cands.txt"

@@ -242,6 +242,37 @@ class TestGenerator:
         assert set(rec) == {"task", "query", "pos_doc_id", "neg_doc_id", "neg_query", "provenance", "seed_path"}
 
 
+GOOD_RQP = {"task": "rqp", "query": ["a", "b"], "pos_doc_id": "d1", "neg_doc_id": "d1", "neg_query": ["c"]}
+
+
+class TestReadPairsRejects:
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"task": "rqq"}, "unknown task 'rqq'"),
+            ({"query": "a b"}, "query is not a list of strings"),
+            ({"query": ["a", 2]}, "query is not a list of strings"),
+            ({"neg_query": "c"}, "neg_query is not a list of strings"),
+            ({"neg_query": None}, "rqp record has no neg_query"),
+            ({"pos_doc_id": ["d1"]}, "must be strings"),
+        ],
+    )
+    def test_bad_record_names_file_and_line(self, tmp_path, change, match):
+        import json
+
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps(GOOD_RQP) + "\n" + json.dumps({**GOOD_RQP, **change}) + "\n")
+        with pytest.raises(ValueError, match=match) as info:
+            read_pairs(path)
+        assert f"{path}: line 2" in str(info.value)
+
+
+class TestTaskGenConfig:
+    def test_unknown_per_task_cap_key_rejected(self):
+        with pytest.raises(ValueError, match="per_task_cap keys \\['rdpp'\\]"):
+            TaskGenConfig(per_task_cap={"rdp": 3, "rdpp": 3})
+
+
 def test_derive_rng_stable_and_independent():
     a1 = derive_rng(7, "rqp", "page", 0).integers(0, 1 << 30, 4)
     a2 = derive_rng(7, "rqp", "page", 0).integers(0, 1 << 30, 4)
