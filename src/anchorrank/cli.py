@@ -106,10 +106,39 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+# the kinds a value may take where its DEFAULTS value does not show them
+# all: null where a profile lifts a limit, and one cap for every task
+NULL = type(None)
+KINDS = {
+    "seed": (int, NULL),
+    "stopwords": (str, NULL),
+    "max_steps": (int, NULL),
+    "pair_budget": (int, NULL),
+    "per_task_cap": (dict, int, NULL),
+}
+KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object", list: "a list", NULL: "null"}
+
+
+def _check_value(path: Path, name: str, value, default) -> None:
+    """value must be of one of the kinds KINDS gives its key, or else of its
+    default's kind; an int passes for a float, a bool never for a number.
+    The items of a list or an object are checked against the default's
+    first item."""
+    kinds = KINDS.get(name.rpartition(".")[2], (type(default),))
+    accepted = kinds + (int,) if float in kinds else kinds
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        expected = " or ".join(KIND_NAMES[k] for k in kinds)
+        raise CommandError(f"config file {path}: {name} must be {expected}, got {value!r}")
+    if isinstance(value, (dict, list)) and isinstance(default, (dict, list)) and default:
+        first = next(iter(default.values() if isinstance(default, dict) else default))
+        for item, item_value in value.items() if isinstance(value, dict) else enumerate(value):
+            _check_value(path, f"{name}.{item}", item_value, first)
+
+
 def _check_config_file(path: Path, file_cfg) -> None:
-    """Every key must be one of DEFAULTS (a paths key one of ARTIFACTS), and
+    """Every key must be one of DEFAULTS (a paths key one of ARTIFACTS),
     every section an object, so that each section can be passed whole to
-    the dataclass it builds."""
+    the dataclass it builds, and every value of its default's kind."""
     if not isinstance(file_cfg, dict):
         raise CommandError(f"config file {path}: expected a JSON object, got {type(file_cfg).__name__}")
     for key, value in file_cfg.items():
@@ -117,12 +146,15 @@ def _check_config_file(path: Path, file_cfg) -> None:
             raise CommandError(f"config file {path}: unknown key {key!r}; expected one of {sorted(DEFAULTS)}")
         allowed = ARTIFACTS if key == "paths" else DEFAULTS[key]
         if not isinstance(allowed, dict):
+            _check_value(path, key, value, allowed)
             continue
         if not isinstance(value, dict):
             raise CommandError(f"config file {path}: section {key!r} must be an object, got {type(value).__name__}")
         unknown = sorted(set(value) - set(allowed))
         if unknown:
             raise CommandError(f"config file {path}: unknown keys {unknown} in {key!r} (known: {sorted(allowed)})")
+        for name, item in value.items():
+            _check_value(path, f"{key}.{name}", item, ARTIFACTS[name][0] if key == "paths" else allowed[name])
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -258,6 +290,7 @@ def cmd_build_pairs(args, cfg: dict) -> int:
     write_sidecar(out, "build-pairs", cfg)
     by_task = {t: sum(1 for p in pairs if p.task == t) for t in TASKS}
     print(f"{count} pairs ({by_task}) -> {out}")
+    print(f"sampler: {sampler.lookups} attention lookups, {sampler.forwards} encoder forwards")
     return 0
 
 

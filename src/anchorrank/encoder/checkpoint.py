@@ -10,6 +10,8 @@ along under an "adam." name prefix so training can resume exactly.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,20 +51,27 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
 
 
 def _read_exact(f, count: int) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
-        raise CheckpointError("truncated checkpoint file")
-    return data
+    """The next count bytes.  A count beyond the end of the file is checked
+    before the read, so a corrupted length never asks for a huge buffer."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
+        raise CheckpointError(f"truncated checkpoint file: {count} bytes wanted, {left} left")
+    return f.read(count)
 
 
 def _read_tensor(f) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(f, 2))
-    name = _read_exact(f, name_len).decode("utf-8")
+    try:
+        name = _read_exact(f, name_len).decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError("tensor name is not UTF-8") from None
     (ndim,) = struct.unpack("<B", _read_exact(f, 1))
     shape = tuple(struct.unpack("<Q", _read_exact(f, 8))[0] for _ in range(ndim))
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    raw = _read_exact(f, count * np.dtype(DTYPE).itemsize)
-    arr = np.frombuffer(raw, dtype=DTYPE).reshape(shape).astype(np.float64)
+    raw = _read_exact(f, math.prod(shape) * np.dtype(DTYPE).itemsize)
+    try:
+        arr = np.frombuffer(raw, dtype=DTYPE).reshape(shape).astype(np.float64)
+    except ValueError:  # an empty payload under a dim numpy cannot hold
+        raise CheckpointError(f"tensor {name!r} has unusable shape {shape}") from None
     return name, arr
 
 

@@ -1,7 +1,8 @@
 """Encoder forward graph: embeddings + post-norm transformer layers, with
 attention map extraction, CLS scoring and MLM heads, and an exact analytic
-backward pass; plus a forward-only [CLS] scorer for inference that shares
-the same layer code."""
+backward pass; plus two forward-only paths that share the same layer code:
+a [CLS] scorer for inference and a one-layer attention map for the
+sampler."""
 
 from __future__ import annotations
 
@@ -51,6 +52,21 @@ def _embed(params, token_ids, segment_ids):
     return lyr.layer_norm(e, params["emb_ln_g"], params["emb_ln_b"])
 
 
+def _attention(params, config: EncoderConfig, i: int, x, xq) -> dict:
+    """Layer i's attention probabilities, queries from xq and keys from every
+    row of x.  Returns the layer-cache entries it computes: the Q and K
+    linear caches, their per-head splits qh and kh, and probs (heads,
+    len(xq), n)."""
+    pre = f"layer{i}."
+    heads, head_dim = config.heads, config.head_dim
+    q, q_cache = lyr.linear(xq, params[pre + "wq"], params[pre + "bq"])
+    k, k_cache = lyr.linear(x, params[pre + "wk"], params[pre + "bk"])
+    qh = q.reshape(xq.shape[0], heads, head_dim).transpose(1, 0, 2)
+    kh = k.reshape(x.shape[0], heads, head_dim).transpose(1, 0, 2)
+    probs = lyr.softmax((qh @ kh.transpose(0, 2, 1)) * (1.0 / np.sqrt(head_dim)))
+    return {"q_cache": q_cache, "k_cache": k_cache, "qh": qh, "kh": kh, "probs": probs}
+
+
 def _layer(params, config: EncoderConfig, i: int, x, rows, p_drop: float = 0.0, dropout_rng=None):
     """Post-norm transformer layer i over x (n, hidden).
 
@@ -61,20 +77,12 @@ def _layer(params, config: EncoderConfig, i: int, x, rows, p_drop: float = 0.0, 
     (heads, len(rows), n).
     """
     pre = f"layer{i}."
-    heads, head_dim = config.heads, config.head_dim
-    scale = 1.0 / np.sqrt(head_dim)
     xq = x[rows]
-    n, m = x.shape[0], xq.shape[0]
-    q, q_cache = lyr.linear(xq, params[pre + "wq"], params[pre + "bq"])
-    k, k_cache = lyr.linear(x, params[pre + "wk"], params[pre + "bk"])
+    cache = _attention(params, config, i, x, xq)
     v, v_cache = lyr.linear(x, params[pre + "wv"], params[pre + "bv"])
-    qh = q.reshape(m, heads, head_dim).transpose(1, 0, 2)
-    kh = k.reshape(n, heads, head_dim).transpose(1, 0, 2)
-    vh = v.reshape(n, heads, head_dim).transpose(1, 0, 2)
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale
-    probs = lyr.softmax(scores)
-    ctx = probs @ vh
-    merged = ctx.transpose(1, 0, 2).reshape(m, config.hidden)
+    vh = v.reshape(x.shape[0], config.heads, config.head_dim).transpose(1, 0, 2)
+    ctx = cache["probs"] @ vh
+    merged = ctx.transpose(1, 0, 2).reshape(xq.shape[0], config.hidden)
     attn_out, o_cache = lyr.linear(merged, params[pre + "wo"], params[pre + "bo"])
     attn_out, attn_drop = lyr.dropout(attn_out, p_drop, dropout_rng)
     h1, ln1_cache = lyr.layer_norm(xq + attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])
@@ -83,23 +91,18 @@ def _layer(params, config: EncoderConfig, i: int, x, rows, p_drop: float = 0.0, 
     ffn_out, f2_cache = lyr.linear(f_act, params[pre + "w2"], params[pre + "b2"])
     ffn_out, ffn_drop = lyr.dropout(ffn_out, p_drop, dropout_rng)
     out, ln2_cache = lyr.layer_norm(h1 + ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"])
-    cache = {
-        "q_cache": q_cache,
-        "k_cache": k_cache,
-        "v_cache": v_cache,
-        "qh": qh,
-        "kh": kh,
-        "vh": vh,
-        "probs": probs,
-        "o_cache": o_cache,
-        "attn_drop": attn_drop,
-        "ln1_cache": ln1_cache,
-        "f1_cache": f1_cache,
-        "gelu_cache": gelu_cache,
-        "f2_cache": f2_cache,
-        "ffn_drop": ffn_drop,
-        "ln2_cache": ln2_cache,
-    }
+    cache.update(
+        v_cache=v_cache,
+        vh=vh,
+        o_cache=o_cache,
+        attn_drop=attn_drop,
+        ln1_cache=ln1_cache,
+        f1_cache=f1_cache,
+        gelu_cache=gelu_cache,
+        f2_cache=f2_cache,
+        ffn_drop=ffn_drop,
+        ln2_cache=ln2_cache,
+    )
     return out, cache
 
 
@@ -134,11 +137,16 @@ class EncoderGraph:
             self._layer_caches.append(cache)
 
         self.hidden = h
-        self.attention = np.stack([c["probs"] for c in self._layer_caches])  # (layers, heads, n, n)
         self._cls_cache = None
         self._cls_value = None
         self._mlm_cache = None
         self._spent = False
+
+    @property
+    def attention(self) -> np.ndarray:
+        """Attention probabilities of every layer, (layers, heads, n, n);
+        stacked on request, since training never reads them."""
+        return np.stack([c["probs"] for c in self._layer_caches])
 
     def cls_score(self) -> float:
         """Two-layer tanh MLP over the [CLS] representation; unbounded."""
@@ -281,3 +289,21 @@ def cls_score(params, config, token_ids, segment_ids=None) -> float:
     for i in range(config.layers):
         h, _ = _layer(params, config, i, h, CLS_ROW if i == last else ALL_ROWS)
     return _cls_head(params, h[0])[0]
+
+
+def attention_map(params, config: EncoderConfig, token_ids, layer: int = -1) -> np.ndarray:
+    """Forward-only attention probabilities (heads, n, n) of one layer:
+    EncoderGraph(...).attention[layer] without dropout, backward caches or
+    the stacked maps of every layer.
+
+    The layers below `layer` run whole; `layer` itself computes only Q, K
+    and the softmax, over every row, so the map is bitwise the graph's.
+    """
+    if not -config.layers <= layer < config.layers:
+        raise ValueError(f"layer {layer} out of range for {config.layers} layers")
+    token_ids, segment_ids = _check_inputs(config, token_ids, None)
+    h, _ = _embed(params, token_ids, segment_ids)
+    layer %= config.layers
+    for i in range(layer):
+        h, _ = _layer(params, config, i, h, ALL_ROWS)
+    return _attention(params, config, layer, h, h[ALL_ROWS])["probs"]

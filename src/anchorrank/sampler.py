@@ -4,7 +4,8 @@ The pipeline per query unit is: encode the sequence, pull the head-averaged
 attention row for the query positions (anchor tokens, or [CLS]), merge
 repeated terms, softmax-normalize over the allowed support, then draw a
 without-replacement word set whose length comes from a zero-truncated
-Poisson.
+Poisson.  The rows are memoised per sampler, so a sequence that several
+query units share is encoded once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from anchorrank.corpus import CLS_TOKEN, SEP_TOKEN, SPECIAL_TOKENS, AnchorSpan, Sentence, Vocabulary
-from anchorrank.encoder import EncoderConfig, EncoderGraph, attention_from_position
+from anchorrank.encoder import EncoderConfig, attention_from_position, attention_map
 
 
 class SamplerError(ValueError):
@@ -157,8 +158,10 @@ class AttentionSampler:
     list, exposing the two distribution builders used by pair construction.
 
     Sampling-time attention always comes from one encoder layer (the last,
-    by default) with dropout disabled.  Tests substitute attention by
-    overriding _sequence_attention.
+    by default) with dropout disabled.  Each head-averaged attention row is
+    memoised by (sequence tokens, query positions); `lookups` counts
+    builder calls and `forwards` the encoder forwards run to fill the
+    memo.  Tests substitute attention by overriding _sequence_attention.
     """
 
     def __init__(
@@ -174,25 +177,61 @@ class AttentionSampler:
         self.vocab = vocab
         self.stopwords = default_stopwords() if stopwords is None else frozenset(stopwords)
         self.layer = layer
+        self.lookups = 0
+        self.forwards = 0
+        self._rows: dict[tuple, np.ndarray] = {}
+
+    def _sequence_tokens(self, tokens) -> list[str]:
+        """[CLS] + tokens + [SEP], with tokens cut to fit max_len.  Test
+        doubles run without a config and are not cut."""
+        if self.config is not None:
+            tokens = tokens[: self.config.max_len - 2]
+        return [CLS_TOKEN, *tokens, SEP_TOKEN]
 
     def _sequence_attention(self, tokens: list[str]) -> tuple[list[str], np.ndarray]:
         """Encode [CLS] + tokens + [SEP] (truncating tokens to fit) and
         return (sequence tokens, per-head attention maps at the chosen
         layer, shape (heads, n, n))."""
-        budget = self.config.max_len - 2
-        tokens = list(tokens[:budget])
-        seq_tokens = [CLS_TOKEN] + tokens + [SEP_TOKEN]
+        seq_tokens = self._sequence_tokens(tokens)
         ids = self.vocab.encode(seq_tokens)
-        graph = EncoderGraph(self.params, self.config, ids)
-        return seq_tokens, graph.attention[self.layer]
+        return seq_tokens, attention_map(self.params, self.config, ids, self.layer)
 
-    def _distribution(self, tokens, query_positions, exclusions, provenance, source) -> TermDistribution:
-        seq_tokens, maps = self._sequence_attention(tokens)
+    def _attention_rows(self, tokens, wanted, fill=()) -> tuple[list[str], list[np.ndarray]]:
+        """(sequence tokens, the head-averaged attention row of each position
+        list in `wanted`).
+
+        A miss runs one forward and memoises the rows of `wanted` and of
+        the in-range position lists in `fill` (a sentence's other anchors),
+        so that later lookups on the same sequence hit; a lookup for
+        positions that no earlier miss filled encodes the sequence again.
+        Only rows are kept, never the (heads, n, n) maps.  The builders
+        hand out new objects made from the rows (a TermDistribution, a list
+        of floats), so no caller can write into the memo.
+        """
+        self.lookups += 1
+        seq_tokens = self._sequence_tokens(tokens)
         n = len(seq_tokens)
-        for pos in query_positions:
-            if not 0 <= pos < n:
-                raise SamplerError(f"query position {pos} truncated out of the sequence")
-        alpha = attention_from_position(maps[np.newaxis], 0, query_positions)
+        for positions in wanted:
+            for pos in positions:
+                if not 0 <= pos < n:
+                    raise SamplerError(f"query position {pos} truncated out of the sequence")
+        seq = tuple(seq_tokens)
+
+        def key(positions):  # attention_from_position reads sorted distinct positions
+            return seq, tuple(sorted(set(positions)))
+
+        keys = [key(positions) for positions in wanted]
+        if any(k not in self._rows for k in keys):
+            _, maps = self._sequence_attention(tokens)
+            self.forwards += 1
+            in_range = [positions for positions in fill if all(0 <= p < n for p in positions)]
+            for positions in [*wanted, *in_range]:
+                if key(positions) not in self._rows:
+                    self._rows[key(positions)] = attention_from_position(maps[np.newaxis], 0, positions)
+        return seq_tokens, [self._rows[k] for k in keys]
+
+    def _distribution(self, tokens, query_positions, exclusions, provenance, source, fill=()) -> TermDistribution:
+        seq_tokens, (alpha,) = self._attention_rows(tokens, [query_positions], fill)
         beta = merge_position_weights(alpha, seq_tokens)
         return normalize(beta, exclusions=set(exclusions) | self.stopwords, provenance=provenance, source=source)
 
@@ -202,14 +241,13 @@ class AttentionSampler:
         verbatim as the word-set head)."""
         if not (0 <= anchor.token_start < anchor.token_end <= len(sentence.tokens)):
             raise SamplerError("anchor token range outside sentence")
-        positions = [p + 1 for p in range(anchor.token_start, anchor.token_end)]  # +1 for [CLS]
-        anchor_terms = set(anchor.surface_tokens())
         return self._distribution(
             list(sentence.tokens),
-            positions,
-            anchor_terms,
+            _anchor_positions(anchor),
+            set(anchor.surface_tokens()),
             provenance="anchor",
             source=f"{sentence.page_id}/{sentence.index}",
+            fill=[_anchor_positions(a) for a in sentence.anchors],
         )
 
     def cls_term_distribution(self, page_tokens, excluded_anchor_terms=(), source: str = "") -> TermDistribution:
@@ -226,13 +264,11 @@ class AttentionSampler:
     def anchor_cls_attention(self, sentence: Sentence) -> list[float]:
         """Per-anchor importance: head-averaged attention from the anchor's
         positions to the [CLS] position, one value per sentence anchor."""
-        seq_tokens, maps = self._sequence_attention(list(sentence.tokens))
-        n = len(seq_tokens)
-        gammas: list[float] = []
-        for anchor in sentence.anchors:
-            positions = [p + 1 for p in range(anchor.token_start, anchor.token_end)]
-            if any(not 0 <= p < n for p in positions):
-                raise SamplerError("anchor truncated out of the sequence")
-            row = attention_from_position(maps[np.newaxis], 0, positions)
-            gammas.append(float(row[0]))
-        return gammas
+        positions = [_anchor_positions(a) for a in sentence.anchors]
+        _, rows = self._attention_rows(list(sentence.tokens), positions)
+        return [float(row[0]) for row in rows]
+
+
+def _anchor_positions(anchor: AnchorSpan) -> list[int]:
+    """The anchor's token positions in [CLS] + sentence + [SEP]."""
+    return [p + 1 for p in range(anchor.token_start, anchor.token_end)]

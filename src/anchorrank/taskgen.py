@@ -421,9 +421,14 @@ class PairGenerator:
             if cap is not None:
                 streams[task] = islice(streams[task], cap)
         mixed = mix_tasks(streams, derive_rng(self.config.seed, "mix"))
-        if self.config.pair_budget is not None:
-            return list(islice(mixed, self.config.pair_budget))
-        return list(mixed)
+        pairs = list(mixed if self.config.pair_budget is None else islice(mixed, self.config.pair_budget))
+        log.info(
+            "%d pairs; sampler: %d attention lookups, %d encoder forwards",
+            len(pairs),
+            self.sampler.lookups,
+            self.sampler.forwards,
+        )
+        return pairs
 
 
 def pair_to_record(pair: PretrainPair) -> dict:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -72,6 +73,14 @@ class TestPipeline:
         first = sha256(pairs)
         assert main(["build-pairs", "--config", config_path]) == 0
         assert sha256(pairs) == first
+
+    def test_05_build_pairs_reports_sampler_work(self, config_path, capsys):
+        assert main(["build-pairs", "--config", config_path]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("sampler:")]
+        assert len(lines) == 1
+        counts = re.fullmatch(r"sampler: (\d+) attention lookups, (\d+) encoder forwards", lines[0])
+        lookups, forwards = map(int, counts.groups())
+        assert 0 < forwards < lookups
 
     def test_06_pretrain(self, config_path, workdir):
         assert main(["pretrain", "--config", config_path]) == 0
@@ -168,7 +177,58 @@ MALFORMED_CONFIGS = {
 }
 
 
+WRONGLY_TYPED_CONFIGS = {
+    "warmup.lr": '{"seed": 1, "warmup": {"lr": "0.1"}}',
+    "taskgen.lam": '{"seed": 1, "taskgen": {"lam": "3"}}',
+    "pretrain.epochs": '{"seed": 1, "pretrain": {"epochs": true}}',
+    "finetune.lr": '{"seed": 1, "finetune": {"lr": false}}',
+    "warmup.max_steps": '{"seed": 1, "warmup": {"max_steps": 1.5}}',
+    "encoder.dropout": '{"seed": 1, "encoder": {"dropout": null}}',
+    "pretrain.task_weights.mlm": '{"seed": 1, "pretrain": {"task_weights": {"mlm": "1"}}}',
+    "taskgen.per_task_cap": '{"seed": 1, "taskgen": {"per_task_cap": "50"}}',
+    "eval.ks.1": '{"seed": 1, "eval": {"ks": [10, "100"]}}',
+    "paths.corpus": '{"seed": 1, "paths": {"corpus": 5}}',
+    "seed": '{"seed": "1"}',
+}
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("key", sorted(WRONGLY_TYPED_CONFIGS))
+    def test_wrongly_typed_value_is_one_error_naming_file_and_key(self, key, tmp_path, capsys):
+        path = tmp_path / "typed.json"
+        path.write_text(WRONGLY_TYPED_CONFIGS[key])
+        assert main(["warm-sampler", "--config", str(path), "--workdir", str(tmp_path / "w")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert str(path) in errors[0] and f" {key} must be " in errors[0]
+        assert not (tmp_path / "w").exists()
+
+    def test_int_for_float_and_null_for_a_limit_are_accepted(self, tmp_path):
+        import argparse
+
+        from anchorrank.cli import encoder_config, resolve_config, train_config
+        from anchorrank.ranker import FinetuneConfig
+        from anchorrank.taskgen import TaskGenConfig
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "seed": 2,
+            "encoder": {"dropout": 0},
+            "warmup": {"lr": 1, "max_steps": None},
+            "pretrain": {"max_steps": None, "task_weights": {"mlm": 2}},
+            "taskgen": {"lam": 3, "per_task_cap": None, "pair_budget": None},
+            "finetune": {"warmup": 0, "max_steps": None},
+        }))
+        cfg = resolve_config(argparse.Namespace(config=str(path), seed=None, profile=None, workdir=None))
+        assert encoder_config(cfg, 100).dropout == 0
+        assert train_config(cfg["warmup"], cfg, task_weights={"mlm": 1.0}).lr == 1
+        assert train_config(cfg["pretrain"], cfg).task_weights["mlm"] == 2
+        assert TaskGenConfig(**cfg["taskgen"], seed=2).cap_for("rdp") is None
+        assert FinetuneConfig(**cfg["finetune"], seed=2, max_len=48).max_steps is None
+        path.write_text(json.dumps({"seed": 2, "taskgen": {"per_task_cap": 5}}))
+        cfg = resolve_config(argparse.Namespace(config=str(path), seed=None, profile=None, workdir=None))
+        assert TaskGenConfig(**cfg["taskgen"], seed=2).cap_for("rqp") == 5
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
     def test_malformed_config_is_one_error_naming_the_file(self, case, tmp_path, capsys):
         path = tmp_path / f"{case}.json"

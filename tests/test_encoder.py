@@ -14,6 +14,7 @@ from anchorrank.encoder import (
     EncoderGraph,
     adam_step,
     attention_from_position,
+    attention_map,
     cls_score,
     init_params,
     load_checkpoint,
@@ -162,6 +163,26 @@ class TestClsScore:
             segs = rng.integers(0, 2, n)
             expected = EncoderGraph(p, cfg, ids, segs).cls_score()
             assert cls_score(p, cfg, ids, segs) == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+
+class TestAttentionMap:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_bitwise_equal_to_encoder_graph(self, layers):
+        # the same operations on the same rows as the graph: equal to the bit
+        cfg = EncoderConfig(layers=layers, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24)
+        rng = np.random.default_rng(layers)
+        p = {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}
+        for n in range(1, cfg.max_len + 1):
+            ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
+            graph = EncoderGraph(p, cfg, ids)
+            assert np.array_equal(attention_map(p, cfg, ids), graph.attention[-1])
+            for layer in range(-layers, layers):
+                assert np.array_equal(attention_map(p, cfg, ids, layer), graph.attention[layer])
+
+    @pytest.mark.parametrize("layer", [CFG.layers, -CFG.layers - 1])
+    def test_layer_out_of_range_rejected(self, params, layer):
+        with pytest.raises(ValueError, match="out of range"):
+            attention_map(params, CFG, seq(CLS_ID, 7, SEP_ID), layer)
 
 
 class TestMlmLogits:

@@ -1,5 +1,6 @@
 """Damaged input files: every reader either parses the file or raises
-ValueError (CorpusError is one) naming the file, never another exception."""
+ValueError (CorpusError is one) naming the file, never another exception;
+load_checkpoint raises only CheckpointError naming the file."""
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from anchorrank import evalkit
 from anchorrank.corpus import read_corpus
+from anchorrank.encoder import AdamState, CheckpointError, EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from anchorrank.ranker import read_candidates, read_collection, read_queries
 from anchorrank.synth import SynthConfig, synth_dataset
 from anchorrank.taskgen import PretrainPair, read_pairs, write_pairs
@@ -72,3 +74,27 @@ def test_text_that_is_not_utf8_names_the_file(valid_files, name):
     with pytest.raises(ValueError, match="not UTF-8") as info:
         reader(path)
     assert str(path) in str(info.value)
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    d = tmp_path_factory.mktemp("ckpt")
+    cfg = EncoderConfig(layers=1, heads=2, hidden=4, ffn_dim=8, vocab_size=12, max_len=8)
+    params = init_params(cfg, seed=0)
+    save_checkpoint(d / "valid.ckpt", params, cfg, extra={"stage": "test"}, adam=AdamState.zeros(params))
+    return d, (d / "valid.ckpt").read_bytes()
+
+
+@given(truncate=st.booleans(), where=st.floats(0.0, 1.0, exclude_max=True), byte=st.integers(0, 255))
+def test_damaged_checkpoint_raises_only_checkpoint_error(valid_checkpoint, truncate, where, byte):
+    # a corrupted name, dim or length must not escape as UnicodeDecodeError,
+    # MemoryError, OverflowError or a bare ValueError
+    d, data = valid_checkpoint
+    at = int(where * len(data))
+    damaged = data[:at] if truncate else data[:at] + bytes([byte]) + data[at + 1 :]
+    path = d / "damaged.ckpt"
+    path.write_bytes(damaged)
+    try:
+        load_checkpoint(path)
+    except CheckpointError as exc:
+        assert str(path) in str(exc)

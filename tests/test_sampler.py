@@ -252,6 +252,126 @@ class TestRealEncoderPath:
             sampler.anchor_term_distribution(sent, sent.anchors[0])
 
 
+def small_encoder(vocab, max_len=24):
+    from anchorrank.encoder import EncoderConfig, init_params
+
+    cfg = EncoderConfig(layers=2, heads=2, hidden=16, ffn_dim=32, vocab_size=len(vocab), max_len=max_len)
+    rng = np.random.default_rng(0)
+    return {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=0).items()}, cfg
+
+
+def reference_rows(params, cfg, vocab, tokens, position_lists):
+    """The sampler before its memo: one full training-graph forward per
+    lookup, and the rows taken from its stacked attention."""
+    from anchorrank.encoder import EncoderGraph, attention_from_position
+
+    seq = [CLS_TOKEN, *tokens[: cfg.max_len - 2], SEP_TOKEN]
+    attention = EncoderGraph(params, cfg, vocab.encode(seq)).attention
+    return seq, [attention_from_position(attention, -1, positions) for positions in position_lists]
+
+
+class TestAttentionMemo:
+    @pytest.fixture()
+    def forwarded(self, monkeypatch):
+        """Token ids of every encoder forward the sampler runs."""
+        import anchorrank.sampler as sampler_module
+
+        calls = []
+        attention_map = sampler_module.attention_map
+
+        def counting(params, config, token_ids, layer=-1):
+            calls.append(tuple(token_ids))
+            return attention_map(params, config, token_ids, layer)
+
+        monkeypatch.setattr(sampler_module, "attention_map", counting)
+        return calls
+
+    @pytest.fixture()
+    def setup(self, corpus):
+        from anchorrank.corpus import build_vocab
+
+        vocab = build_vocab(corpus, max_size=200)
+        params, cfg = small_encoder(vocab)
+        return corpus, vocab, params, cfg
+
+    def test_same_distributions_and_gammas_as_uncached(self, setup):
+        from anchorrank.corpus import page_summary
+
+        corpus, vocab, params, cfg = setup
+        sampler = AttentionSampler(params, cfg, vocab, stopwords=frozenset())
+        for _ in range(2):  # the second pass is served from the memo
+            for page in corpus.iter_pages():
+                summary = page_summary(page, 32)
+                seq, (row,) = reference_rows(params, cfg, vocab, summary, [[0]])
+                expected = normalize(merge_position_weights(row, seq), {"apple"}, provenance="cls")
+                dist = sampler.cls_term_distribution(summary, {"apple"})
+                assert dist.terms == expected.terms and np.array_equal(dist.probs, expected.probs)
+                for sent in page.sentences:
+                    positions = [[p + 1 for p in range(a.token_start, a.token_end)] for a in sent.anchors]
+                    seq, rows = reference_rows(params, cfg, vocab, list(sent.tokens), positions)
+                    for anchor, row in zip(sent.anchors, rows):
+                        expected = normalize(merge_position_weights(row, seq), set(anchor.surface_tokens()))
+                        dist = sampler.anchor_term_distribution(sent, anchor)
+                        assert dist.terms == expected.terms and np.array_equal(dist.probs, expected.probs)
+                    assert sampler.anchor_cls_attention(sent) == [float(row[0]) for row in rows]
+        # the first anchor of a sentence fills its siblings' rows and the
+        # rows anchor_cls_attention reads: one forward per sequence
+        sequences = {tuple(page_summary(page, 32)) for page in corpus.iter_pages()}
+        sequences |= {tuple(s.tokens) for page in corpus.iter_pages() for s in page.sentences if s.anchors}
+        assert sampler.forwards == len(sequences) < sampler.lookups
+
+    def test_one_forward_per_distinct_sequence(self, setup, forwarded):
+        from anchorrank.taskgen import PairGenerator, TaskGenConfig
+
+        corpus, vocab, params, cfg = setup
+        looked_up = []
+        sampler = AttentionSampler(params, cfg, vocab, stopwords=default_stopwords())
+        for name, tokens_of in [
+            ("anchor_term_distribution", lambda sentence, anchor: sentence.tokens),
+            ("cls_term_distribution", lambda tokens, *rest, **kw: tokens),
+            ("anchor_cls_attention", lambda sentence: sentence.tokens),
+        ]:
+            method = getattr(sampler, name)
+
+            def recorded(*args, method=method, tokens_of=tokens_of, **kwargs):
+                tokens = tokens_of(*args, **kwargs)[: cfg.max_len - 2]
+                looked_up.append(tuple(vocab.encode([CLS_TOKEN, *tokens, SEP_TOKEN])))
+                return method(*args, **kwargs)
+
+            setattr(sampler, name, recorded)
+        pairs = PairGenerator(corpus, sampler, TaskGenConfig(lam=2.0, summary_max_tokens=32, seed=1)).generate()
+        assert pairs
+        assert len(looked_up) == sampler.lookups > len(set(looked_up))
+        assert len(forwarded) == sampler.forwards == len(set(looked_up))
+        assert set(forwarded) == set(looked_up)
+
+    def test_sequences_equal_after_truncation_share_a_forward(self, setup, forwarded):
+        corpus, vocab, _, _ = setup
+        params, cfg = small_encoder(vocab, max_len=6)
+        sampler = AttentionSampler(params, cfg, vocab, stopwords=frozenset())
+        words = ["laptop", "hardware", "computer", "with", "fast", "chips", "bright"]
+        first = sampler.cls_term_distribution(words)
+        second = sampler.cls_term_distribution(words[:4] + ["display"])
+        assert len(forwarded) == sampler.forwards == 1 and sampler.lookups == 2
+        assert first.terms == second.terms == words[:4] and np.array_equal(first.probs, second.probs)
+
+    def test_mutating_a_result_leaves_the_memo_intact(self, setup):
+        corpus, vocab, params, cfg = setup
+        sampler = AttentionSampler(params, cfg, vocab, stopwords=frozenset())
+        sent = next(s for p in corpus.iter_pages() for s in p.sentences if len(s.anchors) > 1)
+        tokens = list(sent.tokens)
+        expected = AttentionSampler(params, cfg, vocab, stopwords=frozenset()).cls_term_distribution(tokens)
+        dist = sampler.cls_term_distribution(tokens)
+        dist.probs[:] = 0.0
+        dist.terms.reverse()
+        again = sampler.cls_term_distribution(tokens)
+        assert again.terms == expected.terms and np.array_equal(again.probs, expected.probs)
+        gammas = sampler.anchor_cls_attention(sent)
+        gammas[0] = -1.0
+        assert sampler.anchor_cls_attention(sent)[0] != -1.0
+        assert sampler.lookups == 4 and sampler.forwards == 2
+
+
 def test_load_stopwords_file(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("# comment\nthe\nof\n\nAnd\n", encoding="utf-8")
