@@ -45,6 +45,19 @@ def _require_leading_cls(token_ids) -> None:
         raise ValueError("sequence must begin with [CLS] to be scored")
 
 
+def _output_rows(outputs, n: int):
+    """The last layer's query rows for EncoderGraph: ALL_ROWS for None,
+    else the sorted distinct positions of outputs."""
+    if outputs is None:
+        return ALL_ROWS
+    rows = np.unique(np.asarray(outputs, dtype=np.int64).reshape(-1))
+    if rows.size == 0:
+        raise ValueError("outputs must name at least one position")
+    if rows[0] < 0 or rows[-1] >= n:
+        raise ValueError("output position out of range")
+    return rows
+
+
 def _embed(params, token_ids, segment_ids):
     """Layer-normed token + position + segment embeddings; (out, ln cache)."""
     n = token_ids.size
@@ -73,8 +86,8 @@ def _layer(params, config: EncoderConfig, i: int, x, rows, p_drop: float = 0.0, 
     Keys and values come from every row of x; queries, the residual
     stream, both layer norms and the FFN only from x[rows], so the output
     has the rows of x[rows].  Returns (out, cache); the cache holds what
-    EncoderGraph.backward needs, including the attention probabilities
-    (heads, len(rows), n).
+    EncoderGraph.backward needs, including rows and the attention
+    probabilities (heads, len(rows), n).
     """
     pre = f"layer{i}."
     xq = x[rows]
@@ -92,6 +105,7 @@ def _layer(params, config: EncoderConfig, i: int, x, rows, p_drop: float = 0.0, 
     ffn_out, ffn_drop = lyr.dropout(ffn_out, p_drop, dropout_rng)
     out, ln2_cache = lyr.layer_norm(h1 + ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"])
     cache.update(
+        rows=rows,
         v_cache=v_cache,
         vh=vh,
         o_cache=o_cache,
@@ -119,21 +133,30 @@ class EncoderGraph:
     propagates the supplied upstream gradients through heads, layers and
     embeddings in one sweep, accumulating into a shared gradient tree.
     A graph is single-shot: backward() may only be called once.
+
+    `outputs` names the positions whose last-layer states a head will
+    read; the last layer then runs, forward and backward, for those rows
+    only (keys and values still cover every row), and `hidden` holds
+    their states in ascending position order.  Gradients are exact for
+    any loss of those rows.  None keeps every row.
     """
 
-    def __init__(self, params, config: EncoderConfig, token_ids, segment_ids=None, dropout_rng=None):
+    def __init__(self, params, config: EncoderConfig, token_ids, segment_ids=None, dropout_rng=None, outputs=None):
         token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids)
         self.params = params
         self.config = config
         self.token_ids = token_ids
         self.segment_ids = segment_ids
+        rows = _output_rows(outputs, token_ids.size)
+        self.outputs = None if outputs is None else rows
         p_drop = config.dropout if dropout_rng is not None else 0.0
 
         h, self._emb_ln_cache = _embed(params, token_ids, segment_ids)
         h, self._emb_drop = lyr.dropout(h, p_drop, dropout_rng)
         self._layer_caches: list[dict] = []
+        last = config.layers - 1
         for i in range(config.layers):
-            h, cache = _layer(params, config, i, h, ALL_ROWS, p_drop, dropout_rng)
+            h, cache = _layer(params, config, i, h, rows if i == last else ALL_ROWS, p_drop, dropout_rng)
             self._layer_caches.append(cache)
 
         self.hidden = h
@@ -146,11 +169,15 @@ class EncoderGraph:
     def attention(self) -> np.ndarray:
         """Attention probabilities of every layer, (layers, heads, n, n);
         stacked on request, since training never reads them."""
+        if self.outputs is not None:
+            raise ValueError("a graph with outputs has no full last-layer attention map")
         return np.stack([c["probs"] for c in self._layer_caches])
 
     def cls_score(self) -> float:
         """Two-layer tanh MLP over the [CLS] representation; unbounded."""
         _require_leading_cls(self.token_ids)
+        if self.outputs is not None and self.outputs[0] != 0:
+            raise ValueError("cls_score needs position 0 among the graph's outputs")
         if self._cls_cache is None:
             h_cls = self.hidden[0]
             self._cls_value, c_act = _cls_head(self.params, h_cls)
@@ -162,8 +189,13 @@ class EncoderGraph:
         positions = np.asarray(positions, dtype=np.int64).reshape(-1)
         if positions.size and (positions.min() < 0 or positions.max() >= self.token_ids.size):
             raise ValueError("masked position out of range")
-        h_masked = self.hidden[positions]
-        self._mlm_cache = (positions, h_masked)
+        rows = positions
+        if self.outputs is not None:
+            rows = np.searchsorted(self.outputs, positions)
+            if not np.array_equal(self.outputs[np.minimum(rows, self.outputs.size - 1)], positions):
+                raise ValueError("masked position not among the graph's outputs")
+        h_masked = self.hidden[rows]
+        self._mlm_cache = (rows, h_masked)
         return h_masked @ self.params["mlm_w"] + self.params["mlm_b"]
 
     def backward(self, grads: dict[str, np.ndarray], d_score: float = 0.0, d_mlm_logits=None) -> None:
@@ -190,13 +222,13 @@ class EncoderGraph:
         if d_mlm_logits is not None:
             if self._mlm_cache is None:
                 raise RuntimeError("mlm_logits() was never called on this graph")
-            positions, h_masked = self._mlm_cache
+            rows, h_masked = self._mlm_cache
             d_logits = np.asarray(d_mlm_logits)
-            if d_logits.shape != (positions.size, self.config.vocab_size):
+            if d_logits.shape != (rows.size, self.config.vocab_size):
                 raise ValueError("d_mlm_logits shape mismatch")
             grads["mlm_w"] += h_masked.T @ d_logits
             grads["mlm_b"] += d_logits.sum(axis=0)
-            np.add.at(d_hidden, positions, d_logits @ params["mlm_w"].T)
+            np.add.at(d_hidden, rows, d_logits @ params["mlm_w"].T)
 
         heads, head_dim = self.config.heads, self.config.head_dim
         scale = 1.0 / np.sqrt(head_dim)
@@ -223,13 +255,14 @@ class EncoderGraph:
             dmerged, dwo, dbo = lyr.linear_backward(dattn, c["o_cache"])
             grads[pre + "wo"] += dwo
             grads[pre + "bo"] += dbo
-            dctx = dmerged.reshape(n, heads, head_dim).transpose(1, 0, 2)
+            m = dmerged.shape[0]
+            dctx = dmerged.reshape(m, heads, head_dim).transpose(1, 0, 2)
             dprobs = dctx @ c["vh"].transpose(0, 2, 1)
             dvh = c["probs"].transpose(0, 2, 1) @ dctx
             dscores = lyr.softmax_backward(dprobs, c["probs"]) * scale
             dqh = dscores @ c["kh"]
             dkh = dscores.transpose(0, 2, 1) @ c["qh"]
-            dq = dqh.transpose(1, 0, 2).reshape(n, -1)
+            dq = dqh.transpose(1, 0, 2).reshape(m, -1)
             dk = dkh.transpose(1, 0, 2).reshape(n, -1)
             dv = dvh.transpose(1, 0, 2).reshape(n, -1)
             dx_q, dwq, dbq = lyr.linear_backward(dq, c["q_cache"])
@@ -241,7 +274,10 @@ class EncoderGraph:
             dx_v, dwv, dbv = lyr.linear_backward(dv, c["v_cache"])
             grads[pre + "wv"] += dwv
             grads[pre + "bv"] += dbv
-            dout = dres1 + dx_q + dx_k + dx_v
+            # the query rows' gradient lands on rows of dx_k; over all rows
+            # this sums in the same order as dres1 + dx_q + dx_k + dx_v
+            dx_k[c["rows"]] += dres1 + dx_q
+            dout = dx_k + dx_v
 
         de = lyr.dropout_backward(dout, self._emb_drop)
         de, dg, db = lyr.layer_norm_backward(de, self._emb_ln_cache)
@@ -274,13 +310,13 @@ def attention_from_position(attention, layer: int, query_positions) -> np.ndarra
 
 
 def cls_score(params, config, token_ids, segment_ids=None) -> float:
-    """Forward-only [CLS] score of one sequence: EncoderGraph(...).cls_score()
-    without dropout, backward caches or attention maps.
+    """Forward-only [CLS] score of one sequence: EncoderGraph(...,
+    outputs=[0]).cls_score(), bitwise, without dropout or backward caches.
 
     The last layer computes keys and values for every row but the rest of
     the layer for the [CLS] row only.  Its one-row matrix products round
-    differently from the all-rows ones, so the score matches the graph's to
-    about 1e-16 rather than bitwise.
+    differently from the all-rows ones, so the score matches the full
+    graph's to about 1e-16 rather than bitwise.
     """
     token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids)
     _require_leading_cls(token_ids)

@@ -104,16 +104,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def mlm_loss(logits: np.ndarray, labels: Sequence[tuple[int, int]]) -> float:
-    """Mean negative log-likelihood of the original tokens; 0 when nothing
-    was masked."""
-    if len(labels) == 0:
-        return 0.0
-    targets = np.array([t for _, t in labels], dtype=np.int64)
-    ls = _log_softmax(np.asarray(logits, dtype=np.float64))
-    return float(-ls[np.arange(targets.size), targets].mean())
-
-
 def mlm_loss_and_grad(logits: np.ndarray, labels: Sequence[tuple[int, int]]) -> tuple[float, np.ndarray]:
     targets = np.array([t for _, t in labels], dtype=np.int64)
     ls = _log_softmax(np.asarray(logits, dtype=np.float64))
@@ -122,6 +112,33 @@ def mlm_loss_and_grad(logits: np.ndarray, labels: Sequence[tuple[int, int]]) -> 
     d_logits[np.arange(targets.size), targets] -= 1.0
     d_logits /= targets.size
     return loss, d_logits
+
+
+def mlm_forward_backward(
+    packed: PackedSequence,
+    params: dict[str, np.ndarray],
+    enc_config: EncoderConfig,
+    mask_rate: float,
+    rng: np.random.Generator,
+    drop_rng: np.random.Generator | None,
+    grads: dict[str, np.ndarray],
+    scale: float,
+) -> float | None:
+    """Mask `packed` from rng, run the masked graph for the masked rows
+    only, and accumulate scale times the gradient of its MLM loss into
+    grads.  Returns that (unscaled) loss, or None when nothing was
+    masked."""
+    masked = mask_tokens(packed, enc_config.vocab_size, rng, mask_rate)
+    if not masked.labels:
+        return None
+    positions = [p for p, _ in masked.labels]
+    graph = EncoderGraph(
+        params, enc_config, masked.seq.token_ids, masked.seq.segment_ids, dropout_rng=drop_rng, outputs=positions
+    )
+    loss, d_logits = mlm_loss_and_grad(graph.mlm_logits(positions), masked.labels)
+    if scale != 0.0:
+        graph.backward(grads, d_mlm_logits=d_logits * scale)
+    return loss
 
 
 def default_task_weights() -> dict[str, float]:
@@ -222,30 +239,29 @@ def joint_step(
     mlm_sum = 0.0
     drop_rng = rng if enc_config.dropout > 0.0 else None
 
+    w_mlm = weights.get("mlm", 1.0)
     for pair in pairs:
         pos_packed, neg_packed = pack_pair(pair, vocab, doc_tokens, config.max_len)
-        g_pos = EncoderGraph(params, enc_config, pos_packed.token_ids, pos_packed.segment_ids, dropout_rng=drop_rng)
+        g_pos = EncoderGraph(
+            params, enc_config, pos_packed.token_ids, pos_packed.segment_ids, dropout_rng=drop_rng, outputs=[0]
+        )
         s_pos = g_pos.cls_score()
-        g_neg = EncoderGraph(params, enc_config, neg_packed.token_ids, neg_packed.segment_ids, dropout_rng=drop_rng)
+        g_neg = EncoderGraph(
+            params, enc_config, neg_packed.token_ids, neg_packed.segment_ids, dropout_rng=drop_rng, outputs=[0]
+        )
         s_neg = g_neg.cls_score()
         hinge = hinge_loss(s_pos, s_neg)
         task_sums[pair.task] += hinge
         task_counts[pair.task] += 1
 
         w_task = weights.get(pair.task, 1.0)
-        w_mlm = weights.get("mlm", 1.0)
         if hinge > 0.0 and w_task != 0.0:
             g_pos.backward(grads, d_score=-(w_task / n))
             g_neg.backward(grads, d_score=w_task / n)
 
-        masked = mask_tokens(pos_packed, enc_config.vocab_size, rng, config.mask_rate)
-        if masked.labels:
-            g_mlm = EncoderGraph(params, enc_config, masked.seq.token_ids, masked.seq.segment_ids, dropout_rng=drop_rng)
-            logits = g_mlm.mlm_logits([p for p, _ in masked.labels])
-            pair_mlm, d_logits = mlm_loss_and_grad(logits, masked.labels)
+        pair_mlm = mlm_forward_backward(pos_packed, params, enc_config, config.mask_rate, rng, drop_rng, grads, w_mlm / n)
+        if pair_mlm is not None:
             mlm_sum += pair_mlm
-            if w_mlm != 0.0:
-                g_mlm.backward(grads, d_mlm_logits=d_logits * (w_mlm / n))
 
     components = {t: task_sums[t] / n for t in TASKS}
     components["mlm"] = mlm_sum / n
@@ -344,17 +360,13 @@ def mlm_warmup(
         grads = zero_grads(params)
         total = 0.0
         contributing = 0
+        scale = 1.0 / len(batch)
         for sent in batch:
             packed = pack_input(list(sent.tokens), doc_tokens(sent.page_id), vocab, config.max_len)
-            masked = mask_tokens(packed, enc_config.vocab_size, mask_rng, config.mask_rate)
-            if not masked.labels:
-                continue
-            graph = EncoderGraph(params, enc_config, masked.seq.token_ids, masked.seq.segment_ids, dropout_rng=drop_rng)
-            logits = graph.mlm_logits([p for p, _ in masked.labels])
-            loss, d_logits = mlm_loss_and_grad(logits, masked.labels)
-            total += loss
-            contributing += 1
-            graph.backward(grads, d_mlm_logits=d_logits / len(batch))
+            loss = mlm_forward_backward(packed, params, enc_config, config.mask_rate, mask_rng, drop_rng, grads, scale)
+            if loss is not None:
+                total += loss
+                contributing += 1
         if not math.isfinite(total):
             raise TrainError("non-finite warm-up loss")
         adam_step(params, grads, adam, lr=config.lr)

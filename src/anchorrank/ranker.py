@@ -121,11 +121,14 @@ def finetune(
     The input model is left untouched; training happens on a copy, so the
     loaded checkpoint stays bitwise intact until the first step.
     """
+    query_tokens: dict[str, list[str]] = {}
     for ex in examples:
         if ex.label not in (0, 1):
             raise ValueError(f"fine-tuning labels must be binary, got {ex.label!r} for {ex.query_id}/{ex.doc_id}")
         if ex.doc_id not in collection:
             raise ValueError(f"example references unknown document {ex.doc_id!r}")
+        if ex.query_text not in query_tokens:
+            query_tokens[ex.query_text] = tokenize(ex.query_text)
 
     params = {k: v.copy() for k, v in model.params.items()}
     adam = AdamState.zeros(params)
@@ -143,8 +146,10 @@ def finetune(
         grads = zero_grads(params)
         loss = 0.0
         for ex in batch:
-            packed = pack_input(tokenize(ex.query_text), collection[ex.doc_id].tokens, model.vocab, config.max_len)
-            graph = EncoderGraph(params, model.config, packed.token_ids, packed.segment_ids, dropout_rng=drop_rng)
+            packed = pack_input(query_tokens[ex.query_text], collection[ex.doc_id].tokens, model.vocab, config.max_len)
+            graph = EncoderGraph(
+                params, model.config, packed.token_ids, packed.segment_ids, dropout_rng=drop_rng, outputs=[0]
+            )
             z = graph.cls_score()
             s = _sigmoid(z)
             eps = 1e-12

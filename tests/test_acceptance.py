@@ -15,7 +15,6 @@ from anchorrank.pretrain import (
     TrainConfig,
     hinge_loss,
     joint_step,
-    mlm_loss,
     mlm_warmup,
     pairwise_accuracy,
     summary_lookup,
@@ -41,7 +40,7 @@ from anchorrank.sampler import (
 from anchorrank.synth import SynthConfig, build_retrieval_split, build_synthetic_corpus
 from anchorrank.taskgen import PairGenerator, TaskGenConfig
 from test_evalkit import brute_mrr, brute_ndcg
-from util import encode, finite_difference_grads, joint_loss, joint_loss_gradients, max_relative_error
+from util import encode, finite_difference_grads, joint_loss, joint_loss_gradients, max_relative_error, mlm_loss
 
 SEED = 7
 PER_TASK_CAP = {"rdp": 100, "acm": 200}

@@ -27,6 +27,7 @@ from util import (
     finite_difference_grads,
     joint_loss,
     joint_loss_gradients,
+    log_softmax,
     max_relative_error,
     mlm_logits,
     mlm_nll,
@@ -183,6 +184,131 @@ class TestAttentionMap:
     def test_layer_out_of_range_rejected(self, params, layer):
         with pytest.raises(ValueError, match="out of range"):
             attention_map(params, CFG, seq(CLS_ID, 7, SEP_ID), layer)
+
+
+def _random_case(cfg, rng, n):
+    """A [CLS]-led sequence of length n, random segments, and 1-3 masked
+    positions after [CLS] with their labels."""
+    ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
+    segs = rng.integers(0, 2, n)
+    count = int(rng.integers(1, min(3, n - 1) + 1))
+    positions = np.sort(rng.choice(np.arange(1, n), size=count, replace=False))
+    labels = rng.integers(0, cfg.vocab_size, count)
+    return ids, segs, positions, labels
+
+
+def _head_grads(params, cfg, ids, segs, head, positions, labels, outputs):
+    """(loss, hidden, grads) of a graph read by `head`: "cls" takes the
+    [CLS] score as the loss, "mlm" the NLL at `positions`, "both" their
+    sum."""
+    g = EncoderGraph(params, cfg, ids, segs, outputs=outputs)
+    loss, d_logits = 0.0, None
+    if head in ("cls", "both"):
+        loss += g.cls_score()
+    if head in ("mlm", "both"):
+        logits = g.mlm_logits(positions)
+        loss += mlm_nll(logits, labels)
+        d_logits = np.exp(log_softmax(logits))
+        d_logits[np.arange(labels.size), labels] -= 1.0
+        d_logits /= labels.size
+    grads = zero_grads(params)
+    g.backward(grads, d_score=1.0 if head != "mlm" else 0.0, d_mlm_logits=d_logits)
+    return loss, g.hidden, grads
+
+
+def _head_outputs(head, positions):
+    return {"cls": [0], "mlm": positions, "both": np.concatenate(([0], positions))}[head]
+
+
+class TestPrunedOutputs:
+    """EncoderGraph(outputs=...) runs its last layer for the named rows only."""
+
+    HEADS = ["cls", "mlm", "both"]
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_gradient_check(self, head):
+        cfg = EncoderConfig(layers=2, heads=2, hidden=8, ffn_dim=16, vocab_size=15, max_len=10)
+        rng = np.random.default_rng(17)
+        params = {k: v + rng.normal(0.0, 0.3, v.shape) for k, v in init_params(cfg, seed=17).items()}
+        ids, segs, positions, labels = _random_case(cfg, rng, 9)
+        outputs = _head_outputs(head, positions)
+        analytic = _head_grads(params, cfg, ids, segs, head, positions, labels, outputs)[2]
+        numeric = finite_difference_grads(
+            lambda: _head_grads(params, cfg, ids, segs, head, positions, labels, outputs)[0], params
+        )
+        assert max_relative_error(analytic, numeric) <= 1e-3
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("head", HEADS)
+    def test_matches_full_graph(self, layers, head):
+        # exact gradients of the same loss; the pruned rows' products round
+        # differently, so equal to float64 rounding, not bitwise.  b_k's true
+        # gradient is 0 (softmax ignores a shift of every score), so both
+        # graphs give rounding noise there: errors are scaled by the largest
+        # gradient entry, not per entry
+        cfg = EncoderConfig(layers=layers, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24)
+        rng = np.random.default_rng(layers)
+        params = {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}
+        for n in range(2, cfg.max_len + 1):
+            ids, segs, positions, labels = _random_case(cfg, rng, n)
+            outputs = _head_outputs(head, positions)
+            loss_f, hidden_f, grads_f = _head_grads(params, cfg, ids, segs, head, positions, labels, None)
+            loss_p, hidden_p, grads_p = _head_grads(params, cfg, ids, segs, head, positions, labels, outputs)
+            assert loss_p == pytest.approx(loss_f, rel=1e-12, abs=1e-12)
+            assert np.abs(hidden_p - hidden_f[np.unique(outputs)]).max() <= 1e-12
+            scale = max(np.abs(g).max() for g in grads_f.values())
+            for k in grads_f:
+                assert np.abs(grads_p[k] - grads_f[k]).max() <= 1e-12 * scale, k
+
+    def test_every_row_is_the_full_graph_bitwise(self, params):
+        rng = np.random.default_rng(4)
+        for n in range(2, CFG.max_len + 1):
+            ids, segs, positions, labels = _random_case(CFG, rng, n)
+            full = _head_grads(params, CFG, ids, segs, "both", positions, labels, None)
+            every = _head_grads(params, CFG, ids, segs, "both", positions, labels, np.arange(n))
+            assert full[0] == every[0]
+            assert np.array_equal(full[1], every[1])
+            for k in full[2]:
+                assert np.array_equal(full[2][k], every[2][k]), k
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_cls_row_equals_cls_score_bitwise(self, layers):
+        cfg = EncoderConfig(layers=layers, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24)
+        rng = np.random.default_rng(layers)
+        p = {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}
+        for n in range(1, cfg.max_len + 1):
+            ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
+            segs = rng.integers(0, 2, n)
+            assert EncoderGraph(p, cfg, ids, segs, outputs=[0]).cls_score() == cls_score(p, cfg, ids, segs)
+
+    def test_outputs_sorted_and_distinct(self, params):
+        ids = seq(CLS_ID, 7, 8, 9, SEP_ID)
+        g = EncoderGraph(params, CFG, ids, outputs=[3, 1, 3])
+        assert g.outputs.tolist() == [1, 3]
+        assert g.hidden.shape == (2, CFG.hidden)
+        assert EncoderGraph(params, CFG, ids).outputs is None
+
+    def test_mlm_position_not_in_outputs_rejected(self, params):
+        g = EncoderGraph(params, CFG, seq(CLS_ID, 7, 8, 9, SEP_ID), outputs=[1, 3])
+        for positions in ([2], [1, 4], [0]):
+            with pytest.raises(ValueError, match="not among the graph's outputs"):
+                g.mlm_logits(positions)
+        assert g.mlm_logits([3, 1]).shape == (2, CFG.vocab_size)
+
+    def test_cls_score_without_row_zero_rejected(self, params):
+        g = EncoderGraph(params, CFG, seq(CLS_ID, 7, 8, SEP_ID), outputs=[1, 2])
+        with pytest.raises(ValueError, match="position 0"):
+            g.cls_score()
+
+    @pytest.mark.parametrize("outputs, match", [([], "at least one"), ([0, 4], "out of range"), ([-1], "out of range")])
+    def test_bad_outputs_rejected(self, params, outputs, match):
+        with pytest.raises(ValueError, match=match):
+            EncoderGraph(params, CFG, seq(CLS_ID, 7, 8, SEP_ID), outputs=outputs)
+
+    def test_attention_of_pruned_graph_rejected(self, params):
+        g = EncoderGraph(params, CFG, seq(CLS_ID, 7, 8, SEP_ID), outputs=[0])
+        with pytest.raises(ValueError, match="attention"):
+            g.attention
 
 
 class TestMlmLogits:

@@ -16,7 +16,6 @@ from anchorrank.pretrain import (
     hinge_loss,
     joint_step,
     mask_tokens,
-    mlm_loss,
     mlm_warmup,
     pack_input,
     pack_pair,
@@ -27,7 +26,7 @@ from anchorrank.encoder.adam import AdamState
 from anchorrank.taskgen import PairGenerator, PretrainPair, TaskGenConfig, derive_rng
 from anchorrank.sampler import default_stopwords
 from conftest import TableAttentionSampler
-from util import unmask
+from util import mlm_loss, unmask
 
 
 def small_vocab(n_terms=30):

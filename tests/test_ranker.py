@@ -152,6 +152,22 @@ class TestFinetune:
         for k in before:
             assert np.array_equal(model.params[k], before[k])
 
+    def test_each_query_tokenized_once(self, corpus, monkeypatch):
+        collection, examples = self.setup_examples(corpus)
+        model = make_model(corpus)
+        for doc in collection.values():
+            doc.tokens  # documents cache their tokens; only queries are counted
+        calls = []
+        real_tokenize = ranker.tokenize
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return real_tokenize(text)
+
+        monkeypatch.setattr(ranker, "tokenize", counting_tokenize)
+        finetune(model, examples, collection, FinetuneConfig(lr=1e-3, epochs=3, batch_size=2))
+        assert sorted(calls) == sorted({ex.query_text for ex in examples})
+
     def test_learns_separable_toy_data(self, corpus):
         collection, examples = self.setup_examples(corpus)
         model = make_model(corpus, seed=3)

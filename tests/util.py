@@ -51,6 +51,12 @@ def mlm_nll(logits, label_ids):
     return float(-ls[np.arange(label_ids.size), label_ids].mean())
 
 
+def mlm_loss(logits, labels) -> float:
+    """mlm_nll over (position, original token id) labels, as MaskedBatch
+    carries them; 0 when nothing was masked."""
+    return mlm_nll(logits, [t for _, t in labels])
+
+
 def joint_loss(params, config, pos_ids, pos_segs, neg_ids, neg_segs, mask_positions, mask_labels):
     """Scalar hinge + MLM loss over one positive/negative sequence pair."""
     g_pos = EncoderGraph(params, config, pos_ids, pos_segs)
