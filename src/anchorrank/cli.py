@@ -20,7 +20,7 @@ from pathlib import Path
 from anchorrank import evalkit
 from anchorrank.corpus import Vocabulary, build_vocab, clean_corpus, read_corpus, write_corpus
 from anchorrank.encoder import EncoderConfig, load_checkpoint
-from anchorrank.pretrain import TrainConfig, mlm_warmup, train
+from anchorrank.pretrain import TrainConfig, TrainError, mlm_warmup, train
 from anchorrank.ranker import (
     FinetuneConfig,
     examples_from_candidates,
@@ -67,7 +67,6 @@ DEFAULTS = {
     "taskgen": {"lam": 3.0, "summary_max_tokens": 32, "per_task_cap": {"rdp": 100, "acm": 200}, "pair_budget": None},
     "warmup": {"lr": 1e-3, "epochs": 2, "batch_size": 8, "max_steps": 150, "log_every": 50},
     "pretrain": {
-        "lam": 3.0,
         "lr": 1e-3,
         "epochs": 20,
         "batch_size": 8,
@@ -229,11 +228,11 @@ def stopword_set(cfg: dict):
 
 
 def train_config(section: dict, cfg: dict, task_weights=None) -> TrainConfig:
-    """The warm-up section has no lam or task_weights of its own.  TrainConfig
+    """The warm-up section has no task_weights of its own.  TrainConfig
     fills task_weights in place, so it gets a copy."""
     weights = dict(section["task_weights"] if task_weights is None else task_weights)
     return TrainConfig(
-        **{"lam": cfg["taskgen"]["lam"], **section, "task_weights": weights},
+        **{**section, "task_weights": weights},
         seed=cfg["seed"],
         max_len=cfg["encoder"]["max_len"],
         summary_max_tokens=cfg["taskgen"]["summary_max_tokens"],
@@ -399,7 +398,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         announce(args.command, cfg)
         return args.func(args, cfg)
-    except (CommandError, ValueError, OSError) as exc:
+    except (CommandError, TrainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

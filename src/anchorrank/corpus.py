@@ -115,9 +115,6 @@ class HyperlinkCorpus:
     def __len__(self) -> int:
         return len(self.pages)
 
-    def __contains__(self, page_id: str) -> bool:
-        return page_id in self.pages
-
     def page_ids(self) -> list[str]:
         return sorted(self.pages)
 
@@ -335,17 +332,8 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_term)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.term_to_id
-
-    def encode_term(self, term: str) -> int:
-        return self.term_to_id.get(term, UNK_ID)
-
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self.term_to_id.get(t, UNK_ID) for t in tokens]
-
-    def decode(self, ids: Iterable[int]) -> list[str]:
-        return [self.id_to_term[i] for i in ids]
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.id_to_term) + "\n", encoding="utf-8")

@@ -7,7 +7,7 @@ checkable, and fast enough at desk scale.
 from anchorrank.encoder.adam import AdamState, adam_step
 from anchorrank.encoder.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from anchorrank.encoder.config import EncoderConfig
-from anchorrank.encoder.model import EncoderGraph, attention_from_position, attention_map, cls_score
+from anchorrank.encoder.model import EncoderGraph, attention_map, cls_score
 from anchorrank.encoder.params import init_params, param_shapes, zero_grads
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "CheckpointError",
     "EncoderConfig",
     "EncoderGraph",
-    "attention_from_position",
     "attention_map",
     "cls_score",
     "init_params",

@@ -29,7 +29,7 @@ def adam_step(
     lr: float,
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
-) -> tuple[dict[str, np.ndarray], AdamState]:
+) -> None:
     """One in-place update; keys walked in sorted order for determinism.
 
         m_t = b1 m + (1-b1) g        v_t = b2 v + (1-b2) g^2
@@ -49,4 +49,3 @@ def adam_step(
         v *= b2
         v += (1.0 - b2) * g * g
         params[key] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    return params, state

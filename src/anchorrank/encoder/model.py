@@ -1,7 +1,7 @@
 """Encoder forward graph: embeddings + post-norm transformer layers, with
 attention map extraction, CLS scoring and MLM heads, and an exact analytic
 backward pass; plus two forward-only paths that share the same layer code:
-a [CLS] scorer for inference and a one-layer attention map for the
+a [CLS] scorer for inference and the last layer's attention map for the
 sampler."""
 
 from __future__ import annotations
@@ -288,27 +288,6 @@ class EncoderGraph:
         np.add.at(grads["seg_emb"], self.segment_ids, de)
 
 
-def attention_from_position(attention, layer: int, query_positions) -> np.ndarray:
-    """Head-averaged attention row for a set of query positions.
-
-    Multi-token queries (anchors spanning several positions) average their
-    per-position rows; the result is itself row-stochastic.
-    """
-    attention = np.asarray(attention)
-    if attention.ndim != 4:
-        raise ValueError("attention must have shape (layers, heads, n, n)")
-    n_layers = attention.shape[0]
-    if not -n_layers <= layer < n_layers:
-        raise ValueError(f"layer {layer} out of range for {n_layers} layers")
-    positions = sorted({int(p) for p in query_positions})
-    if not positions:
-        raise ValueError("query_positions must be non-empty")
-    n = attention.shape[-1]
-    if positions[0] < 0 or positions[-1] >= n:
-        raise ValueError("query position out of range")
-    return attention[layer][:, positions, :].mean(axis=(0, 1))
-
-
 def cls_score(params, config, token_ids, segment_ids=None) -> float:
     """Forward-only [CLS] score of one sequence: EncoderGraph(...,
     outputs=[0]).cls_score(), bitwise, without dropout or backward caches.
@@ -327,19 +306,17 @@ def cls_score(params, config, token_ids, segment_ids=None) -> float:
     return _cls_head(params, h[0])[0]
 
 
-def attention_map(params, config: EncoderConfig, token_ids, layer: int = -1) -> np.ndarray:
-    """Forward-only attention probabilities (heads, n, n) of one layer:
-    EncoderGraph(...).attention[layer] without dropout, backward caches or
-    the stacked maps of every layer.
+def attention_map(params, config: EncoderConfig, token_ids) -> np.ndarray:
+    """Forward-only attention probabilities (heads, n, n) of the last layer:
+    EncoderGraph(...).attention[-1] without dropout, backward caches or the
+    stacked maps of every layer.
 
-    The layers below `layer` run whole; `layer` itself computes only Q, K
-    and the softmax, over every row, so the map is bitwise the graph's.
+    The layers below the last run whole; the last computes only Q, K and
+    the softmax, over every row, so the map is bitwise the graph's.
     """
-    if not -config.layers <= layer < config.layers:
-        raise ValueError(f"layer {layer} out of range for {config.layers} layers")
     token_ids, segment_ids = _check_inputs(config, token_ids, None)
     h, _ = _embed(params, token_ids, segment_ids)
-    layer %= config.layers
-    for i in range(layer):
+    last = config.layers - 1
+    for i in range(last):
         h, _ = _layer(params, config, i, h, ALL_ROWS)
-    return _attention(params, config, layer, h, h[ALL_ROWS])["probs"]
+    return _attention(params, config, last, h, h[ALL_ROWS])["probs"]

@@ -26,6 +26,8 @@ from anchorrank.taskgen import TASKS, PretrainPair, derive_rng
 
 log = logging.getLogger(__name__)
 
+MASK_RATE = 0.15
+
 
 class PackError(ValueError):
     """Query/document cannot be packed within max_len."""
@@ -69,15 +71,15 @@ def pack_input(query_tokens: Sequence[str], doc_tokens: Sequence[str], vocab: Vo
     return PackedSequence(token_ids=np.array(ids, dtype=np.int64), segment_ids=np.array(segs, dtype=np.int64))
 
 
-def mask_tokens(seq: PackedSequence, vocab_size: int, rng: np.random.Generator, mask_rate: float = 0.15) -> MaskedBatch:
-    """Select round(mask_rate * maskable) positions (at least one when any
+def mask_tokens(seq: PackedSequence, vocab_size: int, rng: np.random.Generator) -> MaskedBatch:
+    """Select round(MASK_RATE * maskable) positions (at least one when any
     exist); replace with [MASK] 80% of the time, a random non-special token
     10%, and leave unchanged 10%.  Special tokens are never selected."""
     ids = seq.token_ids.copy()
     maskable = np.flatnonzero(ids >= NUM_SPECIAL_TOKENS)
     labels: list[tuple[int, int]] = []
     if maskable.size:
-        count = max(1, round(mask_rate * maskable.size))
+        count = max(1, round(MASK_RATE * maskable.size))
         chosen = np.sort(rng.choice(maskable, size=count, replace=False))
         for pos in chosen:
             pos = int(pos)
@@ -118,7 +120,6 @@ def mlm_forward_backward(
     packed: PackedSequence,
     params: dict[str, np.ndarray],
     enc_config: EncoderConfig,
-    mask_rate: float,
     rng: np.random.Generator,
     drop_rng: np.random.Generator | None,
     grads: dict[str, np.ndarray],
@@ -128,7 +129,7 @@ def mlm_forward_backward(
     only, and accumulate scale times the gradient of its MLM loss into
     grads.  Returns that (unscaled) loss, or None when nothing was
     masked."""
-    masked = mask_tokens(packed, enc_config.vocab_size, rng, mask_rate)
+    masked = mask_tokens(packed, enc_config.vocab_size, rng)
     if not masked.labels:
         return None
     positions = [p for p, _ in masked.labels]
@@ -149,25 +150,23 @@ def default_task_weights() -> dict[str, float]:
 class TrainConfig:
     """Full-profile training constants are the defaults; toy profiles override them."""
 
-    lam: float = 3.0
     lr: float = 1e-4
     epochs: int = 10
     batch_size: int = 128
     seed: int = 0
     max_len: int = 512
-    mask_rate: float = 0.15
     task_weights: dict[str, float] = field(default_factory=default_task_weights)
     summary_max_tokens: int = 512
     log_every: int = 50
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
-        if self.lam <= 0 or self.lr <= 0 or self.batch_size < 1 or self.max_len < 4:
-            raise ValueError("lam, lr, batch_size, max_len must be positive")
+        if self.lr <= 0 or self.batch_size < 1 or self.max_len < 4:
+            raise ValueError("lr, batch_size, max_len must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not 0.0 < self.mask_rate < 1.0:
-            raise ValueError("mask_rate must be in (0, 1)")
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
         unknown = sorted(set(self.task_weights) - set(default_task_weights()))
@@ -259,7 +258,7 @@ def joint_step(
             g_pos.backward(grads, d_score=-(w_task / n))
             g_neg.backward(grads, d_score=w_task / n)
 
-        pair_mlm = mlm_forward_backward(pos_packed, params, enc_config, config.mask_rate, rng, drop_rng, grads, w_mlm / n)
+        pair_mlm = mlm_forward_backward(pos_packed, params, enc_config, rng, drop_rng, grads, w_mlm / n)
         if pair_mlm is not None:
             mlm_sum += pair_mlm
 
@@ -363,7 +362,7 @@ def mlm_warmup(
         scale = 1.0 / len(batch)
         for sent in batch:
             packed = pack_input(list(sent.tokens), doc_tokens(sent.page_id), vocab, config.max_len)
-            loss = mlm_forward_backward(packed, params, enc_config, config.mask_rate, mask_rng, drop_rng, grads, scale)
+            loss = mlm_forward_backward(packed, params, enc_config, mask_rng, drop_rng, grads, scale)
             if loss is not None:
                 total += loss
                 contributing += 1

@@ -15,7 +15,7 @@ import numpy as np
 
 from anchorrank.corpus import HyperlinkCorpus, Vocabulary, numbered_lines, tokenize
 from anchorrank.encoder import AdamState, EncoderConfig, EncoderGraph, adam_step, cls_score, load_checkpoint, save_checkpoint, zero_grads
-from anchorrank.pretrain import batch_schedule, pack_input
+from anchorrank.pretrain import TrainError, batch_schedule, pack_input
 from anchorrank.taskgen import derive_rng
 
 log = logging.getLogger(__name__)
@@ -69,6 +69,8 @@ class FinetuneConfig:
             raise ValueError("warmup portion must be in [0, 1)")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -157,7 +159,7 @@ def finetune(
             graph.backward(grads, d_score=(s - ex.label) / len(batch))
         loss /= len(batch)
         if not math.isfinite(loss):
-            raise RuntimeError(f"non-finite fine-tune loss at step {step}")
+            raise TrainError(f"non-finite fine-tune loss at step {step}")
         lr = config.lr * min(1.0, step / warmup_steps)
         adam_step(params, grads, adam, lr=lr)
         if step % config.log_every == 0:

@@ -4,8 +4,9 @@ The pipeline per query unit is: encode the sequence, pull the head-averaged
 attention row for the query positions (anchor tokens, or [CLS]), merge
 repeated terms, softmax-normalize over the allowed support, then draw a
 without-replacement word set whose length comes from a zero-truncated
-Poisson.  The rows are memoised per sampler, so a sequence that several
-query units share is encoded once.
+Poisson.  Attention always comes from the encoder's last layer.  The rows
+are memoised per sampler, so a sequence that several query units share is
+encoded once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from anchorrank.corpus import CLS_TOKEN, SEP_TOKEN, SPECIAL_TOKENS, AnchorSpan, Sentence, Vocabulary
-from anchorrank.encoder import EncoderConfig, attention_from_position, attention_map
+from anchorrank.encoder import EncoderConfig, attention_map
 
 
 class SamplerError(ValueError):
@@ -55,8 +56,6 @@ class TermDistribution:
 
     terms: list[str]
     probs: np.ndarray
-    provenance: str  # "anchor" or "cls"
-    source: str = ""
 
     def __post_init__(self) -> None:
         if len(self.terms) != len(self.probs):
@@ -71,16 +70,6 @@ class TermDistribution:
             return 0.0
 
 
-@dataclass
-class WordSet:
-    """Sampled pseudo-query tokens; the anchor surface, when present, is the
-    head element and may be a multi-word phrase."""
-
-    tokens: list[str]
-    anchor_included: bool
-    truncated: bool = False
-
-
 def merge_position_weights(alpha, tokens) -> dict[str, float]:
     """Sum per-position weights into per-distinct-term weights, keyed in
     first-occurrence order."""
@@ -93,7 +82,7 @@ def merge_position_weights(alpha, tokens) -> dict[str, float]:
     return beta
 
 
-def normalize(beta: dict[str, float], exclusions=(), provenance: str = "anchor", source: str = "") -> TermDistribution:
+def normalize(beta: dict[str, float], exclusions=()) -> TermDistribution:
     """Softmax the merged weights over the non-excluded support.
 
     Special tokens are always excluded; callers add stopwords and (for the
@@ -107,7 +96,7 @@ def normalize(beta: dict[str, float], exclusions=(), provenance: str = "anchor",
     weights -= weights.max()
     e = np.exp(weights)
     probs = e / e.sum()
-    return TermDistribution(terms=[t for t, _ in support], probs=probs, provenance=provenance, source=source)
+    return TermDistribution(terms=[t for t, _ in support], probs=probs)
 
 
 def poisson_length(lam: float, rng: np.random.Generator) -> int:
@@ -124,19 +113,19 @@ def sample_word_set(
     dist: TermDistribution,
     length: int,
     anchor_surface: str | None = None,
-    rng: np.random.Generator | None = None,
-) -> WordSet:
-    """Draw `length` distinct terms without replacement by iterative
-    renormalized draws.
+    *,
+    rng: np.random.Generator,
+) -> list[str]:
+    """Pseudo-query tokens: `length` distinct terms drawn without
+    replacement by iterative renormalized draws.
 
-    When the support is smaller than `length`, the whole support is returned
-    and the set is flagged truncated.  Output order: anchor surface first
-    (if given), then sampled terms in original source position order.
+    When the support is smaller than `length`, the whole support is
+    returned.  Output order: anchor surface first (if given; it may be a
+    multi-word phrase), then sampled terms in original source position
+    order.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    if rng is None:
-        raise ValueError("an rng is required")
     n = len(dist.terms)
     take = min(length, n)
     remaining = dist.probs.astype(float).copy()
@@ -150,15 +139,15 @@ def sample_word_set(
     tokens = [dist.terms[i] for i in chosen]
     if anchor_surface is not None:
         tokens = [anchor_surface] + tokens
-    return WordSet(tokens=tokens, anchor_included=anchor_surface is not None, truncated=take < length)
+    return tokens
 
 
 class AttentionSampler:
     """Bundles a fixed encoder checkpoint with the vocabulary and stopword
     list, exposing the two distribution builders used by pair construction.
 
-    Sampling-time attention always comes from one encoder layer (the last,
-    by default) with dropout disabled.  Each head-averaged attention row is
+    Sampling-time attention always comes from the encoder's last layer with
+    dropout disabled.  Each head-averaged attention row is
     memoised by (sequence tokens, query positions); `lookups` counts
     builder calls and `forwards` the encoder forwards run to fill the
     memo.  Tests substitute attention by overriding _sequence_attention.
@@ -167,43 +156,40 @@ class AttentionSampler:
     def __init__(
         self,
         params,
-        config: EncoderConfig | None,
+        config: EncoderConfig,
         vocab: Vocabulary,
         stopwords: frozenset[str] | None = None,
-        layer: int = -1,
     ):
         self.params = params
         self.config = config
         self.vocab = vocab
         self.stopwords = default_stopwords() if stopwords is None else frozenset(stopwords)
-        self.layer = layer
         self.lookups = 0
         self.forwards = 0
         self._rows: dict[tuple, np.ndarray] = {}
 
     def _sequence_tokens(self, tokens) -> list[str]:
-        """[CLS] + tokens + [SEP], with tokens cut to fit max_len.  Test
-        doubles run without a config and are not cut."""
-        if self.config is not None:
-            tokens = tokens[: self.config.max_len - 2]
-        return [CLS_TOKEN, *tokens, SEP_TOKEN]
+        """[CLS] + tokens + [SEP], with tokens cut to fit max_len."""
+        return [CLS_TOKEN, *tokens[: self.config.max_len - 2], SEP_TOKEN]
 
     def _sequence_attention(self, tokens: list[str]) -> tuple[list[str], np.ndarray]:
         """Encode [CLS] + tokens + [SEP] (truncating tokens to fit) and
-        return (sequence tokens, per-head attention maps at the chosen
-        layer, shape (heads, n, n))."""
+        return (sequence tokens, per-head attention maps of the last layer,
+        shape (heads, n, n))."""
         seq_tokens = self._sequence_tokens(tokens)
         ids = self.vocab.encode(seq_tokens)
-        return seq_tokens, attention_map(self.params, self.config, ids, self.layer)
+        return seq_tokens, attention_map(self.params, self.config, ids)
 
     def _attention_rows(self, tokens, wanted, fill=()) -> tuple[list[str], list[np.ndarray]]:
         """(sequence tokens, the head-averaged attention row of each position
         list in `wanted`).
 
-        A miss runs one forward and memoises the rows of `wanted` and of
-        the in-range position lists in `fill` (a sentence's other anchors),
-        so that later lookups on the same sequence hit; a lookup for
-        positions that no earlier miss filled encodes the sequence again.
+        A row averages the maps over heads and over the sorted distinct
+        positions of its list.  A miss runs one forward and memoises the
+        rows of `wanted` and of the in-range position lists in `fill` (a
+        sentence's other anchors), so that later lookups on the same
+        sequence hit; a lookup for positions that no earlier miss filled
+        encodes the sequence again.
         Only rows are kept, never the (heads, n, n) maps.  The builders
         hand out new objects made from the rows (a TermDistribution, a list
         of floats), so no caller can write into the memo.
@@ -212,12 +198,14 @@ class AttentionSampler:
         seq_tokens = self._sequence_tokens(tokens)
         n = len(seq_tokens)
         for positions in wanted:
+            if not positions:
+                raise SamplerError("empty query position list")
             for pos in positions:
                 if not 0 <= pos < n:
                     raise SamplerError(f"query position {pos} truncated out of the sequence")
         seq = tuple(seq_tokens)
 
-        def key(positions):  # attention_from_position reads sorted distinct positions
+        def key(positions):
             return seq, tuple(sorted(set(positions)))
 
         keys = [key(positions) for positions in wanted]
@@ -225,15 +213,15 @@ class AttentionSampler:
             _, maps = self._sequence_attention(tokens)
             self.forwards += 1
             in_range = [positions for positions in fill if all(0 <= p < n for p in positions)]
-            for positions in [*wanted, *in_range]:
-                if key(positions) not in self._rows:
-                    self._rows[key(positions)] = attention_from_position(maps[np.newaxis], 0, positions)
+            for k in map(key, [*wanted, *in_range]):
+                if k not in self._rows:
+                    self._rows[k] = maps[:, list(k[1]), :].mean(axis=(0, 1))
         return seq_tokens, [self._rows[k] for k in keys]
 
-    def _distribution(self, tokens, query_positions, exclusions, provenance, source, fill=()) -> TermDistribution:
+    def _distribution(self, tokens, query_positions, exclusions, fill=()) -> TermDistribution:
         seq_tokens, (alpha,) = self._attention_rows(tokens, [query_positions], fill)
         beta = merge_position_weights(alpha, seq_tokens)
-        return normalize(beta, exclusions=set(exclusions) | self.stopwords, provenance=provenance, source=source)
+        return normalize(beta, exclusions=set(exclusions) | self.stopwords)
 
     def anchor_term_distribution(self, sentence: Sentence, anchor: AnchorSpan) -> TermDistribution:
         """Distribution over the sentence's context terms, conditioned on the
@@ -245,21 +233,13 @@ class AttentionSampler:
             list(sentence.tokens),
             _anchor_positions(anchor),
             set(anchor.surface_tokens()),
-            provenance="anchor",
-            source=f"{sentence.page_id}/{sentence.index}",
             fill=[_anchor_positions(a) for a in sentence.anchors],
         )
 
-    def cls_term_distribution(self, page_tokens, excluded_anchor_terms=(), source: str = "") -> TermDistribution:
+    def cls_term_distribution(self, page_tokens, excluded_anchor_terms=()) -> TermDistribution:
         """Distribution over page terms, conditioned on [CLS]; terms of the
         excluded anchor carry probability zero."""
-        return self._distribution(
-            list(page_tokens),
-            [0],
-            set(excluded_anchor_terms),
-            provenance="cls",
-            source=source,
-        )
+        return self._distribution(list(page_tokens), [0], set(excluded_anchor_terms))
 
     def anchor_cls_attention(self, sentence: Sentence) -> list[float]:
         """Per-anchor importance: head-averaged attention from the anchor's

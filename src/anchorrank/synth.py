@@ -15,8 +15,6 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from anchorrank.corpus import HyperlinkCorpus, parse_corpus, write_corpus
 from anchorrank.evalkit import Qrels, write_qrels
 from anchorrank.ranker import collection_from_corpus, write_candidates, write_collection, write_queries
@@ -27,14 +25,14 @@ log = logging.getLogger(__name__)
 TOPIC_NAMES = ("ocean", "desert", "forest", "meadow", "glacier", "canyon", "harbor", "prairie")
 AMBIGUOUS_SURFACES = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta", "kappa", "sigma", "omega")
 FILLERS = ("the", "a", "of", "and", "with", "near", "some", "from", "quite", "very")
+WORDS_PER_TOPIC = 40
+MIN_BODY_WORDS = 115
 
 
 @dataclass
 class SynthConfig:
     pages: int = 200
     topics: int = 8
-    words_per_topic: int = 40
-    min_body_words: int = 115
     train_queries: int = 100
     eval_queries: int = 50
     candidates_per_query: int = 10
@@ -91,8 +89,8 @@ class _SentenceBuilder:
         return "".join(self.parts)
 
 
-def _topic_words(topic: str, count: int) -> list[str]:
-    return [f"{topic}{i}" for i in range(count)]
+def _topic_words(topic: str) -> list[str]:
+    return [f"{topic}{i}" for i in range(WORDS_PER_TOPIC)]
 
 
 def _page_meta(cfg: SynthConfig) -> list[dict]:
@@ -131,7 +129,7 @@ def build_synthetic_corpus(cfg: SynthConfig) -> tuple[HyperlinkCorpus, list[dict
     records = []
     for meta in metas:
         rng = derive_rng(cfg.seed, "synth", "page", meta["id"])
-        words = _topic_words(meta["topic"], cfg.words_per_topic)
+        words = _topic_words(meta["topic"])
         same_topic = [m for m in by_topic[meta["topic"]] if m["id"] != meta["id"]]
         other_topic = [m for m in metas if m["topic"] != meta["topic"]]
         builder = _SentenceBuilder()
@@ -160,7 +158,7 @@ def build_synthetic_corpus(cfg: SynthConfig) -> tuple[HyperlinkCorpus, list[dict
         builder.blank_line()
 
         sent_idx = 0
-        while builder.word_count < cfg.min_body_words:
+        while builder.word_count < MIN_BODY_WORDS:
             kind = sent_idx % 5
             plain_words(int(rng.integers(4, 7)))
             if kind == 0 and len(same_topic) >= 2:
@@ -229,7 +227,7 @@ def build_retrieval_split(
         for idx, meta in enumerate(pages):
             qid = f"{split}{idx:03d}"
             q_rng = derive_rng(cfg.seed, "synth", "query", qid)
-            words = _topic_words(meta["topic"], cfg.words_per_topic)
+            words = _topic_words(meta["topic"])
             extra = [words[int(q_rng.integers(len(words)))] for _ in range(2)]
             queries[qid] = f"{meta['head']} {' '.join(extra)}"
 

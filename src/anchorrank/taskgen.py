@@ -122,20 +122,20 @@ def build_rqp_pair(
 
     anchor_terms = set(anchor.surface_tokens())
     try:
-        page_dist = sampler.cls_term_distribution(summary, anchor_terms, source=target.id)
+        page_dist = sampler.cls_term_distribution(summary, anchor_terms)
     except SamplerError as exc:
         log.debug("rqp skip %s: %s", seed_path, exc)
         return None
-    neg_query = sample_word_set(page_dist, len(pos_query.tokens), rng=rng)
-    if len(neg_query.tokens) != len(pos_query.tokens):
+    neg_query = sample_word_set(page_dist, len(pos_query), rng=rng)
+    if len(neg_query) != len(pos_query):
         log.debug("rqp skip %s: negative support too small for equal lengths", seed_path)
         return None
     return PretrainPair(
         task=TASK_RQP,
-        query_tokens=pos_query.tokens,
+        query_tokens=pos_query,
         pos_doc_id=target.id,
         neg_doc_id=target.id,
-        neg_query_tokens=neg_query.tokens,
+        neg_query_tokens=neg_query,
         provenance={"page_id": sentence.page_id, "sentence_index": sentence.index, "anchor": anchor.normalized_surface()},
         seed_path=seed_path,
     )
@@ -175,7 +175,7 @@ def build_qdm_pair(
     neg = negatives[int(rng.integers(len(negatives)))]
     return PretrainPair(
         task=TASK_QDM,
-        query_tokens=query.tokens,
+        query_tokens=query,
         pos_doc_id=occ.target_id,
         neg_doc_id=neg,
         neg_query_tokens=None,
@@ -265,7 +265,7 @@ def build_acm_pair(
     if not summary:
         return None
     try:
-        dist = sampler.cls_term_distribution(summary, set(first_key.split()), source=first_page.id)
+        dist = sampler.cls_term_distribution(summary, set(first_key.split()))
     except SamplerError as exc:
         log.debug("acm skip %s: %s", seed_path, exc)
         return None
@@ -278,7 +278,7 @@ def build_acm_pair(
     neg = candidates[int(rng.integers(len(candidates)))]
     return PretrainPair(
         task=TASK_ACM,
-        query_tokens=query.tokens,
+        query_tokens=query,
         pos_doc_id=second_page.id,
         neg_doc_id=neg,
         neg_query_tokens=None,
@@ -323,6 +323,8 @@ class TaskGenConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.lam <= 0:
+            raise ValueError(f"lam must be positive, got {self.lam}")
         unknown = sorted(set(self.per_task_cap) - set(TASKS)) if isinstance(self.per_task_cap, dict) else []
         if unknown:
             raise ValueError(f"unknown per_task_cap keys {unknown} (expected among {', '.join(TASKS)})")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from anchorrank.corpus import CLS_TOKEN, SEP_TOKEN, clean_corpus, parse_corpus
+from anchorrank.encoder import EncoderConfig
 from anchorrank.sampler import AttentionSampler
 
 # Reproducible property tests: a fixed example sequence, no per-example time
@@ -84,7 +85,7 @@ class TableAttentionSampler(AttentionSampler):
     """
 
     def __init__(self, vocab, stopwords=frozenset(), context_weights=None, row_toward_cls=None, default=1.0):
-        super().__init__(params=None, config=None, vocab=vocab, stopwords=stopwords)
+        super().__init__(params=None, config=EncoderConfig(vocab_size=len(vocab)), vocab=vocab, stopwords=stopwords)
         self.context_weights = dict(context_weights or {})
         self.row_toward_cls = dict(row_toward_cls or {})
         self.default = default

@@ -166,13 +166,13 @@ class TestCriterion2Invariants:
 class TestCriterion3SamplingOracle:
     def test_first_draw_frequencies_and_poisson(self):
         probs = {"a": 0.42, "b": 0.3, "c": 0.15, "d": 0.08, "e": 0.05}
-        dist = TermDistribution(terms=list(probs), probs=np.array(list(probs.values())), provenance="cls")
+        dist = TermDistribution(terms=list(probs), probs=np.array(list(probs.values())))
         rng = np.random.default_rng(11)
         trials = 100_000
         counts = {t: 0 for t in probs}
         for _ in range(trials):
             ws = sample_word_set(dist, 1, rng=rng)
-            counts[ws.tokens[0]] += 1
+            counts[ws[0]] += 1
         worst = max(abs(counts[t] / trials - p) for t, p in probs.items())
 
         lam = 3.0

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,6 @@ def config_path(workdir):
         "taskgen": {"lam": 3.0, "summary_max_tokens": 32, "per_task_cap": {"rdp": 40, "acm": 60}, "pair_budget": None},
         "warmup": {"lr": 1e-3, "epochs": 1, "batch_size": 8, "max_steps": 30, "log_every": 100},
         "pretrain": {
-            "lam": 3.0,
             "lr": 1e-3,
             "epochs": 3,
             "batch_size": 8,
@@ -93,6 +93,26 @@ class TestPipeline:
     def test_07_finetune(self, config_path, workdir):
         assert main(["finetune", "--config", config_path]) == 0
         assert (workdir / "finetuned.ckpt").exists()
+
+    @pytest.mark.parametrize("command, section, key, message", [
+        ("warm-sampler", "warmup", "log_every", "log_every"),
+        ("pretrain", "pretrain", "log_every", "log_every"),
+        ("finetune", "finetune", "log_every", "log_every"),
+        ("pretrain", "paths", "pairs", "no training pairs"),
+    ], ids=["warmup-log_every", "pretrain-log_every", "finetune-log_every", "empty-pairs"])
+    def test_07_bad_training_input_is_one_error_before_any_step(
+        self, command, section, key, message, config_path, tmp_path, capsys
+    ):
+        cfg = json.loads(Path(config_path).read_text())
+        cfg["paths"] = {"pretrain_metrics": str(tmp_path / "metrics.jsonl")}
+        (tmp_path / "pairs.jsonl").write_text("")
+        cfg[section][key] = 0 if key == "log_every" else str(tmp_path / "pairs.jsonl")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out.ckpt")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "metrics.jsonl").exists()
 
     def test_08_rerank(self, config_path, workdir):
         assert main(["rerank", "--config", config_path]) == 0
@@ -174,6 +194,7 @@ MALFORMED_CONFIGS = {
     "section-not-an-object": '{"seed": 1, "pretrain": 5}',
     "unknown-section-key": '{"seed": 1, "pretrain": {"learnig_rate": 0.5}}',
     "unknown-path-key": '{"seed": 1, "paths": {"corpse": "x.jsonl"}}',
+    "pretrain-lam": '{"seed": 1, "pretrain": {"lam": 5}}',
 }
 
 
@@ -260,6 +281,13 @@ class TestConfigFile:
         for profile in (DEFAULTS, FULL_PROFILE):
             for section, cls in built_by.items():
                 assert set(profile.get(section, {})) <= {f.name for f in fields(cls)}, section
+        # and the converse: a field that is neither copied in nor a key of its
+        # section is out of every config file's reach (the CLI sets the
+        # warm-up's task_weights itself)
+        copied_in = {"seed", "vocab_size", "max_len", "summary_max_tokens"}
+        for section, cls in built_by.items():
+            if section != "warmup":
+                assert {f.name for f in fields(cls)} - copied_in <= set(DEFAULTS[section]), section
 
     @pytest.mark.parametrize("profile", ["toy", "full"])
     def test_each_profile_builds_every_stage_config(self, profile):
@@ -273,7 +301,7 @@ class TestConfigFile:
         cfg = resolve_config(argparse.Namespace(config=None, seed=3, profile=profile, workdir=None))
         assert encoder_config(cfg, 100).max_len == cfg["encoder"]["max_len"]
         warmup = train_config(cfg["warmup"], cfg, task_weights={"mlm": 1.0})
-        assert warmup.lam == cfg["taskgen"]["lam"] and warmup.lr == cfg["warmup"]["lr"]
+        assert warmup.lr == cfg["warmup"]["lr"]
         pretrain = train_config(cfg["pretrain"], cfg)
         assert pretrain.task_weights == cfg["pretrain"]["task_weights"]
         assert pretrain.task_weights is not cfg["pretrain"]["task_weights"]

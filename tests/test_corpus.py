@@ -170,12 +170,12 @@ class TestVocabulary:
         corpus = parse_corpus(lines(record("p", "a a b b c")))
         vocab = build_vocab(corpus, max_size=2)
         assert len(vocab) == 2 + len(SPECIAL_TOKENS)
-        assert "c" not in vocab
+        assert "c" not in vocab.term_to_id
 
     def test_oov_maps_to_unk(self):
         corpus = parse_corpus(lines(record("p", "a b")))
         vocab = build_vocab(corpus, max_size=10)
-        assert vocab.encode_term("zzz") == UNK_ID
+        assert vocab.encode(["zzz"]) == [UNK_ID]
 
     def test_max_size_invalid(self):
         corpus = parse_corpus(lines(record("p", "a")))

@@ -13,7 +13,6 @@ from anchorrank.encoder import (
     EncoderConfig,
     EncoderGraph,
     adam_step,
-    attention_from_position,
     attention_map,
     cls_score,
     init_params,
@@ -85,34 +84,6 @@ class TestEncode:
             encode(params, CFG, seq(CLS_ID, CFG.vocab_size))
 
 
-class TestAttentionFromPosition:
-    def test_single_head_single_position_identity(self):
-        maps = np.zeros((1, 1, 3, 3))
-        maps[0, 0] = [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.1, 0.1, 0.8]]
-        out = attention_from_position(maps, 0, {1})
-        assert np.allclose(out, [1.0, 0.0, 0.0])
-
-    def test_two_heads_average(self):
-        maps = np.zeros((1, 2, 2, 2))
-        maps[0, 0, 0] = [1.0, 0.0]
-        maps[0, 1, 0] = [0.0, 1.0]
-        maps[0, :, 1] = [0.5, 0.5]
-        out = attention_from_position(maps, 0, {0})
-        assert np.allclose(out, [0.5, 0.5])
-
-    def test_multi_position_matches_manual_average(self, params):
-        ids = seq(CLS_ID, 6, 7, 8, 9, SEP_ID)
-        _, attn = encode(params, CFG, ids)
-        out = attention_from_position(attn, -1, {2, 3})
-        manual = (attn[-1][:, 2, :].mean(axis=0) + attn[-1][:, 3, :].mean(axis=0)) / 2.0
-        assert np.allclose(out, manual, atol=1e-12)
-        assert abs(out.sum() - 1.0) < 1e-6
-
-    def test_empty_positions_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            attention_from_position(np.ones((1, 1, 2, 2)) * 0.5, 0, set())
-
-
 class TestClsScore:
     def test_zero_final_layer_scores_zero(self, params):
         p = {k: v.copy() for k, v in params.items()}
@@ -177,13 +148,6 @@ class TestAttentionMap:
             ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
             graph = EncoderGraph(p, cfg, ids)
             assert np.array_equal(attention_map(p, cfg, ids), graph.attention[-1])
-            for layer in range(-layers, layers):
-                assert np.array_equal(attention_map(p, cfg, ids, layer), graph.attention[layer])
-
-    @pytest.mark.parametrize("layer", [CFG.layers, -CFG.layers - 1])
-    def test_layer_out_of_range_rejected(self, params, layer):
-        with pytest.raises(ValueError, match="out of range"):
-            attention_map(params, CFG, seq(CLS_ID, 7, SEP_ID), layer)
 
 
 def _random_case(cfg, rng, n):

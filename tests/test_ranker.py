@@ -7,6 +7,7 @@ import pytest
 from anchorrank import ranker
 from anchorrank.corpus import build_vocab
 from anchorrank.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
+from anchorrank.pretrain import TrainError
 from anchorrank.ranker import (
     DocRecord,
     FinetuneConfig,
@@ -133,6 +134,13 @@ class TestFinetune:
     def test_negative_max_steps_rejected(self):
         with pytest.raises(ValueError, match="max_steps"):
             FinetuneConfig(max_steps=-3)
+
+    def test_non_finite_loss_is_a_train_error(self, corpus):
+        collection, examples = self.setup_examples(corpus)
+        model = make_model(corpus)
+        model.params["cls_b2"][:] = np.nan
+        with pytest.raises(TrainError, match="non-finite"), np.errstate(invalid="ignore"):
+            finetune(model, examples, collection, FinetuneConfig(lr=1e-3, epochs=1, batch_size=2))
 
     def test_one_log_record_per_step(self, corpus, caplog):
         # the benchmark times training steps from these records

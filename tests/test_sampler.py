@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anchorrank.corpus import CLS_TOKEN, SEP_TOKEN, AnchorSpan, Sentence, Vocabulary, tokenize
+from anchorrank.encoder import EncoderConfig
 from anchorrank.sampler import (
     AttentionSampler,
     SamplerError,
@@ -52,7 +53,7 @@ class FakeAttentionSampler(AttentionSampler):
     """Deterministic attention rows from a token -> weight table."""
 
     def __init__(self, vocab, stopwords=frozenset(), weights=None, default=1.0):
-        super().__init__(params=None, config=None, vocab=vocab, stopwords=stopwords)
+        super().__init__(params=None, config=EncoderConfig(vocab_size=len(vocab)), vocab=vocab, stopwords=stopwords)
         self.weights = dict(weights or {})
         self.default = default
 
@@ -136,36 +137,33 @@ class TestPoisson:
 class TestSampleWordSet:
     def dist(self, probs: dict):
         terms = list(probs)
-        return TermDistribution(terms=terms, probs=np.array(list(probs.values())), provenance="anchor")
+        return TermDistribution(terms=terms, probs=np.array(list(probs.values())))
 
     def test_all_mass_on_two_terms(self):
         d = self.dist({"a": 0.5, "b": 0.5, "c": 0.0, "d": 0.0})
         ws = sample_word_set(d, 2, rng=np.random.default_rng(0))
-        assert sorted(ws.tokens) == ["a", "b"]
-        assert not ws.truncated
+        assert sorted(ws) == ["a", "b"]
 
     def test_length_exceeds_support(self):
         d = self.dist({"a": 0.6, "b": 0.4})
         ws = sample_word_set(d, 5, rng=np.random.default_rng(0))
-        assert sorted(ws.tokens) == ["a", "b"]
-        assert ws.truncated
+        assert sorted(ws) == ["a", "b"]
 
     def test_deterministic_under_seed(self):
         d = self.dist({"a": 0.2, "b": 0.3, "c": 0.25, "d": 0.25})
-        sets = [sample_word_set(d, 2, rng=np.random.default_rng(42)).tokens for _ in range(3)]
+        sets = [sample_word_set(d, 2, rng=np.random.default_rng(42)) for _ in range(3)]
         assert sets[0] == sets[1] == sets[2]
 
     def test_anchor_head_then_source_order(self):
         d = self.dist({"first": 0.25, "second": 0.25, "third": 0.25, "fourth": 0.25})
         ws = sample_word_set(d, 4, anchor_surface="the anchor", rng=np.random.default_rng(0))
-        assert ws.tokens == ["the anchor", "first", "second", "third", "fourth"]
-        assert ws.anchor_included
+        assert ws == ["the anchor", "first", "second", "third", "fourth"]
 
     def test_no_duplicates(self):
         d = self.dist({"a": 0.7, "b": 0.1, "c": 0.1, "d": 0.1})
         for seed in range(20):
             ws = sample_word_set(d, 3, rng=np.random.default_rng(seed))
-            assert len(set(ws.tokens)) == len(ws.tokens)
+            assert len(set(ws)) == len(ws)
 
 
 class TestAttentionSampler:
@@ -193,7 +191,7 @@ class TestAttentionSampler:
         rng = np.random.default_rng(0)
         for _ in range(200):
             ws = sample_word_set(dist, 2, rng=rng)
-            assert "beta" not in ws.tokens
+            assert "beta" not in ws
 
     def test_page_of_only_anchor_and_stopwords_errors(self):
         vocab = make_vocab("the beta of")
@@ -209,9 +207,7 @@ class TestAttentionSampler:
 
     def test_first_draw_frequencies_match_probs(self):
         probs = {"a": 0.5, "b": 0.3, "c": 0.15, "d": 0.05}
-        dist = TermDistribution(
-            terms=list(probs), probs=np.array(list(probs.values())), provenance="cls"
-        )
+        dist = TermDistribution(terms=list(probs), probs=np.array(list(probs.values())))
         rng = np.random.default_rng(7)
         counts = {t: 0 for t in probs}
         trials = 20000
@@ -262,12 +258,13 @@ def small_encoder(vocab, max_len=24):
 
 def reference_rows(params, cfg, vocab, tokens, position_lists):
     """The sampler before its memo: one full training-graph forward per
-    lookup, and the rows taken from its stacked attention."""
-    from anchorrank.encoder import EncoderGraph, attention_from_position
+    lookup, and each row the mean of its last-layer map over heads and over
+    the sorted distinct positions."""
+    from anchorrank.encoder import EncoderGraph
 
     seq = [CLS_TOKEN, *tokens[: cfg.max_len - 2], SEP_TOKEN]
-    attention = EncoderGraph(params, cfg, vocab.encode(seq)).attention
-    return seq, [attention_from_position(attention, -1, positions) for positions in position_lists]
+    maps = EncoderGraph(params, cfg, vocab.encode(seq)).attention[-1]
+    return seq, [maps[:, sorted(set(positions)), :].mean(axis=(0, 1)) for positions in position_lists]
 
 
 class TestAttentionMemo:
@@ -279,9 +276,9 @@ class TestAttentionMemo:
         calls = []
         attention_map = sampler_module.attention_map
 
-        def counting(params, config, token_ids, layer=-1):
+        def counting(params, config, token_ids):
             calls.append(tuple(token_ids))
-            return attention_map(params, config, token_ids, layer)
+            return attention_map(params, config, token_ids)
 
         monkeypatch.setattr(sampler_module, "attention_map", counting)
         return calls
@@ -303,7 +300,7 @@ class TestAttentionMemo:
             for page in corpus.iter_pages():
                 summary = page_summary(page, 32)
                 seq, (row,) = reference_rows(params, cfg, vocab, summary, [[0]])
-                expected = normalize(merge_position_weights(row, seq), {"apple"}, provenance="cls")
+                expected = normalize(merge_position_weights(row, seq), {"apple"})
                 dist = sampler.cls_term_distribution(summary, {"apple"})
                 assert dist.terms == expected.terms and np.array_equal(dist.probs, expected.probs)
                 for sent in page.sentences:
@@ -370,6 +367,49 @@ class TestAttentionMemo:
         gammas[0] = -1.0
         assert sampler.anchor_cls_attention(sent)[0] != -1.0
         assert sampler.lookups == 4 and sampler.forwards == 2
+
+
+class MapSampler(AttentionSampler):
+    """Attention maps given outright: (heads, n, n) over [CLS] + tokens + [SEP]."""
+
+    def __init__(self, vocab, maps):
+        super().__init__(params=None, config=EncoderConfig(vocab_size=len(vocab)), vocab=vocab, stopwords=frozenset())
+        self.maps = np.asarray(maps, dtype=float)
+
+    def _sequence_attention(self, tokens):
+        return self._sequence_tokens(tokens), self.maps
+
+
+class TestRowAveraging:
+    """A memoised row is the maps' mean over heads and query positions."""
+
+    def test_single_head_single_position_identity(self):
+        maps = [[[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.1, 0.1, 0.8]]]
+        _, (row,) = MapSampler(make_vocab("x"), maps)._attention_rows(["x"], [[1]])
+        assert np.array_equal(row, [1.0, 0.0, 0.0])
+
+    def test_two_heads_average(self):
+        maps = np.zeros((2, 3, 3))
+        maps[0, 0] = [1.0, 0.0, 0.0]
+        maps[1, 0] = [0.0, 1.0, 0.0]
+        _, (row,) = MapSampler(make_vocab("x"), maps)._attention_rows(["x"], [[0]])
+        assert np.array_equal(row, [0.5, 0.5, 0.0])
+
+    def test_multi_position_matches_manual_average(self):
+        from anchorrank.encoder import EncoderGraph
+
+        vocab = make_vocab("red fox jumps over")
+        params, cfg = small_encoder(vocab)
+        tokens = ["red", "fox", "jumps", "over"]
+        _, (row,) = AttentionSampler(params, cfg, vocab, stopwords=frozenset())._attention_rows(tokens, [[3, 2, 3]])
+        attn = EncoderGraph(params, cfg, vocab.encode([CLS_TOKEN, *tokens, SEP_TOKEN])).attention[-1]
+        manual = (attn[:, 2, :].mean(axis=0) + attn[:, 3, :].mean(axis=0)) / 2.0
+        assert np.allclose(row, manual, atol=1e-12)
+        assert abs(row.sum() - 1.0) < 1e-6
+
+    def test_empty_positions_rejected(self):
+        with pytest.raises(SamplerError, match="empty"):
+            MapSampler(make_vocab("x"), np.ones((1, 3, 3)))._attention_rows(["x"], [[]])
 
 
 def test_load_stopwords_file(tmp_path):

@@ -272,6 +272,10 @@ class TestTaskGenConfig:
         with pytest.raises(ValueError, match="per_task_cap keys \\['rdpp'\\]"):
             TaskGenConfig(per_task_cap={"rdp": 3, "rdpp": 3})
 
+    def test_non_positive_lam_rejected(self):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            TaskGenConfig(lam=0.0)
+
 
 def test_derive_rng_stable_and_independent():
     a1 = derive_rng(7, "rqp", "page", 0).integers(0, 1 << 30, 4)
