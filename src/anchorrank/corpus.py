@@ -340,10 +340,13 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        terms = Path(path).read_text(encoding="utf-8").splitlines()
+        terms = [line.rstrip("\n") for _, line in numbered_lines(path)]
         if terms[:NUM_SPECIAL_TOKENS] != list(SPECIAL_TOKENS):
             raise CorpusError(f"{path}: vocabulary file missing special-token header")
-        return cls.from_terms(terms[NUM_SPECIAL_TOKENS:])
+        try:
+            return cls.from_terms(terms[NUM_SPECIAL_TOKENS:])
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
 
 
 def build_vocab(corpus: HyperlinkCorpus, max_size: int) -> Vocabulary:

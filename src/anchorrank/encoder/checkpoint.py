@@ -3,8 +3,9 @@
 Layout: 8-byte magic, u32 header length, JSON header (version, encoder
 config, dtype, free-form extra such as the vocabulary and provenance),
 u32 tensor count, then named tensors as (u16 name length, name, u8 ndim,
-u64 dims, raw little-endian float64 row-major payload).  Optimizer moments ride
-along under an "adam." name prefix so training can resume exactly.
+u64 dims, raw little-endian float64 row-major payload).  Optimizer moments may
+ride along under an "adam." name prefix; pre-training writes them, but no
+training stage reads them back or resumes from them.
 """
 
 from __future__ import annotations

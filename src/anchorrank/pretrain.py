@@ -147,36 +147,41 @@ def default_task_weights() -> dict[str, float]:
 
 
 @dataclass
-class TrainConfig:
-    """Full-profile training constants are the defaults; toy profiles override them."""
+class Schedule:
+    """What run_steps reads; full-profile constants are the defaults, toy profiles override them."""
 
     lr: float = 1e-4
     epochs: int = 10
     batch_size: int = 128
     seed: int = 0
     max_len: int = 512
-    task_weights: dict[str, float] = field(default_factory=default_task_weights)
-    summary_max_tokens: int = 512
     log_every: int = 50
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
-        if self.lr <= 0 or self.batch_size < 1 or self.max_len < 4:
-            raise ValueError("lr, batch_size, max_len must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        if self.lr <= 0 or self.batch_size < 1 or self.max_len < 4 or self.epochs < 0:
+            raise ValueError("lr, batch_size, max_len must be positive and epochs >= 0")
         if self.log_every < 1:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass
+class TrainConfig(Schedule):
+    task_weights: dict[str, float] = field(default_factory=default_task_weights)
+    summary_max_tokens: int = 512
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         unknown = sorted(set(self.task_weights) - set(default_task_weights()))
         if unknown:
             raise ValueError(f"unknown task_weights keys {unknown} (expected among {', '.join(default_task_weights())})")
         for key in default_task_weights():
             self.task_weights.setdefault(key, 1.0)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def summary_lookup(corpus: HyperlinkCorpus, max_tokens: int) -> Callable[[str], list[str]]:
@@ -216,10 +221,10 @@ def joint_step(
     vocab: Vocabulary,
     doc_tokens: Callable[[str], list[str]],
     config: TrainConfig,
-    adam: AdamState,
+    grads: dict[str, np.ndarray],
     rng: np.random.Generator,
 ) -> dict:
-    """One optimizer step over a batch of pairs.
+    """Accumulate a batch of pairs' gradient into grads; return its loss record.
 
     Per pair: the clean positive and negative packings are scored (the
     hinge is attributed to the pair's task), and the MLM objective runs on
@@ -232,7 +237,6 @@ def joint_step(
         raise TrainError("empty batch")
     weights = config.task_weights
     n = len(pairs)
-    grads = zero_grads(params)
     task_sums = {t: 0.0 for t in TASKS}
     task_counts = {t: 0 for t in TASKS}
     mlm_sum = 0.0
@@ -265,15 +269,11 @@ def joint_step(
     components = {t: task_sums[t] / n for t in TASKS}
     components["mlm"] = mlm_sum / n
     total = sum(weights.get(k, 1.0) * v for k, v in components.items())
-    if not math.isfinite(total):
-        raise TrainError(f"non-finite loss: components={components}")
-    adam_step(params, grads, adam, lr=config.lr)
     return {"total": total, "components": components, "task_counts": task_counts, "pairs": n}
 
 
-def batch_schedule(n: int, config, stage: str) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(step, epoch, indices) for each optimizer step of a training stage;
-    `config` is a TrainConfig or a ranker.FinetuneConfig.
+def batch_schedule(n: int, config: Schedule, stage: str) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(step, epoch, indices) for each optimizer step of a training stage.
 
     Each epoch draws one permutation of range(n) from the stage's own
     stream, derive_rng(config.seed, stage, "epoch", epoch), and cuts it
@@ -292,6 +292,38 @@ def batch_schedule(n: int, config, stage: str) -> Iterator[tuple[int, int, np.nd
             yield step, epoch, order[start : start + config.batch_size]
 
 
+def run_steps(
+    n: int, config: Schedule, stage: str, params: dict[str, np.ndarray],
+    body: Callable, logger: logging.Logger, warmup: float,
+) -> tuple[AdamState, list[dict], int]:
+    """The optimizer steps of one training stage over n examples.  Per step
+    of batch_schedule, body(indices, grads) accumulates the batch gradient
+    into fresh zero grads and returns a record with its "total" loss; a
+    non-finite total is a TrainError, else one Adam step at config.lr,
+    ramped linearly over the first `warmup` portion of the steps.  Every
+    log_every-th step and step max_steps log one line on `logger` and keep
+    {"step", "epoch", **record}.  Returns (Adam state, kept records, last
+    step run)."""
+    total_steps = config.epochs * math.ceil(n / config.batch_size)
+    if config.max_steps is not None:
+        total_steps = min(total_steps, config.max_steps)
+    warmup_steps = max(1, round(warmup * total_steps))
+    adam = AdamState.zeros(params)
+    records: list[dict] = []
+    step = 0
+    for step, epoch, indices in batch_schedule(n, config, stage):
+        grads = zero_grads(params)
+        record = body(indices, grads)
+        if not math.isfinite(record["total"]):
+            raise TrainError(f"{stage} step {step}: non-finite loss {record}")
+        lr = config.lr * min(1.0, step / warmup_steps)
+        adam_step(params, grads, adam, lr=lr)
+        if step % config.log_every == 0 or step == config.max_steps:
+            records.append({"step": step, "epoch": epoch, **record})
+            logger.info("%s step %d/%d loss %.4f lr %.2e", stage, step, total_steps, record["total"], lr)
+    return adam, records, step
+
+
 def train(
     pairs: Sequence[PretrainPair],
     corpus: HyperlinkCorpus,
@@ -308,21 +340,14 @@ def train(
     if not pairs and config.epochs > 0:
         raise TrainError("no training pairs")
     params = {k: v.copy() for k, v in init.items()} if init is not None else init_params(enc_config, config.seed)
-    adam = AdamState.zeros(params)
     doc_tokens = summary_lookup(corpus, config.summary_max_tokens)
     mask_rng = derive_rng(config.seed, "pretrain", "mask")
 
-    logs: list[dict] = []
-    step = 0
-    for step, epoch, batch_idx in batch_schedule(len(pairs), config, "pretrain"):
-        metrics = joint_step([pairs[i] for i in batch_idx], params, enc_config, vocab, doc_tokens, config, adam, mask_rng)
-        if step % config.log_every == 0 or step == config.max_steps:
-            logs.append({"step": step, "epoch": epoch, **metrics})
-            log.info("step %d total %.4f mlm %.4f", step, metrics["total"], metrics["components"]["mlm"])
+    def body(indices, grads):
+        return joint_step([pairs[i] for i in indices], params, enc_config, vocab, doc_tokens, config, grads, mask_rng)
 
-    meta = {"stage": "pretrain", "train_config": config.to_dict(), "vocab": vocab.id_to_term, "steps": step}
-    if extra_meta:
-        meta.update(extra_meta)
+    adam, logs, step = run_steps(len(pairs), config, "pretrain", params, body, log, 0.0)
+    meta = {"stage": "pretrain", "train_config": config.to_dict(), "vocab": vocab.id_to_term, "steps": step, **(extra_meta or {})}
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, params, enc_config, extra=meta, adam=adam)
     if metrics_path is not None:
@@ -351,27 +376,22 @@ def mlm_warmup(
         raise TrainError("no usable sentences for warm-up")
 
     params = init_params(enc_config, config.seed)
-    adam = AdamState.zeros(params)
     mask_rng = derive_rng(config.seed, "warmup", "mask")
     drop_rng = mask_rng if enc_config.dropout > 0.0 else None
-    for step, _, batch_idx in batch_schedule(len(examples), config, "warmup"):
-        batch = [examples[i] for i in batch_idx]
-        grads = zero_grads(params)
+
+    def body(indices, grads):
         total = 0.0
         contributing = 0
-        scale = 1.0 / len(batch)
-        for sent in batch:
+        scale = 1.0 / len(indices)
+        for sent in [examples[i] for i in indices]:
             packed = pack_input(list(sent.tokens), doc_tokens(sent.page_id), vocab, config.max_len)
             loss = mlm_forward_backward(packed, params, enc_config, mask_rng, drop_rng, grads, scale)
             if loss is not None:
                 total += loss
                 contributing += 1
-        if not math.isfinite(total):
-            raise TrainError("non-finite warm-up loss")
-        adam_step(params, grads, adam, lr=config.lr)
-        if step % config.log_every == 0:
-            log.info("warmup step %d mlm %.4f", step, total / max(contributing, 1))
+        return {"total": total / max(contributing, 1)}
 
+    run_steps(len(examples), config, "warmup", params, body, log, 0.0)
     if checkpoint_path is not None:
         meta = {"stage": "sampler-warmup", "train_config": config.to_dict(), "vocab": vocab.id_to_term}
         save_checkpoint(checkpoint_path, params, enc_config, extra=meta)

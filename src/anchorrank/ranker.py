@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -14,8 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from anchorrank.corpus import HyperlinkCorpus, Vocabulary, numbered_lines, tokenize
-from anchorrank.encoder import AdamState, EncoderConfig, EncoderGraph, adam_step, cls_score, load_checkpoint, save_checkpoint, zero_grads
-from anchorrank.pretrain import TrainError, batch_schedule, pack_input
+from anchorrank.encoder import EncoderConfig, EncoderGraph, cls_score, load_checkpoint, save_checkpoint
+from anchorrank.encoder import adam_step, zero_grads  # noqa: F401  (bench/perlayer.py wraps these two names here)
+from anchorrank.pretrain import Schedule, TrainError, pack_input, run_steps
 from anchorrank.taskgen import derive_rng
 
 log = logging.getLogger(__name__)
@@ -52,28 +53,15 @@ class RankingExample:
 
 
 @dataclass
-class FinetuneConfig:
+class FinetuneConfig(Schedule):
     lr: float = 1e-5
     epochs: int = 2
     warmup: float = 0.1
-    batch_size: int = 128
-    seed: int = 0
-    max_len: int = 512
-    log_every: int = 50
-    max_steps: int | None = None
 
     def __post_init__(self) -> None:
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("lr and batch_size must be positive, epochs >= 0")
+        super().__post_init__()
         if not 0.0 <= self.warmup < 1.0:
             raise ValueError("warmup portion must be in [0, 1)")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
-        if self.log_every < 1:
-            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -132,44 +120,30 @@ def finetune(
         if ex.query_text not in query_tokens:
             query_tokens[ex.query_text] = tokenize(ex.query_text)
 
+    if not examples and config.epochs > 0:
+        raise TrainError("no fine-tuning examples")
+
     params = {k: v.copy() for k, v in model.params.items()}
-    adam = AdamState.zeros(params)
     drop_rng = derive_rng(config.seed, "finetune", "dropout") if model.config.dropout > 0.0 else None
 
-    steps_per_epoch = math.ceil(len(examples) / config.batch_size) if examples else 0
-    total_steps = config.epochs * steps_per_epoch
-    if config.max_steps is not None:
-        total_steps = min(total_steps, config.max_steps)
-    warmup_steps = max(1, round(config.warmup * total_steps)) if total_steps else 1
-
-    step = 0
-    for step, _, batch_idx in batch_schedule(len(examples), config, "finetune"):
-        batch = [examples[i] for i in batch_idx]
-        grads = zero_grads(params)
+    def body(indices, grads):
         loss = 0.0
-        for ex in batch:
+        for ex in [examples[i] for i in indices]:
             packed = pack_input(query_tokens[ex.query_text], collection[ex.doc_id].tokens, model.vocab, config.max_len)
             graph = EncoderGraph(
                 params, model.config, packed.token_ids, packed.segment_ids, dropout_rng=drop_rng, outputs=[0]
             )
-            z = graph.cls_score()
-            s = _sigmoid(z)
+            s = _sigmoid(graph.cls_score())
             eps = 1e-12
             loss += -(ex.label * math.log(s + eps) + (1 - ex.label) * math.log(1.0 - s + eps))
-            graph.backward(grads, d_score=(s - ex.label) / len(batch))
-        loss /= len(batch)
-        if not math.isfinite(loss):
-            raise TrainError(f"non-finite fine-tune loss at step {step}")
-        lr = config.lr * min(1.0, step / warmup_steps)
-        adam_step(params, grads, adam, lr=lr)
-        if step % config.log_every == 0:
-            log.info("finetune step %d/%d loss %.4f lr %.2e", step, total_steps, loss, lr)
+            graph.backward(grads, d_score=(s - ex.label) / len(indices))
+        return {"total": loss / len(indices)}
 
-    out = RankerModel(params=params, config=model.config, vocab=model.vocab)
+    _, _, step = run_steps(len(examples), config, "finetune", params, body, log, config.warmup)
     if checkpoint_path is not None:
         meta = {"stage": "finetune", "finetune_config": config.to_dict(), "vocab": model.vocab.id_to_term, "steps": step}
         save_checkpoint(checkpoint_path, params, model.config, extra=meta)
-    return out
+    return RankerModel(params=params, config=model.config, vocab=model.vocab)
 
 
 def rerank(

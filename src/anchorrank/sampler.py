@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from anchorrank.corpus import CLS_TOKEN, SEP_TOKEN, SPECIAL_TOKENS, AnchorSpan, Sentence, Vocabulary
+from anchorrank.corpus import CLS_TOKEN, SEP_TOKEN, SPECIAL_TOKENS, AnchorSpan, Sentence, Vocabulary, numbered_lines
 from anchorrank.encoder import EncoderConfig, attention_map
 
 
@@ -28,7 +28,7 @@ class SamplerError(ValueError):
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One term per line; blank lines and '#' comments ignored."""
     terms = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for _, line in numbered_lines(path):
         line = line.strip()
         if line and not line.startswith("#"):
             terms.add(line.lower())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from anchorrank.corpus import build_vocab, clean_corpus, page_summary
-from anchorrank.encoder import EncoderConfig, init_params
+from anchorrank.encoder import EncoderConfig, init_params, zero_grads
 from anchorrank.evalkit import mrr_at_k, ndcg_at_k
 from anchorrank.pretrain import (
     TrainConfig,
@@ -28,7 +28,6 @@ from anchorrank.ranker import (
     finetune,
     rerank,
 )
-from anchorrank.encoder.adam import AdamState
 from anchorrank.sampler import (
     AttentionSampler,
     TermDistribution,
@@ -279,7 +278,7 @@ class TestCriterion5LossIdentities:
         params = init_params(enc, seed=2)
         tcfg = TrainConfig(lr=1e-4, epochs=1, batch_size=len(batch), seed=0, max_len=48, summary_max_tokens=32)
         metrics = joint_step(
-            batch, params, enc, vocab, summary_lookup(corpus, 32), tcfg, AdamState.zeros(params),
+            batch, params, enc, vocab, summary_lookup(corpus, 32), tcfg, zero_grads(params),
             np.random.default_rng(0),
         )
         sum_err = abs(metrics["total"] - sum(metrics["components"].values()))

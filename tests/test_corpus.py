@@ -7,6 +7,7 @@ from anchorrank.corpus import (
     SPECIAL_TOKENS,
     UNK_ID,
     Page,
+    Vocabulary,
     anchor_occurrence_index,
     build_vocab,
     clean_corpus,
@@ -192,6 +193,13 @@ class TestVocabulary:
         assert p1.read_bytes() == p2.read_bytes()
         v3 = type(v1).load(p1)
         assert v3.id_to_term == v1.id_to_term
+
+    def test_duplicate_term_in_file_names_the_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join([*SPECIAL_TOKENS, "a", "b", "a"]) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="duplicate vocabulary term 'a'") as info:
+            Vocabulary.load(path)
+        assert str(path) in str(info.value)
 
 
 class TestSummary:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from anchorrank import pretrain
 from anchorrank.corpus import CLS_ID, MASK_ID, NUM_SPECIAL_TOKENS, SEP_ID, Vocabulary, build_vocab
-from anchorrank.encoder import EncoderConfig, init_params
+from anchorrank.encoder import EncoderConfig, init_params, zero_grads
 from anchorrank.pretrain import (
     MaskedBatch,
     PackError,
@@ -20,9 +21,10 @@ from anchorrank.pretrain import (
     pack_input,
     pack_pair,
     pairwise_accuracy,
+    run_steps,
     train,
 )
-from anchorrank.encoder.adam import AdamState
+from anchorrank.ranker import FinetuneConfig, RankerModel, RankingExample, collection_from_corpus, finetune
 from anchorrank.taskgen import PairGenerator, PretrainPair, TaskGenConfig, derive_rng
 from anchorrank.sampler import default_stopwords
 from conftest import TableAttentionSampler
@@ -219,21 +221,20 @@ class TestJointStep:
             acts.append(np.tanh(hidden @ params["cls_w1"] + params["cls_b1"]))
         delta = acts[0] - acts[1]
         params["cls_w2"] = 2.0 * delta / (delta @ delta)
-        before = {k: v.copy() for k, v in params.items()}
-        adam = AdamState.zeros(params)
+        grads = zero_grads(params)
         metrics = joint_step(
-            [pair], params, self.CFG, self.vocab, lambda p: docs[p], self.tcfg, adam, np.random.default_rng(0)
+            [pair], params, self.CFG, self.vocab, lambda p: docs[p], self.tcfg, grads, np.random.default_rng(0)
         )
         assert metrics["total"] == 0.0
-        for k in params:
-            assert np.array_equal(params[k], before[k])
+        # an all-zero gradient is what leaves Adam's update at zero
+        for k in grads:
+            assert not np.any(grads[k]), k
 
     def test_single_task_batch_components(self):
         params = init_params(self.CFG, seed=1)
-        adam = AdamState.zeros(params)
         pairs = [make_pair("rdp", ["t0", "t1"], "A", "B"), make_pair("rdp", ["t2"], "C", "A")]
         metrics = joint_step(
-            pairs, params, self.CFG, self.vocab, self.lookup, self.tcfg, adam, np.random.default_rng(0)
+            pairs, params, self.CFG, self.vocab, self.lookup, self.tcfg, zero_grads(params), np.random.default_rng(0)
         )
         comp = metrics["components"]
         assert comp["rqp"] == comp["qdm"] == comp["acm"] == 0.0
@@ -241,14 +242,13 @@ class TestJointStep:
 
     def test_total_is_sum_of_components(self):
         params = init_params(self.CFG, seed=2)
-        adam = AdamState.zeros(params)
         pairs = [
             make_pair("rqp", ["t0", "t1"], "A", "A", neg_query=["t5", "t6"]),
             make_pair("qdm", ["t2"], "B", "C"),
             make_pair("acm", ["t3"], "C", "B"),
         ]
         metrics = joint_step(
-            pairs, params, self.CFG, self.vocab, self.lookup, self.tcfg, adam, np.random.default_rng(1)
+            pairs, params, self.CFG, self.vocab, self.lookup, self.tcfg, zero_grads(params), np.random.default_rng(1)
         )
         assert metrics["total"] == pytest.approx(sum(metrics["components"].values()), abs=1e-9)
 
@@ -258,9 +258,9 @@ class TestJointStep:
 
         def one_step(cfg):
             params = init_params(cfg, seed=4)
-            adam = AdamState.zeros(params)
-            joint_step(pairs, params, cfg, self.vocab, self.lookup, self.tcfg, adam, np.random.default_rng(2))
-            return params
+            grads = zero_grads(params)
+            joint_step(pairs, params, cfg, self.vocab, self.lookup, self.tcfg, grads, np.random.default_rng(2))
+            return grads
 
         with_dropout = one_step(drop_cfg)
         replay = one_step(drop_cfg)
@@ -271,14 +271,13 @@ class TestJointStep:
 
     def test_unknown_doc_id_errors(self):
         params = init_params(self.CFG, seed=0)
-        adam = AdamState.zeros(params)
         pair = make_pair("qdm", ["t0"], "A", "B")
 
         def lookup(pid):
             raise TrainError(f"pair references unknown page {pid!r}")
 
         with pytest.raises(TrainError, match="unknown page"):
-            joint_step([pair], params, self.CFG, self.vocab, lookup, self.tcfg, adam, np.random.default_rng(0))
+            joint_step([pair], params, self.CFG, self.vocab, lookup, self.tcfg, zero_grads(params), np.random.default_rng(0))
 
 
 class TestTrainLoop:
@@ -403,3 +402,95 @@ class TestBatchSchedule:
         assert self.schedule(7, epochs=0) == []
         assert self.schedule(7, max_steps=0) == []
         assert self.schedule(0) == []
+
+
+class TestRunSteps:
+    """The one step driver, with Adam replaced by a recorder of its lr."""
+
+    def run(self, monkeypatch, n, warmup, **changes):
+        lrs = []
+        monkeypatch.setattr(pretrain, "adam_step", lambda params, grads, adam, lr: lrs.append(lr))
+        seen = []
+
+        def body(indices, grads):
+            assert not grads["w"].any()  # fresh zero grads every step
+            grads["w"] += 1.0
+            seen.append(indices.tolist())
+            return {"total": 0.5}
+
+        cfg = dataclasses.replace(TrainConfig(lr=0.3, epochs=2, batch_size=2, seed=4, log_every=10), **changes)
+        out = run_steps(n, cfg, "pretrain", {"w": np.zeros(2)}, body, logging.getLogger("test"), warmup)
+        return out, lrs, seen
+
+    def test_steps_follow_the_batch_schedule(self, monkeypatch):
+        (_, _, last), lrs, seen = self.run(monkeypatch, 5, 0.0)
+        cfg = TrainConfig(lr=0.3, epochs=2, batch_size=2, seed=4)
+        assert seen == [idx.tolist() for _, _, idx in batch_schedule(5, cfg, "pretrain")]
+        assert last == len(lrs) == 6
+
+    def test_no_warmup_is_exactly_the_configured_lr(self, monkeypatch):
+        _, lrs, _ = self.run(monkeypatch, 5, 0.0)
+        assert lrs == [0.3] * 6
+
+    def test_warmup_ramps_linearly(self, monkeypatch):
+        _, lrs, _ = self.run(monkeypatch, 5, 0.5)
+        assert lrs == [0.3 * min(1.0, k / 3) for k in range(1, 7)]
+
+    def test_records_every_log_every_and_at_max_steps(self, monkeypatch):
+        (_, records, last), _, _ = self.run(monkeypatch, 5, 0.0, log_every=2, max_steps=5)
+        assert [(r["step"], r["epoch"], r["total"]) for r in records] == [(2, 0, 0.5), (4, 1, 0.5), (5, 1, 0.5)]
+        assert last == 5
+
+    def test_nothing_to_run(self, monkeypatch):
+        (adam, records, last), lrs, _ = self.run(monkeypatch, 5, 0.1, max_steps=0)
+        assert (records, last, lrs, adam.step) == ([], 0, [], 0)
+
+
+# stage, logger it logs on, a parameter that makes its loss NaN
+STAGES = [
+    ("warmup", "anchorrank.pretrain", "mlm_b"),
+    ("pretrain", "anchorrank.pretrain", "mlm_b"),
+    ("finetune", "anchorrank.ranker", "cls_b2"),
+]
+
+
+class TestStagesShareTheDriver:
+    STEPS = 3
+
+    def run_stage(self, stage, corpus, monkeypatch, checkpoint_path, poison=None):
+        vocab = build_vocab(corpus, max_size=300)
+        enc = EncoderConfig(layers=1, heads=2, hidden=32, ffn_dim=64, vocab_size=len(vocab), max_len=48)
+        params = init_params(enc, seed=2)
+        if poison is not None:
+            params[poison][:] = np.nan
+        if stage == "finetune":
+            model = RankerModel(params=params, config=enc, vocab=vocab)
+            pages = ["river", "mac", "fruit", "company", "news"]
+            examples = [RankingExample(f"q{i}", "water stream", pid, int(pid == "river")) for i, pid in enumerate(pages)]
+            cfg = FinetuneConfig(lr=1e-3, epochs=5, batch_size=2, max_len=48, log_every=1, max_steps=self.STEPS)
+            finetune(model, examples, collection_from_corpus(corpus), cfg, checkpoint_path=checkpoint_path)
+            return
+        cfg = TrainConfig(
+            lr=1e-3, epochs=5, batch_size=2, max_len=48, seed=2, summary_max_tokens=24, log_every=1, max_steps=self.STEPS
+        )
+        if stage == "warmup":
+            monkeypatch.setattr(pretrain, "init_params", lambda enc_config, seed: params)
+            mlm_warmup(corpus, enc, cfg, vocab, checkpoint_path=checkpoint_path)
+        else:
+            sampler = TableAttentionSampler(vocab, stopwords=default_stopwords())
+            pairs = PairGenerator(corpus, sampler, TaskGenConfig(seed=3, summary_max_tokens=24)).generate()
+            train(pairs, corpus, enc, cfg, vocab, init=params, checkpoint_path=checkpoint_path)
+
+    @pytest.mark.parametrize("stage, logger, _", STAGES, ids=[s[0] for s in STAGES])
+    def test_one_log_record_per_step(self, stage, logger, _, corpus, monkeypatch, tmp_path, caplog):
+        # the benchmark times training steps from these records
+        caplog.set_level(logging.INFO, logger=logger)
+        self.run_stage(stage, corpus, monkeypatch, tmp_path / "out.ckpt")
+        records = [r.getMessage().split()[:3] for r in caplog.records if r.name == logger]
+        assert records == [[stage, "step", f"{k}/{self.STEPS}"] for k in range(1, self.STEPS + 1)]
+
+    @pytest.mark.parametrize("stage, _, poison", STAGES, ids=[s[0] for s in STAGES])
+    def test_non_finite_loss_names_the_stage_and_writes_nothing(self, stage, _, poison, corpus, monkeypatch, tmp_path):
+        with pytest.raises(TrainError, match=f"^{stage} step 1: non-finite loss"), np.errstate(invalid="ignore"):
+            self.run_stage(stage, corpus, monkeypatch, tmp_path / "out.ckpt", poison=poison)
+        assert not (tmp_path / "out.ckpt").exists()

@@ -135,6 +135,12 @@ class TestFinetune:
         with pytest.raises(ValueError, match="max_steps"):
             FinetuneConfig(max_steps=-3)
 
+    def test_no_examples_is_a_train_error_and_writes_nothing(self, corpus, tmp_path):
+        collection, _ = self.setup_examples(corpus)
+        with pytest.raises(TrainError, match="no fine-tuning examples"):
+            finetune(make_model(corpus), [], collection, FinetuneConfig(epochs=3), checkpoint_path=tmp_path / "f.ckpt")
+        assert not (tmp_path / "f.ckpt").exists()
+
     def test_non_finite_loss_is_a_train_error(self, corpus):
         collection, examples = self.setup_examples(corpus)
         model = make_model(corpus)

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anchorrank import evalkit
-from anchorrank.corpus import read_corpus
+from anchorrank.corpus import Vocabulary, read_corpus
 from anchorrank.encoder import AdamState, CheckpointError, EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from anchorrank.ranker import read_candidates, read_collection, read_queries
+from anchorrank.sampler import load_stopwords
 from anchorrank.synth import SynthConfig, synth_dataset
 from anchorrank.taskgen import PretrainPair, read_pairs, write_pairs
 
@@ -30,6 +31,8 @@ def valid_files(tmp_path_factory):
         PretrainPair("acm", ["apple", "pie"], "pg0003", "pg0001", None, {"anchor": "apple"}, "acm/2"),
     ]
     write_pairs(pairs, d / "pairs.jsonl")
+    Vocabulary.from_terms(["apple", "river", "pie", "orchard"]).save(d / "vocab.txt")
+    (d / "stopwords.txt").write_text("# common words\nthe\nof\n\nand\n", encoding="utf-8")
     files = {
         "read_corpus": (read_corpus, first_lines(d / "corpus.jsonl", 3)),
         "read_run": (evalkit.read_run, (d / "r.run").read_bytes()),
@@ -38,6 +41,8 @@ def valid_files(tmp_path_factory):
         "read_queries": (read_queries, (d / "eval_queries.tsv").read_bytes()),
         "read_collection": (read_collection, first_lines(d / "collection.jsonl", 3)),
         "read_pairs": (read_pairs, (d / "pairs.jsonl").read_bytes()),
+        "load_vocabulary": (Vocabulary.load, (d / "vocab.txt").read_bytes()),
+        "load_stopwords": (load_stopwords, (d / "stopwords.txt").read_bytes()),
     }
     work = tmp_path_factory.mktemp("fuzz")
     for name, (reader, data) in files.items():
@@ -47,7 +52,17 @@ def valid_files(tmp_path_factory):
     return work, files
 
 
-READERS = ["read_corpus", "read_run", "read_qrels", "read_candidates", "read_queries", "read_collection", "read_pairs"]
+READERS = [
+    "read_corpus",
+    "read_run",
+    "read_qrels",
+    "read_candidates",
+    "read_queries",
+    "read_collection",
+    "read_pairs",
+    "load_vocabulary",
+    "load_stopwords",
+]
 
 
 @pytest.mark.parametrize("name", READERS)
