@@ -63,7 +63,7 @@ DEFAULTS = {
     "stopwords": None,
     "paths": {},
     "corpus": {"min_words": 100, "vocab_size": 1000},
-    "encoder": {"layers": 2, "heads": 4, "hidden": 64, "ffn_dim": 256, "max_len": 48, "dropout": 0.0},
+    "encoder": {"layers": 2, "heads": 4, "hidden": 64, "ffn_dim": 256, "max_len": 48},
     "taskgen": {"lam": 3.0, "summary_max_tokens": 32, "per_task_cap": {"rdp": 100, "acm": 200}, "pair_budget": None},
     "warmup": {"lr": 1e-3, "epochs": 2, "batch_size": 8, "max_steps": 150, "log_every": 50},
     "pretrain": {
@@ -83,7 +83,7 @@ DEFAULTS = {
 # larger training constants (batch 128, 10 epochs, lr 1e-4) on the same small encoder
 FULL_PROFILE = {
     "corpus": {"min_words": 100, "vocab_size": 5000},
-    "encoder": {"layers": 2, "heads": 4, "hidden": 64, "ffn_dim": 256, "max_len": 512, "dropout": 0.0},
+    "encoder": {"layers": 2, "heads": 4, "hidden": 64, "ffn_dim": 256, "max_len": 512},
     "taskgen": {"summary_max_tokens": 512, "per_task_cap": None, "pair_budget": None},
     "warmup": {"lr": 1e-4, "epochs": 1, "batch_size": 32, "max_steps": None},
     "pretrain": {"lr": 1e-4, "epochs": 10, "batch_size": 128, "max_steps": None},

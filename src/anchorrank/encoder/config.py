@@ -5,7 +5,7 @@ from dataclasses import asdict, dataclass, fields
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Shape and behavior knobs for the encoder.
+    """Shape of the encoder.
 
     hidden must divide evenly across heads; the per-head width is what the
     attention logits are scaled by.  Defaults are the desk-scale profile.
@@ -17,7 +17,6 @@ class EncoderConfig:
     ffn_dim: int = 256
     vocab_size: int = 5000
     max_len: int = 512
-    dropout: float = 0.0
 
     def __post_init__(self) -> None:
         if self.layers < 1 or self.heads < 1 or self.hidden < 1 or self.ffn_dim < 1:
@@ -28,8 +27,6 @@ class EncoderConfig:
             raise ValueError("vocab_size must cover at least the special tokens")
         if self.max_len < 2:
             raise ValueError("max_len must be >= 2")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
 
     @property
     def head_dim(self) -> int:
@@ -41,8 +38,7 @@ class EncoderConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
         """Inverse of to_dict.  d must hold every field and nothing else, each
-        an int (a float field also takes an int); anything else is a
-        ValueError."""
+        an int; anything else is a ValueError."""
         if not isinstance(d, dict):
             raise ValueError(f"encoder config must be a mapping, got {type(d).__name__}")
         names = {f.name: f for f in fields(cls)}
@@ -52,7 +48,6 @@ class EncoderConfig:
         if missing:
             raise ValueError(f"encoder config is missing keys {missing}")
         for name, f in names.items():
-            kinds = (int, float) if isinstance(f.default, float) else (int,)
-            if isinstance(d[name], bool) or not isinstance(d[name], kinds):
+            if isinstance(d[name], bool) or not isinstance(d[name], int):
                 raise ValueError(f"encoder config field {name} must be {f.type}, got {d[name]!r}")
         return cls(**d)

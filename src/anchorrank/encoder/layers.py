@@ -71,16 +71,3 @@ def softmax_backward(dprobs, probs, axis=-1):
     inner = (dprobs * probs).sum(axis=axis, keepdims=True)
     return probs * (dprobs - inner)
 
-
-def dropout(x, p, rng):
-    """Inverted dropout; pass rng=None or p=0 to disable."""
-    if rng is None or p <= 0.0:
-        return x, None
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * mask, mask
-
-
-def dropout_backward(dout, mask):
-    if mask is None:
-        return dout
-    return dout * mask

@@ -80,7 +80,7 @@ def _attention(params, config: EncoderConfig, i: int, x, xq) -> dict:
     return {"q_cache": q_cache, "k_cache": k_cache, "qh": qh, "kh": kh, "probs": probs}
 
 
-def _layer(params, config: EncoderConfig, i: int, x, rows, p_drop: float = 0.0, dropout_rng=None):
+def _layer(params, config: EncoderConfig, i: int, x, rows):
     """Post-norm transformer layer i over x (n, hidden).
 
     Keys and values come from every row of x; queries, the residual
@@ -97,24 +97,20 @@ def _layer(params, config: EncoderConfig, i: int, x, rows, p_drop: float = 0.0, 
     ctx = cache["probs"] @ vh
     merged = ctx.transpose(1, 0, 2).reshape(xq.shape[0], config.hidden)
     attn_out, o_cache = lyr.linear(merged, params[pre + "wo"], params[pre + "bo"])
-    attn_out, attn_drop = lyr.dropout(attn_out, p_drop, dropout_rng)
     h1, ln1_cache = lyr.layer_norm(xq + attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])
     f_pre, f1_cache = lyr.linear(h1, params[pre + "w1"], params[pre + "b1"])
     f_act, gelu_cache = lyr.gelu(f_pre)
     ffn_out, f2_cache = lyr.linear(f_act, params[pre + "w2"], params[pre + "b2"])
-    ffn_out, ffn_drop = lyr.dropout(ffn_out, p_drop, dropout_rng)
     out, ln2_cache = lyr.layer_norm(h1 + ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"])
     cache.update(
         rows=rows,
         v_cache=v_cache,
         vh=vh,
         o_cache=o_cache,
-        attn_drop=attn_drop,
         ln1_cache=ln1_cache,
         f1_cache=f1_cache,
         gelu_cache=gelu_cache,
         f2_cache=f2_cache,
-        ffn_drop=ffn_drop,
         ln2_cache=ln2_cache,
     )
     return out, cache
@@ -141,7 +137,7 @@ class EncoderGraph:
     any loss of those rows.  None keeps every row.
     """
 
-    def __init__(self, params, config: EncoderConfig, token_ids, segment_ids=None, dropout_rng=None, outputs=None):
+    def __init__(self, params, config: EncoderConfig, token_ids, segment_ids=None, outputs=None):
         token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids)
         self.params = params
         self.config = config
@@ -149,14 +145,12 @@ class EncoderGraph:
         self.segment_ids = segment_ids
         rows = _output_rows(outputs, token_ids.size)
         self.outputs = None if outputs is None else rows
-        p_drop = config.dropout if dropout_rng is not None else 0.0
 
         h, self._emb_ln_cache = _embed(params, token_ids, segment_ids)
-        h, self._emb_drop = lyr.dropout(h, p_drop, dropout_rng)
         self._layer_caches: list[dict] = []
         last = config.layers - 1
         for i in range(config.layers):
-            h, cache = _layer(params, config, i, h, rows if i == last else ALL_ROWS, p_drop, dropout_rng)
+            h, cache = _layer(params, config, i, h, rows if i == last else ALL_ROWS)
             self._layer_caches.append(cache)
 
         self.hidden = h
@@ -239,8 +233,7 @@ class EncoderGraph:
             dres2, dg, db = lyr.layer_norm_backward(dout, c["ln2_cache"])
             grads[pre + "ln2_g"] += dg
             grads[pre + "ln2_b"] += db
-            dffn_out = lyr.dropout_backward(dres2, c["ffn_drop"])
-            df_act, dw2, db2 = lyr.linear_backward(dffn_out, c["f2_cache"])
+            df_act, dw2, db2 = lyr.linear_backward(dres2, c["f2_cache"])
             grads[pre + "w2"] += dw2
             grads[pre + "b2"] += db2
             df_pre = lyr.gelu_backward(df_act, c["gelu_cache"])
@@ -251,8 +244,7 @@ class EncoderGraph:
             dres1, dg1, db1n = lyr.layer_norm_backward(dh1, c["ln1_cache"])
             grads[pre + "ln1_g"] += dg1
             grads[pre + "ln1_b"] += db1n
-            dattn = lyr.dropout_backward(dres1, c["attn_drop"])
-            dmerged, dwo, dbo = lyr.linear_backward(dattn, c["o_cache"])
+            dmerged, dwo, dbo = lyr.linear_backward(dres1, c["o_cache"])
             grads[pre + "wo"] += dwo
             grads[pre + "bo"] += dbo
             m = dmerged.shape[0]
@@ -279,8 +271,7 @@ class EncoderGraph:
             dx_k[c["rows"]] += dres1 + dx_q
             dout = dx_k + dx_v
 
-        de = lyr.dropout_backward(dout, self._emb_drop)
-        de, dg, db = lyr.layer_norm_backward(de, self._emb_ln_cache)
+        de, dg, db = lyr.layer_norm_backward(dout, self._emb_ln_cache)
         grads["emb_ln_g"] += dg
         grads["emb_ln_b"] += db
         np.add.at(grads["tok_emb"], self.token_ids, de)
@@ -290,7 +281,7 @@ class EncoderGraph:
 
 def cls_score(params, config, token_ids, segment_ids=None) -> float:
     """Forward-only [CLS] score of one sequence: EncoderGraph(...,
-    outputs=[0]).cls_score(), bitwise, without dropout or backward caches.
+    outputs=[0]).cls_score(), bitwise, without backward caches.
 
     The last layer computes keys and values for every row but the rest of
     the layer for the [CLS] row only.  Its one-row matrix products round
@@ -308,8 +299,8 @@ def cls_score(params, config, token_ids, segment_ids=None) -> float:
 
 def attention_map(params, config: EncoderConfig, token_ids) -> np.ndarray:
     """Forward-only attention probabilities (heads, n, n) of the last layer:
-    EncoderGraph(...).attention[-1] without dropout, backward caches or the
-    stacked maps of every layer.
+    EncoderGraph(...).attention[-1] without backward caches or the stacked
+    maps of every layer.
 
     The layers below the last run whole; the last computes only Q, K and
     the softmax, over every row, so the map is bitwise the graph's.

@@ -121,7 +121,6 @@ def mlm_forward_backward(
     params: dict[str, np.ndarray],
     enc_config: EncoderConfig,
     rng: np.random.Generator,
-    drop_rng: np.random.Generator | None,
     grads: dict[str, np.ndarray],
     scale: float,
 ) -> float | None:
@@ -133,9 +132,7 @@ def mlm_forward_backward(
     if not masked.labels:
         return None
     positions = [p for p, _ in masked.labels]
-    graph = EncoderGraph(
-        params, enc_config, masked.seq.token_ids, masked.seq.segment_ids, dropout_rng=drop_rng, outputs=positions
-    )
+    graph = EncoderGraph(params, enc_config, masked.seq.token_ids, masked.seq.segment_ids, outputs=positions)
     loss, d_logits = mlm_loss_and_grad(graph.mlm_logits(positions), masked.labels)
     if scale != 0.0:
         graph.backward(grads, d_mlm_logits=d_logits * scale)
@@ -240,18 +237,13 @@ def joint_step(
     task_sums = {t: 0.0 for t in TASKS}
     task_counts = {t: 0 for t in TASKS}
     mlm_sum = 0.0
-    drop_rng = rng if enc_config.dropout > 0.0 else None
 
     w_mlm = weights.get("mlm", 1.0)
     for pair in pairs:
         pos_packed, neg_packed = pack_pair(pair, vocab, doc_tokens, config.max_len)
-        g_pos = EncoderGraph(
-            params, enc_config, pos_packed.token_ids, pos_packed.segment_ids, dropout_rng=drop_rng, outputs=[0]
-        )
+        g_pos = EncoderGraph(params, enc_config, pos_packed.token_ids, pos_packed.segment_ids, outputs=[0])
         s_pos = g_pos.cls_score()
-        g_neg = EncoderGraph(
-            params, enc_config, neg_packed.token_ids, neg_packed.segment_ids, dropout_rng=drop_rng, outputs=[0]
-        )
+        g_neg = EncoderGraph(params, enc_config, neg_packed.token_ids, neg_packed.segment_ids, outputs=[0])
         s_neg = g_neg.cls_score()
         hinge = hinge_loss(s_pos, s_neg)
         task_sums[pair.task] += hinge
@@ -262,7 +254,7 @@ def joint_step(
             g_pos.backward(grads, d_score=-(w_task / n))
             g_neg.backward(grads, d_score=w_task / n)
 
-        pair_mlm = mlm_forward_backward(pos_packed, params, enc_config, rng, drop_rng, grads, w_mlm / n)
+        pair_mlm = mlm_forward_backward(pos_packed, params, enc_config, rng, grads, w_mlm / n)
         if pair_mlm is not None:
             mlm_sum += pair_mlm
 
@@ -377,7 +369,6 @@ def mlm_warmup(
 
     params = init_params(enc_config, config.seed)
     mask_rng = derive_rng(config.seed, "warmup", "mask")
-    drop_rng = mask_rng if enc_config.dropout > 0.0 else None
 
     def body(indices, grads):
         total = 0.0
@@ -385,7 +376,7 @@ def mlm_warmup(
         scale = 1.0 / len(indices)
         for sent in [examples[i] for i in indices]:
             packed = pack_input(list(sent.tokens), doc_tokens(sent.page_id), vocab, config.max_len)
-            loss = mlm_forward_backward(packed, params, enc_config, mask_rng, drop_rng, grads, scale)
+            loss = mlm_forward_backward(packed, params, enc_config, mask_rng, grads, scale)
             if loss is not None:
                 total += loss
                 contributing += 1

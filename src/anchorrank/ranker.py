@@ -17,7 +17,6 @@ from anchorrank.corpus import HyperlinkCorpus, Vocabulary, numbered_lines, token
 from anchorrank.encoder import EncoderConfig, EncoderGraph, cls_score, load_checkpoint, save_checkpoint
 from anchorrank.encoder import adam_step, zero_grads  # noqa: F401  (bench/perlayer.py wraps these two names here)
 from anchorrank.pretrain import Schedule, TrainError, pack_input, run_steps
-from anchorrank.taskgen import derive_rng
 
 log = logging.getLogger(__name__)
 
@@ -124,15 +123,12 @@ def finetune(
         raise TrainError("no fine-tuning examples")
 
     params = {k: v.copy() for k, v in model.params.items()}
-    drop_rng = derive_rng(config.seed, "finetune", "dropout") if model.config.dropout > 0.0 else None
 
     def body(indices, grads):
         loss = 0.0
         for ex in [examples[i] for i in indices]:
             packed = pack_input(query_tokens[ex.query_text], collection[ex.doc_id].tokens, model.vocab, config.max_len)
-            graph = EncoderGraph(
-                params, model.config, packed.token_ids, packed.segment_ids, dropout_rng=drop_rng, outputs=[0]
-            )
+            graph = EncoderGraph(params, model.config, packed.token_ids, packed.segment_ids, outputs=[0])
             s = _sigmoid(graph.cls_score())
             eps = 1e-12
             loss += -(ex.label * math.log(s + eps) + (1 - ex.label) * math.log(1.0 - s + eps))

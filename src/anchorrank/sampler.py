@@ -36,12 +36,9 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 
 def default_stopwords() -> frozenset[str]:
-    text = resources.files("anchorrank").joinpath("data/stopwords.txt").read_text(encoding="utf-8")
-    return frozenset(
-        line.strip().lower()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    )
+    """load_stopwords over the packaged data/stopwords.txt."""
+    with resources.as_file(resources.files("anchorrank").joinpath("data/stopwords.txt")) as path:
+        return load_stopwords(path)
 
 
 @dataclass
@@ -146,11 +143,11 @@ class AttentionSampler:
     """Bundles a fixed encoder checkpoint with the vocabulary and stopword
     list, exposing the two distribution builders used by pair construction.
 
-    Sampling-time attention always comes from the encoder's last layer with
-    dropout disabled.  Each head-averaged attention row is
-    memoised by (sequence tokens, query positions); `lookups` counts
-    builder calls and `forwards` the encoder forwards run to fill the
-    memo.  Tests substitute attention by overriding _sequence_attention.
+    Sampling-time attention always comes from the encoder's last layer.
+    Each head-averaged attention row is memoised by (sequence tokens, query
+    positions); `lookups` counts builder calls and `forwards` the encoder
+    forwards run to fill the memo.  Tests substitute attention by
+    overriding _sequence_attention.
     """
 
     def __init__(

@@ -68,12 +68,8 @@ class _SentenceBuilder:
         self.word_count += 1
 
     def anchor(self, surface: str, target_id: str) -> None:
-        if self.parts and not self.parts[-1].endswith(("\n", " ")):
-            self.parts.append(" ")
-            self.length += 1
-        start = self.length
-        self.parts.append(surface)
-        self.length += len(surface)
+        self._append(surface)
+        start = self.length - len(surface)
         self.anchors.append({"start": start, "end": self.length, "surface": surface, "target_id": target_id})
         self.word_count += len(surface.split())
 

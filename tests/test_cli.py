@@ -195,6 +195,7 @@ MALFORMED_CONFIGS = {
     "unknown-section-key": '{"seed": 1, "pretrain": {"learnig_rate": 0.5}}',
     "unknown-path-key": '{"seed": 1, "paths": {"corpse": "x.jsonl"}}',
     "pretrain-lam": '{"seed": 1, "pretrain": {"lam": 5}}',
+    "encoder-dropout": '{"seed": 1, "encoder": {"dropout": 0.1}}',
 }
 
 
@@ -204,7 +205,7 @@ WRONGLY_TYPED_CONFIGS = {
     "pretrain.epochs": '{"seed": 1, "pretrain": {"epochs": true}}',
     "finetune.lr": '{"seed": 1, "finetune": {"lr": false}}',
     "warmup.max_steps": '{"seed": 1, "warmup": {"max_steps": 1.5}}',
-    "encoder.dropout": '{"seed": 1, "encoder": {"dropout": null}}',
+    "encoder.hidden": '{"seed": 1, "encoder": {"hidden": null}}',
     "pretrain.task_weights.mlm": '{"seed": 1, "pretrain": {"task_weights": {"mlm": "1"}}}',
     "taskgen.per_task_cap": '{"seed": 1, "taskgen": {"per_task_cap": "50"}}',
     "eval.ks.1": '{"seed": 1, "eval": {"ks": [10, "100"]}}',
@@ -227,21 +228,19 @@ class TestConfigFile:
     def test_int_for_float_and_null_for_a_limit_are_accepted(self, tmp_path):
         import argparse
 
-        from anchorrank.cli import encoder_config, resolve_config, train_config
+        from anchorrank.cli import resolve_config, train_config
         from anchorrank.ranker import FinetuneConfig
         from anchorrank.taskgen import TaskGenConfig
 
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
             "seed": 2,
-            "encoder": {"dropout": 0},
             "warmup": {"lr": 1, "max_steps": None},
             "pretrain": {"max_steps": None, "task_weights": {"mlm": 2}},
             "taskgen": {"lam": 3, "per_task_cap": None, "pair_budget": None},
             "finetune": {"warmup": 0, "max_steps": None},
         }))
         cfg = resolve_config(argparse.Namespace(config=str(path), seed=None, profile=None, workdir=None))
-        assert encoder_config(cfg, 100).dropout == 0
         assert train_config(cfg["warmup"], cfg, task_weights={"mlm": 1.0}).lr == 1
         assert train_config(cfg["pretrain"], cfg).task_weights["mlm"] == 2
         assert TaskGenConfig(**cfg["taskgen"], seed=2).cap_for("rdp") is None

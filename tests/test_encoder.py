@@ -299,35 +299,6 @@ class TestLayerNorm:
         assert np.allclose(xhat.var(axis=-1), 1.0, atol=1e-5)
 
 
-class TestDropout:
-    def test_disabled_is_identity(self):
-        from anchorrank.encoder.layers import dropout
-
-        x = np.arange(12.0).reshape(3, 4)
-        out, mask = dropout(x, 0.0, np.random.default_rng(0))
-        assert mask is None
-        assert np.array_equal(out, x)
-
-    def test_backward_matches_forward_scaling(self):
-        from anchorrank.encoder.layers import dropout, dropout_backward
-
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(20, 16))
-        out, mask = dropout(x, 0.4, np.random.default_rng(2))
-        assert np.array_equal(out, x * mask)
-        dout = rng.normal(size=x.shape)
-        assert np.array_equal(dropout_backward(dout, mask), dout * mask)
-
-    def test_training_graph_uses_dropout_inference_does_not(self, params):
-        cfg = EncoderConfig(layers=2, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24, dropout=0.5)
-        ids = seq(CLS_ID, 7, 8, 9, SEP_ID)
-        h_train = EncoderGraph(params, cfg, ids, dropout_rng=np.random.default_rng(0)).hidden
-        h_plain, _ = encode(params, cfg, ids)
-        h_plain2, _ = encode(params, cfg, ids)
-        assert not np.allclose(h_train, h_plain)
-        assert np.array_equal(h_plain, h_plain2)
-
-
 class TestBackward:
     def test_gradient_check_small_model(self):
         cfg = EncoderConfig(layers=1, heads=2, hidden=16, ffn_dim=32, vocab_size=23, max_len=12)
@@ -446,6 +417,7 @@ class TestCheckpoint:
             (lambda h: {k: v for k, v in h.items() if k != "config"}, "no encoder config"),
             (lambda h: {**h, "config": [2, 2]}, "mapping"),
             (lambda h: {**h, "config": {**h["config"], "depth": 3}}, "unknown keys"),
+            (lambda h: {**h, "config": {**h["config"], "dropout": 0.0}}, r"unknown keys \['dropout'\]"),
             (lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "max_len"}}, "missing keys"),
             (lambda h: {**h, "config": {**h["config"], "layers": "2"}}, "layers"),
             (lambda h: {**h, "config": {**h["config"], "hidden": 32.0}}, "hidden"),
@@ -461,6 +433,7 @@ class TestCheckpoint:
             "no-config",
             "config-not-object",
             "unknown-key",
+            "pre-removal-dropout-key",
             "missing-key",
             "string-value",
             "float-for-int",

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,3 +423,10 @@ def test_default_stopwords_nonempty():
     stops = default_stopwords()
     assert "the" in stops
     assert len(stops) >= 25
+
+
+def test_default_stopwords_is_load_stopwords_of_the_packaged_file():
+    import anchorrank
+
+    packaged = Path(anchorrank.__file__).parent / "data" / "stopwords.txt"
+    assert default_stopwords() == load_stopwords(packaged)
