@@ -1,7 +1,8 @@
 """Small transformer encoder with explicit forward/backward passes.
 
-Everything is plain numpy float64: deterministic, finite-difference
-checkable, and fast enough at desk scale.
+Everything is plain numpy and deterministic.  The encoder computes in its
+params' dtype: float32 in the pipeline (init_params, load_checkpoint),
+float64 where the gradient checks pass float64 params.
 """
 
 from anchorrank.encoder.adam import AdamState, adam_step

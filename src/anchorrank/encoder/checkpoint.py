@@ -6,6 +6,12 @@ u32 tensor count, then named tensors as (u16 name length, name, u8 ndim,
 u64 dims, raw little-endian float64 row-major payload).  Optimizer moments may
 ride along under an "adam." name prefix; pre-training writes them, but no
 training stage reads them back or resumes from them.
+
+The payload is float64 holding float32 values: tensors are PARAM_DTYPE
+(float32) in memory and are widened on save, which is exact, and cast back
+on load, which restores them bitwise.  A file written from float64 tensors
+still loads; its values are rounded to float32, and a finite value beyond
+float32's range is a CheckpointError.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from anchorrank.encoder.adam import AdamState
 from anchorrank.encoder.config import EncoderConfig
-from anchorrank.encoder.params import param_shapes
+from anchorrank.encoder.params import PARAM_DTYPE, param_shapes
 
 MAGIC = b"ANCRCKPT"
 VERSION = 1
@@ -70,10 +76,14 @@ def _read_tensor(f) -> tuple[str, np.ndarray]:
     shape = tuple(struct.unpack("<Q", _read_exact(f, 8))[0] for _ in range(ndim))
     raw = _read_exact(f, math.prod(shape) * np.dtype(DTYPE).itemsize)
     try:
-        arr = np.frombuffer(raw, dtype=DTYPE).reshape(shape).astype(np.float64)
+        wide = np.frombuffer(raw, dtype=DTYPE).reshape(shape)
     except ValueError:  # an empty payload under a dim numpy cannot hold
         raise CheckpointError(f"tensor {name!r} has unusable shape {shape}") from None
-    return name, arr
+    try:
+        with np.errstate(over="raise"):
+            return name, wide.astype(PARAM_DTYPE)
+    except FloatingPointError:
+        raise CheckpointError(f"tensor {name!r} holds a value beyond the float32 range") from None
 
 
 def save_checkpoint(

@@ -1,14 +1,20 @@
 """Forward/backward primitives. Each forward returns (out, cache); the
-matching backward consumes the upstream gradient and the cache."""
+matching backward consumes the upstream gradient and the cache.
+
+Every primitive computes in its inputs' dtype.  The constants are Python
+floats on purpose: numpy promotes a float32 array that meets a np.float64
+scalar to float64, and a Python float it does not."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import erf
 
 LN_EPS = 1e-12
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def layer_norm(x, g, b):

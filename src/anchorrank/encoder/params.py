@@ -5,6 +5,9 @@ import numpy as np
 from anchorrank.encoder.config import EncoderConfig
 
 INIT_STD = 0.02
+# The dtype the encoder trains and scores in; checkpoints store it widened
+# to float64, which is exact.
+PARAM_DTYPE = np.float32
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -46,17 +49,18 @@ def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(config: EncoderConfig, seed: int) -> dict[str, np.ndarray]:
-    """Gaussian(0, 0.02) weights, zero biases/shifts, unit layer-norm scales."""
+    """Gaussian(0, 0.02) weights, zero biases/shifts, unit layer-norm scales,
+    all PARAM_DTYPE.  The weights are float64 draws rounded to PARAM_DTYPE."""
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
         leaf = name.rsplit(".", 1)[-1]
         if leaf.endswith("_g"):
-            params[name] = np.ones(shape)
+            params[name] = np.ones(shape, dtype=PARAM_DTYPE)
         elif leaf.startswith("b") or leaf.endswith("_b") or leaf == "cls_b2":
-            params[name] = np.zeros(shape)
+            params[name] = np.zeros(shape, dtype=PARAM_DTYPE)
         else:
-            params[name] = rng.normal(0.0, INIT_STD, size=shape)
+            params[name] = rng.normal(0.0, INIT_STD, size=shape).astype(PARAM_DTYPE)
     return params
 
 

@@ -107,13 +107,16 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def mlm_loss_and_grad(logits: np.ndarray, labels: Sequence[tuple[int, int]]) -> tuple[float, np.ndarray]:
+    """Mean NLL of the labels and its gradient w.r.t. logits.  Both are
+    computed in float64; the gradient is returned in the logits' dtype, so
+    the graph's backward stays in its own."""
     targets = np.array([t for _, t in labels], dtype=np.int64)
     ls = _log_softmax(np.asarray(logits, dtype=np.float64))
     loss = float(-ls[np.arange(targets.size), targets].mean())
     d_logits = np.exp(ls)
     d_logits[np.arange(targets.size), targets] -= 1.0
     d_logits /= targets.size
-    return loss, d_logits
+    return loss, d_logits.astype(logits.dtype, copy=False)
 
 
 def mlm_forward_backward(

@@ -39,7 +39,15 @@ from anchorrank.sampler import (
 from anchorrank.synth import SynthConfig, build_retrieval_split, build_synthetic_corpus
 from anchorrank.taskgen import PairGenerator, TaskGenConfig
 from test_evalkit import brute_mrr, brute_ndcg
-from util import encode, finite_difference_grads, joint_loss, joint_loss_gradients, max_relative_error, mlm_loss
+from util import (
+    as_dtype,
+    encode,
+    finite_difference_grads,
+    joint_loss,
+    joint_loss_gradients,
+    max_relative_error,
+    mlm_loss,
+)
 
 SEED = 7
 PER_TASK_CAP = {"rdp": 100, "acm": 200}
@@ -113,7 +121,7 @@ class TestCriterion1GradientFidelity:
     def test_gradient_check_joint_loss(self):
         t0 = time.monotonic()
         cfg = EncoderConfig(layers=1, heads=2, hidden=16, ffn_dim=32, vocab_size=23, max_len=12)
-        params = init_params(cfg, seed=3)
+        params = as_dtype(init_params(cfg, seed=3), np.float64)
         rng = np.random.default_rng(1)
         pos_ids = np.concatenate(([2], rng.integers(5, cfg.vocab_size, 7), [3]))
         pos_segs = np.array([0] * 5 + [1] * 4)

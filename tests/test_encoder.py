@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,12 @@ from anchorrank.encoder import (
     save_checkpoint,
     zero_grads,
 )
+from anchorrank.encoder import layers as layers_module
+from anchorrank.encoder import model as model_module
 from anchorrank.encoder.layers import layer_norm, softmax
+from anchorrank.pretrain import PackedSequence, mlm_forward_backward, mlm_loss_and_grad
 from util import (
+    as_dtype,
     encode,
     finite_difference_grads,
     joint_loss,
@@ -32,7 +37,14 @@ from util import (
     mlm_nll,
 )
 
+DATA = Path(__file__).parent / "data"
 CFG = EncoderConfig(layers=2, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24)
+
+# Paths that share their arithmetic are checked bitwise in both dtypes; paths
+# whose products round differently are checked to these tolerances, set from
+# each dtype's precision (float32's epsilon is 1.2e-7, float64's 2.2e-16).
+DTYPES = (np.float64, np.float32)
+ROUNDING = {np.float64: 1e-12, np.float32: 1e-4}
 
 
 @pytest.fixture(scope="module")
@@ -126,15 +138,17 @@ class TestClsScore:
     @pytest.mark.parametrize("layers", [1, 3])
     def test_matches_encoder_graph(self, layers):
         # the scorer runs the last layer on the [CLS] row alone, so one-row
-        # products round differently: equal to float64 rounding, not bitwise
+        # products round differently: equal to rounding, not bitwise
         cfg = EncoderConfig(layers=layers, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24)
         rng = np.random.default_rng(layers)
-        p = {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}
-        for n in range(1, cfg.max_len + 1):
-            ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
-            segs = rng.integers(0, 2, n)
-            expected = EncoderGraph(p, cfg, ids, segs).cls_score()
-            assert cls_score(p, cfg, ids, segs) == pytest.approx(expected, rel=0.0, abs=1e-12)
+        noisy = {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}
+        for dtype in DTYPES:
+            p = as_dtype(noisy, dtype)
+            for n in range(1, cfg.max_len + 1):
+                ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
+                segs = rng.integers(0, 2, n)
+                expected = EncoderGraph(p, cfg, ids, segs).cls_score()
+                assert cls_score(p, cfg, ids, segs) == pytest.approx(expected, rel=0.0, abs=ROUNDING[dtype])
 
 
 class TestAttentionMap:
@@ -143,11 +157,13 @@ class TestAttentionMap:
         # the same operations on the same rows as the graph: equal to the bit
         cfg = EncoderConfig(layers=layers, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24)
         rng = np.random.default_rng(layers)
-        p = {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}
-        for n in range(1, cfg.max_len + 1):
-            ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
-            graph = EncoderGraph(p, cfg, ids)
-            assert np.array_equal(attention_map(p, cfg, ids), graph.attention[-1])
+        noisy = {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}
+        for dtype in DTYPES:
+            p = as_dtype(noisy, dtype)
+            for n in range(1, cfg.max_len + 1):
+                ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
+                graph = EncoderGraph(p, cfg, ids)
+                assert np.array_equal(attention_map(p, cfg, ids), graph.attention[-1])
 
 
 def _random_case(cfg, rng, n):
@@ -206,44 +222,50 @@ class TestPrunedOutputs:
     @pytest.mark.parametrize("head", HEADS)
     def test_matches_full_graph(self, layers, head):
         # exact gradients of the same loss; the pruned rows' products round
-        # differently, so equal to float64 rounding, not bitwise.  b_k's true
+        # differently, so equal to rounding, not bitwise.  b_k's true
         # gradient is 0 (softmax ignores a shift of every score), so both
         # graphs give rounding noise there: errors are scaled by the largest
         # gradient entry, not per entry
         cfg = EncoderConfig(layers=layers, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24)
         rng = np.random.default_rng(layers)
-        params = {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}
-        for n in range(2, cfg.max_len + 1):
-            ids, segs, positions, labels = _random_case(cfg, rng, n)
-            outputs = _head_outputs(head, positions)
-            loss_f, hidden_f, grads_f = _head_grads(params, cfg, ids, segs, head, positions, labels, None)
-            loss_p, hidden_p, grads_p = _head_grads(params, cfg, ids, segs, head, positions, labels, outputs)
-            assert loss_p == pytest.approx(loss_f, rel=1e-12, abs=1e-12)
-            assert np.abs(hidden_p - hidden_f[np.unique(outputs)]).max() <= 1e-12
-            scale = max(np.abs(g).max() for g in grads_f.values())
-            for k in grads_f:
-                assert np.abs(grads_p[k] - grads_f[k]).max() <= 1e-12 * scale, k
+        noisy = {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}
+        for dtype in DTYPES:
+            params, tol = as_dtype(noisy, dtype), ROUNDING[dtype]
+            for n in range(2, cfg.max_len + 1):
+                ids, segs, positions, labels = _random_case(cfg, rng, n)
+                outputs = _head_outputs(head, positions)
+                loss_f, hidden_f, grads_f = _head_grads(params, cfg, ids, segs, head, positions, labels, None)
+                loss_p, hidden_p, grads_p = _head_grads(params, cfg, ids, segs, head, positions, labels, outputs)
+                assert loss_p == pytest.approx(loss_f, rel=tol, abs=tol)
+                assert np.abs(hidden_p - hidden_f[np.unique(outputs)]).max() <= tol
+                scale = max(np.abs(g).max() for g in grads_f.values())
+                for k in grads_f:
+                    assert np.abs(grads_p[k] - grads_f[k]).max() <= tol * scale, k
 
     def test_every_row_is_the_full_graph_bitwise(self, params):
         rng = np.random.default_rng(4)
-        for n in range(2, CFG.max_len + 1):
-            ids, segs, positions, labels = _random_case(CFG, rng, n)
-            full = _head_grads(params, CFG, ids, segs, "both", positions, labels, None)
-            every = _head_grads(params, CFG, ids, segs, "both", positions, labels, np.arange(n))
-            assert full[0] == every[0]
-            assert np.array_equal(full[1], every[1])
-            for k in full[2]:
-                assert np.array_equal(full[2][k], every[2][k]), k
+        for dtype in DTYPES:
+            p = as_dtype(params, dtype)
+            for n in range(2, CFG.max_len + 1):
+                ids, segs, positions, labels = _random_case(CFG, rng, n)
+                full = _head_grads(p, CFG, ids, segs, "both", positions, labels, None)
+                every = _head_grads(p, CFG, ids, segs, "both", positions, labels, np.arange(n))
+                assert full[0] == every[0]
+                assert np.array_equal(full[1], every[1])
+                for k in full[2]:
+                    assert np.array_equal(full[2][k], every[2][k]), k
 
     @pytest.mark.parametrize("layers", [1, 3])
     def test_cls_row_equals_cls_score_bitwise(self, layers):
         cfg = EncoderConfig(layers=layers, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24)
         rng = np.random.default_rng(layers)
-        p = {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}
-        for n in range(1, cfg.max_len + 1):
-            ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
-            segs = rng.integers(0, 2, n)
-            assert EncoderGraph(p, cfg, ids, segs, outputs=[0]).cls_score() == cls_score(p, cfg, ids, segs)
+        noisy = {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}
+        for dtype in DTYPES:
+            p = as_dtype(noisy, dtype)
+            for n in range(1, cfg.max_len + 1):
+                ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
+                segs = rng.integers(0, 2, n)
+                assert EncoderGraph(p, cfg, ids, segs, outputs=[0]).cls_score() == cls_score(p, cfg, ids, segs)
 
     def test_outputs_sorted_and_distinct(self, params):
         ids = seq(CLS_ID, 7, 8, 9, SEP_ID)
@@ -302,7 +324,7 @@ class TestLayerNorm:
 class TestBackward:
     def test_gradient_check_small_model(self):
         cfg = EncoderConfig(layers=1, heads=2, hidden=16, ffn_dim=32, vocab_size=23, max_len=12)
-        params = init_params(cfg, seed=11)
+        params = as_dtype(init_params(cfg, seed=11), np.float64)
         rng = np.random.default_rng(5)
         pos_ids = np.concatenate(([CLS_ID], rng.integers(5, cfg.vocab_size, 6), [SEP_ID]))
         pos_segs = np.array([0, 0, 0, 0, 1, 1, 1, 1])
@@ -345,6 +367,19 @@ class TestBackward:
         g.backward(grads, d_score=1.0)
         with pytest.raises(RuntimeError):
             g.backward(grads, d_score=1.0)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_segment_rows_are_add_at_bitwise(self, dtype):
+        rng = np.random.default_rng(6)
+        for hidden in (2, 8, 64):
+            for n in (1, 2, 9, 41, 48):
+                d_rows = rng.normal(size=(n, hidden)).astype(dtype)
+                segs = rng.integers(0, 2, n)
+                acc = rng.normal(size=(2, hidden)).astype(dtype)
+                expected = acc.copy()
+                np.add.at(expected, segs, d_rows)
+                model_module._add_segment_rows(acc, segs, d_rows)
+                assert acc.tobytes() == expected.tobytes()
 
     def test_mlm_uniform_logits_loss_is_log_vocab(self):
         logits = np.zeros((3, 57))
@@ -396,7 +431,44 @@ class TestCheckpoint:
         assert ck.config == CFG
         assert ck.extra["stage"] == "test"
         for k in params:
+            assert ck.params[k].dtype == np.float32
             assert np.array_equal(ck.params[k], params[k])
+
+    def test_float32_params_and_moments_round_trip_bitwise(self, params, tmp_path):
+        # float32 values are stored widened to float64, which is exact, so
+        # the cast back on load gives the same bits
+        p = {k: v.copy() for k, v in params.items()}
+        state = AdamState.zeros(p)
+        g = EncoderGraph(p, CFG, seq(CLS_ID, 7, 8, 9, SEP_ID))
+        g.cls_score()
+        grads = zero_grads(p)
+        g.backward(grads, d_score=1.0)
+        adam_step(p, grads, state, lr=1e-3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, p, CFG, adam=state)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        assert json.loads(raw[12 : 12 + header_len])["dtype"] == "<f8"
+        ck = load_checkpoint(path)
+        assert ck.adam.step == 1
+        for saved, loaded in ((p, ck.params), (state.m, ck.adam.m), (state.v, ck.adam.v)):
+            for k in saved:
+                assert saved[k].dtype == loaded[k].dtype == np.float32
+                assert loaded[k].tobytes() == saved[k].tobytes(), k
+
+    def test_float64_checkpoint_loads_as_float32(self):
+        # written by the float64 encoder that preceded float32 params:
+        # init_params(TINY, seed=3) in float64, saved with no Adam moments.
+        # Loading rounds each value to float32, which is what init_params
+        # now does to the same draws
+        tiny = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, vocab_size=12, max_len=8)
+        ck = load_checkpoint(DATA / "float64_init_seed3.ckpt", expected_config=tiny)
+        expected = init_params(tiny, seed=3)
+        assert ck.extra == {"stage": "test"} and ck.adam is None
+        assert sorted(ck.params) == sorted(expected)
+        for k in expected:
+            assert ck.params[k].dtype == np.float32
+            assert np.array_equal(ck.params[k], expected[k]), k
 
     def test_vocab_size_mismatch_rejected(self, params, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -464,6 +536,15 @@ class TestCheckpoint:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and str(path) in errors[0]
 
+    def test_value_beyond_float32_range_rejected(self, params, tmp_path):
+        path = tmp_path / "model.ckpt"
+        wide = as_dtype(params, np.float64)
+        wide["mlm_b"][3] = 1e39
+        save_checkpoint(path, wide, CFG)
+        with pytest.raises(CheckpointError, match="'mlm_b' holds a value beyond the float32 range") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     def test_truncated_file_names_path(self, params, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, CFG)
@@ -482,3 +563,121 @@ class TestCheckpoint:
         h0, _ = encode(params, CFG, ids)
         h1, _ = encode(ck.params, CFG, ids)
         assert np.array_equal(h0, h1)
+
+
+def _float_arrays(tree, path=""):
+    """(path, array) for every floating-point array in a nest of dicts,
+    tuples and lists."""
+    if isinstance(tree, np.ndarray):
+        if tree.dtype.kind == "f":
+            yield path, tree
+    elif isinstance(tree, dict):
+        for k, v in tree.items():
+            yield from _float_arrays(v, f"{path}.{k}")
+    elif isinstance(tree, (tuple, list)):
+        for i, v in enumerate(tree):
+            yield from _float_arrays(v, f"{path}[{i}]")
+
+
+def _not_float32(named):
+    return [(name, a.dtype) for name, a in named if a.dtype != np.float32]
+
+
+def _record_primitives(monkeypatch) -> list:
+    """Wrap every forward and backward layer primitive; the returned list
+    gathers (name, array) for each floating-point array they return."""
+    seen = []
+
+    def recording(name, f):
+        def wrapped(*args):
+            out = f(*args)
+            seen.extend(_float_arrays(out, name))
+            return out
+
+        return wrapped
+
+    for name in ("linear", "layer_norm", "gelu", "softmax"):
+        for fn in (name, name + "_backward"):
+            monkeypatch.setattr(layers_module, fn, recording(fn, getattr(layers_module, fn)))
+    return seen
+
+
+class TestFloat32:
+    """float32 params keep every tensor float32: no constant, head or
+    upstream gradient promotes the encoder to float64."""
+
+    def test_init_params_is_float32(self, params):
+        assert _not_float32(params.items()) == []
+
+    @pytest.mark.parametrize("outputs", [None, "cls", "cls+masked"])
+    def test_graph_states_caches_and_grads(self, params, outputs, monkeypatch):
+        # the recorded primitives cover the backward's intermediates, which
+        # the float32 gradient tree would silently cast back down
+        seen = _record_primitives(monkeypatch)
+        rng = np.random.default_rng(2)
+        ids, segs, positions, labels = _random_case(CFG, rng, 12)
+        rows = {None: None, "cls": [0], "cls+masked": np.concatenate(([0], positions))}[outputs]
+        g = EncoderGraph(params, CFG, ids, segs, outputs=rows)
+        g.cls_score()
+        logits = None if outputs == "cls" else g.mlm_logits(positions)
+        d_logits = None if logits is None else mlm_loss_and_grad(logits, list(zip(positions, labels)))[1]
+        grads = zero_grads(params)
+        g.backward(grads, d_score=1.0, d_mlm_logits=d_logits)
+        named = [("hidden", g.hidden), *_float_arrays(g._emb_ln_cache, "emb"), *_float_arrays(g._layer_caches, "layers")]
+        named += _float_arrays(grads, "grads")
+        if logits is not None:
+            named += [("logits", logits), ("d_logits", d_logits)]
+        assert {"linear_backward[0]", "layer_norm_backward[0]", "gelu_backward", "softmax_backward"} <= {n for n, _ in seen}
+        assert _not_float32([*named, *seen]) == []
+        assert any(np.any(v != 0.0) for v in grads.values())
+
+    def test_mlm_step_grads_and_adam_moments(self, params):
+        p = {k: v.copy() for k, v in params.items()}
+        ids, segs = seq(CLS_ID, 7, 8, 9, 10, 11, SEP_ID, 12, 13, SEP_ID), seq(0, 0, 0, 0, 0, 0, 0, 1, 1, 1)
+        packed = PackedSequence(token_ids=ids, segment_ids=segs)
+        grads = zero_grads(p)
+        loss = mlm_forward_backward(packed, p, CFG, np.random.default_rng(0), grads, 0.5)
+        assert loss is not None and np.any(grads["mlm_w"] != 0.0)
+        state = AdamState.zeros(p)
+        adam_step(p, grads, state, lr=1e-3)
+        named = [*_float_arrays(grads, "grads"), *_float_arrays(state.m, "m"), *_float_arrays(state.v, "v")]
+        assert _not_float32([*named, *_float_arrays(p, "params")]) == []
+
+    def test_cls_score_internals_and_attention_map(self, params, monkeypatch):
+        # every primitive's output and cache, and the [CLS] head's input and
+        # activations, as the forward-only paths compute them
+        seen = _record_primitives(monkeypatch)
+        real_cls_head = model_module._cls_head
+
+        def cls_head(p, h_cls):
+            score, c_act = real_cls_head(p, h_cls)
+            seen.extend([("h_cls", h_cls), ("c_act", c_act)])
+            return score, c_act
+
+        monkeypatch.setattr(model_module, "_cls_head", cls_head)
+        ids, segs = seq(CLS_ID, 7, 8, 9, SEP_ID, 10, 11, SEP_ID), seq(0, 0, 0, 0, 0, 1, 1, 1)
+        score = cls_score(params, CFG, ids, segs)
+        assert isinstance(score, float)
+        assert {name for name, _ in seen} >= {"linear[0]", "layer_norm[0]", "gelu[0]", "softmax", "h_cls", "c_act"}
+        amap = attention_map(params, CFG, ids)
+        assert _not_float32([*seen, ("attention_map", amap)]) == []
+
+    @pytest.mark.parametrize("head", TestPrunedOutputs.HEADS)
+    def test_gradients_agree_with_float64(self, head):
+        # the same float32-representable params in both dtypes: the float32
+        # graph's gradients are the float64 graph's to float32 rounding,
+        # relative to the largest gradient entry
+        cfg = EncoderConfig(layers=2, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24)
+        rng = np.random.default_rng(8)
+        p32 = as_dtype({k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=8).items()}, np.float32)
+        p64 = as_dtype(p32, np.float64)
+        for n in (2, 9, 24):
+            ids, segs, positions, labels = _random_case(cfg, rng, n)
+            outputs = _head_outputs(head, positions)
+            loss32, _, g32 = _head_grads(p32, cfg, ids, segs, head, positions, labels, outputs)
+            loss64, _, g64 = _head_grads(p64, cfg, ids, segs, head, positions, labels, outputs)
+            assert loss32 == pytest.approx(loss64, rel=1e-3)
+            scale = max(np.abs(g).max() for g in g64.values())
+            for k in g64:
+                assert g32[k].dtype == np.float32
+                assert np.abs(g32[k] - g64[k]).max() <= 1e-3 * scale, k

@@ -9,6 +9,13 @@ import numpy as np
 from anchorrank.encoder import EncoderGraph, zero_grads
 
 
+def as_dtype(params, dtype):
+    """A copy of params in dtype.  The pipeline's params are float32; the
+    gradient checks run the same encoder on float64 copies, where a central
+    difference at eps=1e-4 is not swamped by rounding."""
+    return {k: v.astype(dtype) for k, v in params.items()}
+
+
 def encode(params, config, token_ids, segment_ids=None):
     """Run the encoder; returns (hidden states (n, d), attention maps
     (layers, heads, n, n))."""
