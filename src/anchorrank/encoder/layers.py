@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 LN_EPS = 1e-12
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# BERT's GELU, the tanh approximation of x * Phi(x) (Hendrycks & Gimpel,
+# arXiv:1606.08415): 0.5 * x * (1 + tanh(c * (x + a * x**3))), c = sqrt(2/pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
 def layer_norm(x, g, b):
@@ -57,14 +58,34 @@ def linear_backward(dout, cache):
 
 
 def gelu(x):
-    phi_cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    return x * phi_cdf, (x, phi_cdf)
+    # x * (c + c*a * x**2) in place, which saves the temporaries of the
+    # textbook expression; it agrees with it to float32 rounding
+    u = x * x
+    u *= _GELU_C * _GELU_A
+    u += _GELU_C
+    u *= x
+    t = np.tanh(u, out=u)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
+    return out, (x, t)
 
 
 def gelu_backward(dout, cache):
-    x, phi_cdf = cache
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return dout * (phi_cdf + x * pdf)
+    # d/dx = 0.5 * (1 + t + x * (1 - t**2) * (c + 3*c*a * x**2))
+    x, t = cache
+    dx = x * x
+    dx *= 3.0 * _GELU_C * _GELU_A
+    dx += _GELU_C
+    dx *= x
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    dx *= sech2
+    dx += t
+    dx += 1.0
+    dx *= dout
+    dx *= 0.5
+    return dx
 
 
 def softmax(x, axis=-1):

@@ -62,8 +62,12 @@ def pack_input(query_tokens: Sequence[str], doc_tokens: Sequence[str], vocab: Vo
     query = flatten_query(query_tokens)
     if not query:
         raise PackError("query must be non-empty")
-    if len(query) + 3 > max_len:
-        raise PackError(f"query of {len(query)} tokens cannot fit in max_len {max_len}")
+    if max_len < 4:
+        raise PackError(f"max_len {max_len} leaves no room for a query and a document")
+    # monoBERT's policy (Nogueira & Cho, arXiv:1901.04085): an over-long
+    # query keeps its head, at most half the window, and the document fills
+    # the rest
+    query = query[: min(max_len // 2, max_len - 3)]
     budget = max_len - 3 - len(query)
     doc = list(doc_tokens)[:budget]
     ids = [CLS_ID] + vocab.encode(query) + [SEP_ID] + vocab.encode(doc) + [SEP_ID]

@@ -234,8 +234,10 @@ def build_rdp_pair(
             "sentence_index": sentence.index,
             "pos_anchor": pos_key,
             "neg_anchor": neg_key,
-            "pos_importance": float(eta[pos_key]),
-            "neg_importance": float(eta[neg_key]),
+            # rounded, so that a rounding-level change to the sampler leaves
+            # the pairs file byte-equal when the pairs are the same
+            "pos_importance": round(float(eta[pos_key]), 6),
+            "neg_importance": round(float(eta[neg_key]), 6),
         },
         seed_path=seed_path,
     )

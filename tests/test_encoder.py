@@ -1,5 +1,9 @@
 import json
+import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +27,7 @@ from anchorrank.encoder import (
 )
 from anchorrank.encoder import layers as layers_module
 from anchorrank.encoder import model as model_module
-from anchorrank.encoder.layers import layer_norm, softmax
+from anchorrank.encoder.layers import gelu, gelu_backward, layer_norm, softmax
 from anchorrank.pretrain import PackedSequence, mlm_forward_backward, mlm_loss_and_grad
 from util import (
     as_dtype,
@@ -319,6 +323,67 @@ class TestLayerNorm:
         _, (xhat, _, _) = layer_norm(x, np.ones(33), np.zeros(33))
         assert np.allclose(xhat.mean(axis=-1), 0.0, atol=1e-5)
         assert np.allclose(xhat.var(axis=-1), 1.0, atol=1e-5)
+
+
+class TestGelu:
+    """BERT's GELU: the tanh approximation of x * Phi(x) (Hendrycks & Gimpel,
+    arXiv:1606.08415)."""
+
+    GRID = np.linspace(-8.0, 8.0, 4001)
+
+    def test_matches_tanh_formula(self):
+        c = math.sqrt(2.0 / math.pi)
+        want = np.array([0.5 * x * (1.0 + math.tanh(c * (x + 0.044715 * x**3))) for x in self.GRID])
+        out, _ = gelu(self.GRID)
+        assert out.dtype == np.float64
+        assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_within_5e_4_of_exact_gelu(self):
+        exact = np.array([x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in self.GRID])
+        assert np.abs(gelu(self.GRID)[0] - exact).max() <= 5e-4
+
+    def test_backward_matches_central_differences(self):
+        # relative to the largest entry: below x = -5 the derivative is under
+        # 1e-8, and the central difference of 1 + tanh there is rounding
+        rng = np.random.default_rng(4)
+        x = np.concatenate([self.GRID, rng.normal(0.0, 2.0, 500)])
+        dout = rng.normal(size=x.shape)
+        h = 1e-6
+        numeric = dout * (gelu(x + h)[0] - gelu(x - h)[0]) / (2.0 * h)
+        analytic = gelu_backward(dout, gelu(x)[1])
+        assert analytic.dtype == np.float64
+        assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(numeric).max()
+
+    def test_float32_in_float32_out(self):
+        x = np.random.default_rng(5).normal(0.0, 2.0, (7, 16)).astype(np.float32)
+        out, cache = gelu(x)
+        dx = gelu_backward(np.ones_like(x), cache)
+        assert _not_float32([("out", out), *_float_arrays(cache, "cache"), ("dx", dx)]) == []
+        assert np.abs(out - gelu(x.astype(np.float64))[0]).max() <= 1e-6 * np.abs(out).max()
+
+
+def test_encoder_runs_without_scipy():
+    # the program is numpy-only: with scipy unimportable, the CLI module
+    # imports and a graph runs forward and backward
+    src = Path(model_module.__file__).parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import anchorrank.cli
+from anchorrank.encoder import EncoderConfig, EncoderGraph, init_params, zero_grads
+cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, vocab_size=12, max_len=8)
+params = init_params(cfg, seed=0)
+ids = np.array([{CLS_ID}, 6, 7, {SEP_ID}, 8, {SEP_ID}])
+graph = EncoderGraph(params, cfg, ids, np.array([0, 0, 0, 0, 1, 1]))
+graph.cls_score()
+grads = zero_grads(params)
+graph.backward(grads, d_score=1.0)
+assert np.any(grads["layer0.w1"] != 0.0)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestBackward:

@@ -58,10 +58,27 @@ class TestPack:
         seq = pack_input(["t0 t1", "t2"], ["t3"], vocab, 64)
         assert seq.token_ids.size == 1 + 3 + 1 + 1 + 1
 
-    def test_query_too_long(self):
+    def test_overlong_query_keeps_half_the_window(self):
         vocab = small_vocab()
-        with pytest.raises(PackError):
-            pack_input([f"t{i % 30}" for i in range(62)], ["t0"], vocab, 64)
+        query = [f"t{i % 30}" for i in range(62)]
+        doc = [f"t{i % 7}" for i in range(100)]
+        seq = pack_input(query, doc, vocab, 64)
+        assert seq.token_ids.size == 64
+        assert list(seq.token_ids[1:33]) == vocab.encode(query[:32])
+        assert seq.token_ids[33] == SEP_ID
+        assert list(seq.token_ids[34:63]) == vocab.encode(doc[:29])
+        assert (seq.segment_ids == 0).sum() == 34
+
+    @pytest.mark.parametrize("max_len", [4, 5, 6, 7])
+    def test_smallest_windows_fit(self, max_len):
+        vocab = small_vocab()
+        seq = pack_input(["t1 t2", "t3"], ["t4", "t5"], vocab, max_len)
+        assert seq.token_ids.size == max_len
+        assert (seq.segment_ids == 0).sum() == 2 + min(max_len // 2, max_len - 3)
+
+    def test_window_without_room_rejected(self):
+        with pytest.raises(PackError, match="max_len 3"):
+            pack_input(["t0"], ["t1"], small_vocab(), 3)
 
     def test_empty_query(self):
         with pytest.raises(PackError):
@@ -251,6 +268,17 @@ class TestJointStep:
             pairs, params, self.CFG, self.vocab, self.lookup, self.tcfg, zero_grads(params), np.random.default_rng(1)
         )
         assert metrics["total"] == pytest.approx(sum(metrics["components"].values()), abs=1e-9)
+
+    def test_overlong_rdp_query_trains(self):
+        # a 40-token sentence at max_len 32: the query keeps 16 tokens
+        params = init_params(self.CFG, seed=3)
+        grads = zero_grads(params)
+        pair = make_pair("rdp", [f"t{i % 30}" for i in range(40)], "A", "B")
+        metrics = joint_step(
+            [pair], params, self.CFG, self.vocab, self.lookup, self.tcfg, grads, np.random.default_rng(0)
+        )
+        assert math.isfinite(metrics["total"]) and metrics["components"]["rdp"] >= 0.0
+        assert any(np.any(g != 0.0) for g in grads.values())
 
     def test_unknown_doc_id_errors(self):
         params = init_params(self.CFG, seed=0)

@@ -233,6 +233,17 @@ class TestRerank:
         out = rerank(model, "technology company", candidates, k=10, collection=collection)
         assert sorted(d for d, _ in out) == sorted(d for d, _ in candidates)
 
+    def test_overlong_query_returns_a_valid_list(self, corpus):
+        # 60 tokens against max_len 48: the query is cut, not rejected
+        model = make_model(corpus, seed=5)
+        collection = collection_from_corpus(corpus)
+        candidates = [("river", 3.0), ("mac", 2.0), ("fruit", 1.0), ("company", 0.5)]
+        query = " ".join(["technology", "company", "river", "fruit"] * 15)
+        out = rerank(model, query, candidates, k=3, collection=collection)
+        assert len(out) == 3 and len({d for d, _ in out}) == 3
+        assert {d for d, _ in out} <= {d for d, _ in candidates}
+        assert all(0.0 < s < 1.0 for _, s in out)
+
     def test_monotone_score_transform_keeps_order(self, corpus):
         model = make_model(corpus, seed=5)
         collection = collection_from_corpus(corpus)

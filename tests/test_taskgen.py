@@ -111,6 +111,14 @@ class TestRDP:
         assert pair.neg_doc_id == "mac"
         assert pair.provenance["pos_importance"] >= pair.provenance["neg_importance"]
 
+    def test_importance_written_to_six_decimals(self, corpus):
+        sent = news_sentence(corpus, 0)
+        sampler = make_sampler(corpus, row_toward_cls={"apple": 2 / 3, "macbook": 1 / 7, "pro": 1 / 7})
+        pair = build_rdp_pair(sent, corpus, sampler, np.random.default_rng(0))
+        for key in ("pos_importance", "neg_importance"):
+            value = pair.provenance[key]
+            assert value == round(value, 6) and value > 0.0, (key, value)
+
     def test_tie_breaks_by_sentence_position(self, corpus):
         sent = news_sentence(corpus, 0)
         sampler = make_sampler(corpus, row_toward_cls={"apple": 0.4, "macbook": 0.4, "pro": 0.4})
