@@ -401,14 +401,10 @@ def anchor_occurrence_index(corpus: HyperlinkCorpus) -> dict[str, list[AnchorOcc
 
 
 def write_corpus(corpus: HyperlinkCorpus, path: str | Path) -> None:
-    """Write one JSON record per line plus a companion .idx file of page ids."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as f:
+    """Write one JSON record per line, pages in id order."""
+    with Path(path).open("w", encoding="utf-8") as f:
         for rec in corpus.to_records():
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
-    Path(str(path) + ".idx").write_text(
-        "".join(pid + "\n" for pid in corpus.page_ids()), encoding="utf-8"
-    )
 
 
 def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:

@@ -3,9 +3,9 @@
 Layout: 8-byte magic, u32 header length, JSON header (version, encoder
 config, dtype, free-form extra such as the vocabulary and provenance),
 u32 tensor count, then named tensors as (u16 name length, name, u8 ndim,
-u64 dims, raw little-endian float64 row-major payload).  Optimizer moments may
-ride along under an "adam." name prefix; pre-training writes them, but no
-training stage reads them back or resumes from them.
+u64 dims, raw little-endian float64 row-major payload).  Only the
+parameters are stored: every training stage starts a fresh optimizer, so
+none is saved.  A tensor that is not a parameter is skipped on load.
 
 The payload is float64 holding float32 values: tensors are PARAM_DTYPE
 (float32) in memory and are widened on save, which is exact, and cast back
@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from anchorrank.encoder.adam import AdamState
 from anchorrank.encoder.config import EncoderConfig
 from anchorrank.encoder.params import PARAM_DTYPE, param_shapes
 
@@ -43,7 +42,6 @@ class Checkpoint:
     params: dict[str, np.ndarray]
     config: EncoderConfig
     extra: dict
-    adam: AdamState | None
 
 
 def _write_tensor(f, name: str, arr: np.ndarray) -> None:
@@ -91,30 +89,22 @@ def save_checkpoint(
     params: dict[str, np.ndarray],
     config: EncoderConfig,
     extra: dict | None = None,
-    adam: AdamState | None = None,
 ) -> None:
     header = {
         "version": VERSION,
         "config": config.to_dict(),
         "dtype": DTYPE,
         "extra": extra or {},
-        "adam_step": adam.step if adam is not None else None,
     }
     header_bytes = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-
-    names = sorted(params)
-    tensors: list[tuple[str, np.ndarray]] = [(n, params[n]) for n in names]
-    if adam is not None:
-        tensors += [(f"adam.m.{n}", adam.m[n]) for n in names]
-        tensors += [(f"adam.v.{n}", adam.v[n]) for n in names]
 
     with Path(path).open("wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(header_bytes)))
         f.write(header_bytes)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors:
-            _write_tensor(f, name, arr)
+        f.write(struct.pack("<I", len(params)))
+        for name in sorted(params):
+            _write_tensor(f, name, params[name])
 
 
 def _read_header(f) -> tuple[dict, EncoderConfig]:
@@ -140,9 +130,6 @@ def _read_header(f) -> tuple[dict, EncoderConfig]:
         raise CheckpointError(f"bad encoder config: {exc}") from None
     if not isinstance(header.get("extra", {}), dict):
         raise CheckpointError("header extra is not a JSON object")
-    adam_step = header.get("adam_step")
-    if adam_step is not None and (isinstance(adam_step, bool) or not isinstance(adam_step, int) or adam_step < 0):
-        raise CheckpointError(f"bad optimizer step {adam_step!r}")
     return header, config
 
 
@@ -183,13 +170,4 @@ def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = No
             )
         params[name] = tensors[name]
 
-    adam = None
-    if header.get("adam_step") is not None:
-        try:
-            m = {n: tensors[f"adam.m.{n}"] for n in shapes}
-            v = {n: tensors[f"adam.v.{n}"] for n in shapes}
-        except KeyError as exc:
-            raise CheckpointError(f"{path}: incomplete optimizer state ({exc})") from None
-        adam = AdamState(step=header["adam_step"], m=m, v=v)
-
-    return Checkpoint(params=params, config=config, extra=header.get("extra", {}), adam=adam)
+    return Checkpoint(params=params, config=config, extra=header.get("extra", {}))

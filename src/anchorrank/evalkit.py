@@ -53,7 +53,8 @@ def write_run(run: RankedRun, path: str | Path, tag: str = "anchorrank") -> None
 
 
 def read_qrels(path: str | Path) -> Qrels:
-    """Lines of "qid 0 docid grade"; grades are non-negative integers."""
+    """Lines of "qid 0 docid grade"; grades are non-negative integers and
+    a (qid, docid) pair is judged once."""
     qrels: Qrels = {}
     for line_no, line in numbered_lines(path):
         parts = line.split()
@@ -68,7 +69,10 @@ def read_qrels(path: str | Path) -> Qrels:
             raise ValueError(f"{path}: line {line_no}: bad grade") from None
         if grade < 0:
             raise ValueError(f"{path}: line {line_no}: negative grade")
-        qrels.setdefault(qid, {})[doc_id] = grade
+        judged = qrels.setdefault(qid, {})
+        if doc_id in judged:
+            raise ValueError(f"{path}: line {line_no}: duplicate judgment for query {qid!r}, document {doc_id!r}")
+        judged[doc_id] = grade
     return qrels
 
 
@@ -82,6 +86,8 @@ def write_qrels(qrels: Qrels, path: str | Path) -> None:
 def mrr_at_k(run: RankedRun, qrels: Qrels, k: int) -> float:
     """Mean over run queries of 1/rank of the first doc with grade >= 1 in
     the top k; queries without judgments contribute 0."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if not run:
         raise ValueError("run is empty")
     total = 0.0
@@ -105,6 +111,8 @@ def ndcg_at_k(run: RankedRun, qrels: Qrels, k: int) -> float:
     """DCG with gain 2^grade - 1 and log2(rank+1) discount, normalized per
     query by the ideal ordering of its judged grades; all-zero queries
     contribute 0."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if not run:
         raise ValueError("run is empty")
     total = 0.0

@@ -294,15 +294,15 @@ def batch_schedule(n: int, config: Schedule, stage: str) -> Iterator[tuple[int, 
 def run_steps(
     n: int, config: Schedule, stage: str, params: dict[str, np.ndarray],
     body: Callable, logger: logging.Logger, warmup: float,
-) -> tuple[AdamState, list[dict], int]:
+) -> tuple[list[dict], int]:
     """The optimizer steps of one training stage over n examples.  Per step
     of batch_schedule, body(indices, grads) accumulates the batch gradient
     into fresh zero grads and returns a record with its "total" loss; a
     non-finite total is a TrainError, else one Adam step at config.lr,
     ramped linearly over the first `warmup` portion of the steps.  Every
     log_every-th step and step max_steps log one line on `logger` and keep
-    {"step", "epoch", **record}.  Returns (Adam state, kept records, last
-    step run)."""
+    {"step", "epoch", **record}.  Returns (kept records, last step run);
+    the Adam state starts at zero and is dropped at the end."""
     total_steps = config.epochs * math.ceil(n / config.batch_size)
     if config.max_steps is not None:
         total_steps = min(total_steps, config.max_steps)
@@ -320,7 +320,7 @@ def run_steps(
         if step % config.log_every == 0 or step == config.max_steps:
             records.append({"step": step, "epoch": epoch, **record})
             logger.info("%s step %d/%d loss %.4f lr %.2e", stage, step, total_steps, record["total"], lr)
-    return adam, records, step
+    return records, step
 
 
 def train(
@@ -345,10 +345,10 @@ def train(
     def body(indices, grads):
         return joint_step([pairs[i] for i in indices], params, enc_config, vocab, doc_tokens, config, grads, mask_rng)
 
-    adam, logs, step = run_steps(len(pairs), config, "pretrain", params, body, log, 0.0)
+    logs, step = run_steps(len(pairs), config, "pretrain", params, body, log, 0.0)
     meta = {"stage": "pretrain", "train_config": config.to_dict(), "vocab": vocab.id_to_term, "steps": step, **(extra_meta or {})}
     if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, params, enc_config, extra=meta, adam=adam)
+        save_checkpoint(checkpoint_path, params, enc_config, extra=meta)
     if metrics_path is not None:
         with Path(metrics_path).open("w", encoding="utf-8") as f:
             for entry in logs:
@@ -365,12 +365,11 @@ def mlm_warmup(
 ) -> dict[str, np.ndarray]:
     """MLM-only warm-up used to produce the fixed sampling checkpoint: each
     example packs a sentence with its own page's summary and trains only
-    the masked-token objective (all pairwise weights zero)."""
-    examples = []
+    the masked-token objective (all pairwise weights zero).  A sentence
+    longer than half of max_len is cut to its head, as pack_input cuts any
+    query."""
+    examples = [sent for sent in corpus.iter_sentences() if sent.tokens]
     doc_tokens = summary_lookup(corpus, config.summary_max_tokens)
-    for sent in corpus.iter_sentences():
-        if sent.tokens and len(sent.tokens) + 3 <= config.max_len:
-            examples.append(sent)
     if not examples and config.epochs > 0:
         raise TrainError("no usable sentences for warm-up")
 

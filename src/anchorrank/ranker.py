@@ -135,7 +135,7 @@ def finetune(
             graph.backward(grads, d_score=(s - ex.label) / len(indices))
         return {"total": loss / len(indices)}
 
-    _, _, step = run_steps(len(examples), config, "finetune", params, body, log, config.warmup)
+    _, step = run_steps(len(examples), config, "finetune", params, body, log, config.warmup)
     if checkpoint_path is not None:
         meta = {"stage": "finetune", "finetune_config": config.to_dict(), "vocab": model.vocab.id_to_term, "steps": step}
         save_checkpoint(checkpoint_path, params, model.config, extra=meta)
@@ -233,7 +233,7 @@ def write_candidates(candidates: dict[str, list[tuple[str, float]]], path: str |
 
 
 def read_queries(path: str | Path) -> dict[str, str]:
-    """Tab-separated "qid<TAB>query text" lines."""
+    """Tab-separated "qid<TAB>query text" lines, one per query id."""
     queries: dict[str, str] = {}
     for line_no, line in numbered_lines(path):
         line = line.rstrip("\n")
@@ -242,6 +242,8 @@ def read_queries(path: str | Path) -> dict[str, str]:
         if "\t" not in line:
             raise ValueError(f"{path}: line {line_no}: expected 'qid<TAB>text'")
         qid, text = line.split("\t", 1)
+        if qid in queries:
+            raise ValueError(f"{path}: line {line_no}: duplicate query id {qid!r}")
         queries[qid] = text
     return queries
 

@@ -54,7 +54,7 @@ class TestPipeline:
     def test_02_synth(self, config_path, workdir):
         assert main(["synth", "--config", config_path]) == 0
         assert (workdir / "corpus.jsonl").exists()
-        assert (workdir / "corpus.jsonl.idx").exists()
+        assert not (workdir / "corpus.jsonl.idx").exists()
         assert (workdir / "corpus.jsonl.meta.json").exists()
         assert (workdir / "eval_candidates.txt").exists()
 
@@ -129,7 +129,7 @@ class TestPipeline:
 
 
 class TestEvalCommand:
-    def test_perfect_top1_gives_mrr_one(self, tmp_path):
+    def config(self, tmp_path, **overrides):
         qrels = tmp_path / "q.qrels"
         qrels.write_text("q1 0 d1 2\nq2 0 d9 1\n")
         run = tmp_path / "r.run"
@@ -142,10 +142,20 @@ class TestEvalCommand:
             "seed": 1,
             "workdir": str(tmp_path),
             "paths": {"run": str(run), "eval_qrels": str(qrels), "metrics": str(tmp_path / "m.json")},
+            **overrides,
         }))
-        assert main(["eval", "--config", cfg.as_posix()]) == 0
+        return cfg.as_posix()
+
+    def test_perfect_top1_gives_mrr_one(self, tmp_path):
+        assert main(["eval", "--config", self.config(tmp_path)]) == 0
         metrics = json.loads((tmp_path / "m.json").read_text())["metrics"]
         assert metrics["MRR@10"] == 1.0
+
+    def test_cutoff_below_one_is_one_error(self, tmp_path, capsys):
+        assert main(["eval", "--config", self.config(tmp_path, eval={"ks": [-1]})]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: k must be >= 1, got -1"]
+        assert not (tmp_path / "m.json").exists()
 
     def test_seed_mandatory(self, tmp_path):
         cfg = tmp_path / "cfg.json"

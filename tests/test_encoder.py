@@ -499,7 +499,7 @@ class TestCheckpoint:
             assert ck.params[k].dtype == np.float32
             assert np.array_equal(ck.params[k], params[k])
 
-    def test_float32_params_and_moments_round_trip_bitwise(self, params, tmp_path):
+    def test_float32_params_round_trip_bitwise(self, params, tmp_path):
         # float32 values are stored widened to float64, which is exact, so
         # the cast back on load gives the same bits
         p = {k: v.copy() for k, v in params.items()}
@@ -510,16 +510,36 @@ class TestCheckpoint:
         g.backward(grads, d_score=1.0)
         adam_step(p, grads, state, lr=1e-3)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, p, CFG, adam=state)
+        save_checkpoint(path, p, CFG)
         raw = path.read_bytes()
         (header_len,) = struct.unpack("<I", raw[8:12])
         assert json.loads(raw[12 : 12 + header_len])["dtype"] == "<f8"
         ck = load_checkpoint(path)
-        assert ck.adam.step == 1
-        for saved, loaded in ((p, ck.params), (state.m, ck.adam.m), (state.v, ck.adam.v)):
-            for k in saved:
-                assert saved[k].dtype == loaded[k].dtype == np.float32
-                assert loaded[k].tobytes() == saved[k].tobytes(), k
+        for k in p:
+            assert p[k].dtype == ck.params[k].dtype == np.float32
+            assert ck.params[k].tobytes() == p[k].tobytes(), k
+
+    def test_checkpoint_with_adam_moments_loads_its_params(self, params, tmp_path):
+        # the earlier layout also stored the optimizer: an "adam_step" header
+        # key and adam.m.*/adam.v.* tensors after the parameters.  Loading
+        # such a file ignores them and restores the parameters bitwise
+        names = sorted(params)
+        tensors = [(n, params[n]) for n in names]
+        tensors += [(f"adam.{mv}.{n}", np.full_like(params[n], 0.25)) for mv in "mv" for n in names]
+        header = {"version": 1, "config": CFG.to_dict(), "dtype": "<f8", "extra": {"stage": "pretrain"}, "adam_step": 7}
+        encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+        raw = b"ANCRCKPT" + struct.pack("<I", len(encoded)) + encoded + struct.pack("<I", len(tensors))
+        for name, arr in tensors:
+            raw += struct.pack("<H", len(name)) + name.encode("utf-8") + struct.pack("<B", arr.ndim)
+            raw += b"".join(struct.pack("<Q", dim) for dim in arr.shape)
+            raw += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(raw)
+        ck = load_checkpoint(path, expected_config=CFG)
+        assert ck.extra == {"stage": "pretrain"}
+        assert sorted(ck.params) == names
+        for k in names:
+            assert ck.params[k].tobytes() == params[k].tobytes(), k
 
     def test_float64_checkpoint_loads_as_float32(self):
         # written by the float64 encoder that preceded float32 params:
@@ -529,7 +549,7 @@ class TestCheckpoint:
         tiny = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, vocab_size=12, max_len=8)
         ck = load_checkpoint(DATA / "float64_init_seed3.ckpt", expected_config=tiny)
         expected = init_params(tiny, seed=3)
-        assert ck.extra == {"stage": "test"} and ck.adam is None
+        assert ck.extra == {"stage": "test"}
         assert sorted(ck.params) == sorted(expected)
         for k in expected:
             assert ck.params[k].dtype == np.float32
@@ -563,7 +583,6 @@ class TestCheckpoint:
             (lambda h: b"{not json", "unreadable header"),
             (lambda h: b"\xff\xfe", "unreadable header"),
             (lambda h: {**h, "extra": "vocab"}, "extra"),
-            (lambda h: {**h, "adam_step": "1"}, "optimizer step"),
             (lambda h: {**h, "dtype": "<f4"}, "payload dtype"),
         ],
         ids=[
@@ -579,7 +598,6 @@ class TestCheckpoint:
             "header-not-json",
             "header-not-utf8",
             "extra-not-object",
-            "bad-adam-step",
             "float32-payload",
         ],
     )
@@ -620,10 +638,8 @@ class TestCheckpoint:
 
     def test_encode_identical_after_round_trip(self, params, tmp_path):
         path = tmp_path / "model.ckpt"
-        state = AdamState.zeros(params)
-        save_checkpoint(path, params, CFG, adam=state)
+        save_checkpoint(path, params, CFG)
         ck = load_checkpoint(path)
-        assert ck.adam is not None and ck.adam.step == 0
         ids = seq(CLS_ID, 7, 8, 9, SEP_ID)
         h0, _ = encode(params, CFG, ids)
         h1, _ = encode(ck.params, CFG, ids)

@@ -176,6 +176,23 @@ class TestFiles:
         with pytest.raises(ValueError, match="duplicate"):
             read_run(path)
 
+    def test_duplicate_judgment_rejected(self, tmp_path):
+        # a second grade for the same pair would silently replace the first
+        path = tmp_path / "bad.qrels"
+        path.write_text("q1 0 d1 2\nq2 0 d1 1\nq1 0 d1 0\n")
+        with pytest.raises(ValueError, match="line 3: duplicate judgment for query 'q1', document 'd1'") as info:
+            read_qrels(path)
+        assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("metric", [mrr_at_k, ndcg_at_k])
+@pytest.mark.parametrize("k", [0, -1])
+def test_cutoff_below_one_rejected(metric, k):
+    # run[qid][:-1] would quietly drop the last document instead
+    run = {"q": [("a", 1.0), ("b", 0.9)]}
+    with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+        metric(run, {"q": {"b": 1}}, k)
+
 
 def test_evaluate_and_report():
     run = {"q": [("a", 1.0), ("b", 0.9)]}

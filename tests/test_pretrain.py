@@ -1,13 +1,15 @@
 import dataclasses
+import json
 import logging
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from anchorrank import pretrain
-from anchorrank.corpus import CLS_ID, MASK_ID, NUM_SPECIAL_TOKENS, SEP_ID, Vocabulary, build_vocab
-from anchorrank.encoder import EncoderConfig, init_params, zero_grads
+from anchorrank.corpus import CLS_ID, MASK_ID, NUM_SPECIAL_TOKENS, SEP_ID, Vocabulary, build_vocab, parse_corpus
+from anchorrank.encoder import EncoderConfig, init_params, param_shapes, zero_grads
 from anchorrank.pretrain import (
     MaskedBatch,
     PackError,
@@ -367,6 +369,18 @@ class TestTrainLoop:
         train(pairs, corpus, enc, tcfg, vocab, checkpoint_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_checkpoint_holds_only_the_parameters(self, corpus, tmp_path):
+        vocab, pairs, enc = self.make_setup(corpus)
+        tcfg = TrainConfig(lr=1e-3, epochs=1, batch_size=4, max_len=48, seed=9, summary_max_tokens=24, max_steps=2)
+        path = tmp_path / "model.ckpt"
+        train(pairs, corpus, enc, tcfg, vocab, checkpoint_path=path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + header_len])
+        (n_tensors,) = struct.unpack("<I", raw[12 + header_len : 16 + header_len])
+        assert n_tensors == len(param_shapes(enc))
+        assert set(header) == {"version", "config", "dtype", "extra"}
+
     def test_warmup_runs_and_is_deterministic(self, corpus):
         vocab, _, enc = self.make_setup(corpus)
         tcfg = TrainConfig(lr=1e-3, epochs=1, batch_size=4, max_len=48, seed=2, summary_max_tokens=24, max_steps=4)
@@ -376,6 +390,19 @@ class TestTrainLoop:
         assert any(not np.array_equal(w1[k], init[k]) for k in w1)
         for k in w1:
             assert np.array_equal(w1[k], w2[k])
+
+    def test_warmup_cuts_an_overlong_sentence(self):
+        # max_len 16 leaves room for 13 sentence tokens; the only sentence
+        # has 20, so warm-up packs its head rather than finding no sentence
+        record = {"id": "p", "title": "p", "url": "u", "text": " ".join(f"w{i}" for i in range(20)), "anchors": []}
+        corpus = parse_corpus([json.dumps(record)])
+        assert [len(sent.tokens) for sent in corpus.iter_sentences()] == [20]
+        vocab = build_vocab(corpus, max_size=100)
+        enc = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, vocab_size=len(vocab), max_len=16)
+        tcfg = TrainConfig(lr=1e-3, epochs=1, batch_size=1, max_len=16, seed=2, summary_max_tokens=4)
+        params = mlm_warmup(corpus, enc, tcfg, vocab)
+        init = init_params(enc, tcfg.seed)
+        assert any(not np.array_equal(params[k], init[k]) for k in params)
 
     def test_pairwise_accuracy_range(self, corpus):
         vocab, pairs, enc = self.make_setup(corpus)
@@ -434,7 +461,7 @@ class TestRunSteps:
         return out, lrs, seen
 
     def test_steps_follow_the_batch_schedule(self, monkeypatch):
-        (_, _, last), lrs, seen = self.run(monkeypatch, 5, 0.0)
+        (_, last), lrs, seen = self.run(monkeypatch, 5, 0.0)
         cfg = TrainConfig(lr=0.3, epochs=2, batch_size=2, seed=4)
         assert seen == [idx.tolist() for _, _, idx in batch_schedule(5, cfg, "pretrain")]
         assert last == len(lrs) == 6
@@ -448,13 +475,13 @@ class TestRunSteps:
         assert lrs == [0.3 * min(1.0, k / 3) for k in range(1, 7)]
 
     def test_records_every_log_every_and_at_max_steps(self, monkeypatch):
-        (_, records, last), _, _ = self.run(monkeypatch, 5, 0.0, log_every=2, max_steps=5)
+        (records, last), _, _ = self.run(monkeypatch, 5, 0.0, log_every=2, max_steps=5)
         assert [(r["step"], r["epoch"], r["total"]) for r in records] == [(2, 0, 0.5), (4, 1, 0.5), (5, 1, 0.5)]
         assert last == 5
 
     def test_nothing_to_run(self, monkeypatch):
-        (adam, records, last), lrs, _ = self.run(monkeypatch, 5, 0.1, max_steps=0)
-        assert (records, last, lrs, adam.step) == ([], 0, [], 0)
+        (records, last), lrs, _ = self.run(monkeypatch, 5, 0.1, max_steps=0)
+        assert (records, last, lrs) == ([], 0, [])
 
 
 # stage, logger it logs on, a parameter that makes its loss NaN

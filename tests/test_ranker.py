@@ -326,6 +326,13 @@ class TestDataFiles:
         write_queries(queries, path)
         assert read_queries(path) == queries
 
+    def test_duplicate_query_id_rejected(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_text("q1\tlaptop hardware\nq2\torchard fruit\nq1\triver delta\n")
+        with pytest.raises(ValueError, match="line 3: duplicate query id 'q1'") as info:
+            read_queries(path)
+        assert str(path) in str(info.value)
+
     def test_examples_from_candidates(self):
         queries = {"q1": "text"}
         cands = {"q1": [("d1", 2.0), ("d2", 1.0)]}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from anchorrank import evalkit
 from anchorrank.corpus import Vocabulary, read_corpus
-from anchorrank.encoder import AdamState, CheckpointError, EncoderConfig, init_params, load_checkpoint, save_checkpoint
+from anchorrank.encoder import CheckpointError, EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from anchorrank.ranker import read_candidates, read_collection, read_queries
 from anchorrank.sampler import load_stopwords
 from anchorrank.synth import SynthConfig, synth_dataset
@@ -96,7 +96,7 @@ def valid_checkpoint(tmp_path_factory):
     d = tmp_path_factory.mktemp("ckpt")
     cfg = EncoderConfig(layers=1, heads=2, hidden=4, ffn_dim=8, vocab_size=12, max_len=8)
     params = init_params(cfg, seed=0)
-    save_checkpoint(d / "valid.ckpt", params, cfg, extra={"stage": "test"}, adam=AdamState.zeros(params))
+    save_checkpoint(d / "valid.ckpt", params, cfg, extra={"stage": "test"})
     return d, (d / "valid.ckpt").read_bytes()
 
 
