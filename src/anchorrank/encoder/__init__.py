@@ -8,7 +8,7 @@ float64 where the gradient checks pass float64 params.
 from anchorrank.encoder.adam import AdamState, adam_step
 from anchorrank.encoder.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from anchorrank.encoder.config import EncoderConfig
-from anchorrank.encoder.model import EncoderGraph, attention_map, cls_score
+from anchorrank.encoder.model import EncoderGraph, attention_map, cls_score, cls_scores
 from anchorrank.encoder.params import init_params, param_shapes, zero_grads
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "EncoderGraph",
     "attention_map",
     "cls_score",
+    "cls_scores",
     "init_params",
     "load_checkpoint",
     "param_shapes",

@@ -1,8 +1,8 @@
 """Encoder forward graph: embeddings + post-norm transformer layers, with
 attention map extraction, CLS scoring and MLM heads, and an exact analytic
 backward pass; plus two forward-only paths that share the same layer code:
-a [CLS] scorer for inference and the last layer's attention map for the
-sampler.
+a [CLS] scorer for inference, over one sequence or a stack of equal-length
+sequences, and the last layer's attention map for the sampler.
 
 Every path computes in the params' dtype: float32 for the pipeline, whose
 params come from init_params or load_checkpoint, and float64 for the
@@ -24,30 +24,40 @@ from anchorrank.encoder.config import EncoderConfig
 ALL_ROWS = slice(None)
 CLS_ROW = slice(0, 1)
 
+# Tokens per stacked forward in cls_scores: 8 sequences at max_len 48,
+# one at 512.  A stack shares each layer's Python and numpy dispatch among
+# its sequences, but its temporaries and peak memory grow with it; on the
+# toy rerank benchmark 6-8 sequences of 48 tokens scored fastest, and an
+# uncapped stack of 30 raised peak RSS by about 14%.
+STACK_TOKENS = 384
 
-def _check_inputs(config: EncoderConfig, token_ids, segment_ids):
-    """Validated int64 (token_ids, segment_ids); segment ids default to 0."""
+
+def _check_inputs(config: EncoderConfig, token_ids, segment_ids, ndim=1):
+    """Validated int64 (token_ids, segment_ids) of one sequence (ndim 1) or
+    a stack of equal-length sequences (ndim 2); segment ids default to 0."""
     token_ids = np.asarray(token_ids, dtype=np.int64)
-    if token_ids.ndim != 1 or token_ids.size == 0:
-        raise ValueError("token_ids must be a non-empty 1-d sequence")
-    n = token_ids.size
+    if token_ids.ndim != ndim or token_ids.size == 0:
+        raise ValueError(f"token_ids must be a non-empty {ndim}-d array")
+    n = token_ids.shape[-1]
     if n > config.max_len:
         raise ValueError(f"sequence length {n} exceeds max_len {config.max_len}; caller must truncate")
     if token_ids.min() < 0 or token_ids.max() >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
     if segment_ids is None:
-        segment_ids = np.zeros(n, dtype=np.int64)
+        segment_ids = np.zeros(token_ids.shape, dtype=np.int64)
     else:
         segment_ids = np.asarray(segment_ids, dtype=np.int64)
-        if segment_ids.shape != (n,):
+        if segment_ids.shape != token_ids.shape:
             raise ValueError("segment_ids must align with token_ids")
-        if segment_ids.size and (segment_ids.min() < 0 or segment_ids.max() > 1):
+        if segment_ids.min() < 0 or segment_ids.max() > 1:
             raise ValueError("segment ids must be 0 or 1")
     return token_ids, segment_ids
 
 
 def _require_leading_cls(token_ids) -> None:
-    if token_ids[0] != CLS_ID:
+    # a set of the first tokens, not a ufunc test: np.any costs microseconds
+    # per call, which every training graph's cls_score would pay
+    if set(token_ids[..., 0].flat) != {CLS_ID}:
         raise ValueError("sequence must begin with [CLS] to be scored")
 
 
@@ -65,43 +75,47 @@ def _output_rows(outputs, n: int):
 
 
 def _embed(params, token_ids, segment_ids):
-    """Layer-normed token + position + segment embeddings; (out, ln cache)."""
-    n = token_ids.size
+    """Layer-normed token + position + segment embeddings of (..., n) ids;
+    (out (..., n, hidden), ln cache)."""
+    n = token_ids.shape[-1]
     e = params["tok_emb"][token_ids] + params["pos_emb"][:n] + params["seg_emb"][segment_ids]
     return lyr.layer_norm(e, params["emb_ln_g"], params["emb_ln_b"])
 
 
 def _attention(params, config: EncoderConfig, i: int, x, xq) -> dict:
-    """Layer i's attention probabilities, queries from xq and keys from every
-    row of x.  Returns the layer-cache entries it computes: the Q and K
-    linear caches, their per-head splits qh and kh, and probs (heads,
-    len(xq), n)."""
+    """Layer i's attention probabilities, queries from xq (..., m, hidden)
+    and keys from every row of x (..., n, hidden).  Returns the layer-cache
+    entries it computes: the Q and K linear caches, their per-head splits
+    qh and kh, and probs (..., heads, m, n)."""
     pre = f"layer{i}."
     heads, head_dim = config.heads, config.head_dim
     q, q_cache = lyr.linear(xq, params[pre + "wq"], params[pre + "bq"])
     k, k_cache = lyr.linear(x, params[pre + "wk"], params[pre + "bk"])
-    qh = q.reshape(xq.shape[0], heads, head_dim).transpose(1, 0, 2)
-    kh = k.reshape(x.shape[0], heads, head_dim).transpose(1, 0, 2)
-    probs = lyr.softmax((qh @ kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(head_dim)))
+    qh = q.reshape(xq.shape[:-1] + (heads, head_dim)).swapaxes(-2, -3)
+    kh = k.reshape(x.shape[:-1] + (heads, head_dim)).swapaxes(-2, -3)
+    probs = lyr.softmax((qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(head_dim)))
     return {"q_cache": q_cache, "k_cache": k_cache, "qh": qh, "kh": kh, "probs": probs}
 
 
 def _layer(params, config: EncoderConfig, i: int, x, rows):
-    """Post-norm transformer layer i over x (n, hidden).
+    """Post-norm transformer layer i over x (..., n, hidden): one sequence,
+    or a leading stack axis of equal-length sequences.
 
     Keys and values come from every row of x; queries, the residual
-    stream, both layer norms and the FFN only from x[rows], so the output
-    has the rows of x[rows].  Returns (out, cache); the cache holds what
+    stream, both layer norms and the FFN only from x[..., rows, :], so the
+    output has those rows.  Every matrix product and row-wise reduction
+    runs per sequence, so a sequence's output is bitwise the same in a
+    stack as alone.  Returns (out, cache); the cache holds what
     EncoderGraph.backward needs, including rows and the attention
-    probabilities (heads, len(rows), n).
+    probabilities (..., heads, len(rows), n).
     """
     pre = f"layer{i}."
-    xq = x[rows]
+    xq = x[..., rows, :]
     cache = _attention(params, config, i, x, xq)
     v, v_cache = lyr.linear(x, params[pre + "wv"], params[pre + "bv"])
-    vh = v.reshape(x.shape[0], config.heads, config.head_dim).transpose(1, 0, 2)
+    vh = v.reshape(x.shape[:-1] + (config.heads, config.head_dim)).swapaxes(-2, -3)
     ctx = cache["probs"] @ vh
-    merged = ctx.transpose(1, 0, 2).reshape(xq.shape[0], config.hidden)
+    merged = ctx.swapaxes(-2, -3).reshape(xq.shape[:-1] + (config.hidden,))
     attn_out, o_cache = lyr.linear(merged, params[pre + "wo"], params[pre + "bo"])
     h1, ln1_cache = lyr.layer_norm(xq + attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])
     f_pre, f1_cache = lyr.linear(h1, params[pre + "w1"], params[pre + "b1"])
@@ -133,9 +147,10 @@ def _add_segment_rows(acc, segment_ids, d_rows) -> None:
 
 
 def _cls_head(params, h_cls):
-    """Two-layer tanh MLP over the [CLS] row; (score, tanh activations)."""
+    """Two-layer tanh MLP over [CLS] states h_cls (..., hidden); (scores
+    (...), tanh activations)."""
     c_act = np.tanh(h_cls @ params["cls_w1"] + params["cls_b1"])
-    return float(c_act @ params["cls_w2"] + params["cls_b2"][0]), c_act
+    return c_act @ params["cls_w2"] + params["cls_b2"][0], c_act
 
 
 class EncoderGraph:
@@ -190,7 +205,8 @@ class EncoderGraph:
             raise ValueError("cls_score needs position 0 among the graph's outputs")
         if self._cls_cache is None:
             h_cls = self.hidden[0]
-            self._cls_value, c_act = _cls_head(self.params, h_cls)
+            score, c_act = _cls_head(self.params, h_cls)
+            self._cls_value = float(score)
             self._cls_cache = (h_cls, c_act)
         return self._cls_value
 
@@ -295,23 +311,58 @@ class EncoderGraph:
         _add_segment_rows(grads["seg_emb"], self.segment_ids, de)
 
 
-def cls_score(params, config, token_ids, segment_ids=None) -> float:
-    """Forward-only [CLS] score of one sequence: EncoderGraph(...,
-    outputs=[0]).cls_score(), bitwise, without backward caches.
+def _stack_scores(params, config, token_ids, segment_ids) -> np.ndarray:
+    """[CLS] scores of checked ids: a (B, n) stack gives (B,), one
+    sequence (n,) a 0-d array.  No backward caches are kept.
 
     The last layer computes keys and values for every row but the rest of
-    the layer for the [CLS] row only.  Its one-row matrix products round
-    differently from the all-rows ones, so the score matches the full
-    graph's to rounding (about 1e-16 in float64, 1e-8 in float32) rather
-    than bitwise.
+    the layer for the [CLS] row only, and the head reads each sequence's
+    one-row slice (..., 1, hidden): per sequence, the same BLAS calls as
+    EncoderGraph(..., outputs=[0]).cls_score(), so the same bits.
     """
-    token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids)
-    _require_leading_cls(token_ids)
     h, _ = _embed(params, token_ids, segment_ids)
     last = config.layers - 1
     for i in range(config.layers):
         h, _ = _layer(params, config, i, h, CLS_ROW if i == last else ALL_ROWS)
-    return _cls_head(params, h[0])[0]
+    return _cls_head(params, h)[0][..., 0]
+
+
+def cls_score(params, config, token_ids, segment_ids=None) -> float:
+    """Forward-only [CLS] score of one sequence: EncoderGraph(...,
+    outputs=[0]).cls_score(), bitwise, through cls_scores' body.
+
+    Its one-row last-layer products round differently from the all-rows
+    ones, so the score matches the full graph's to rounding (about 1e-16
+    in float64, 1e-8 in float32) rather than bitwise.
+    """
+    token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids)
+    _require_leading_cls(token_ids)
+    return float(_stack_scores(params, config, token_ids, segment_ids))
+
+
+def cls_scores(params, config, sequences) -> list[float]:
+    """Forward-only [CLS] scores of (token_ids, segment_ids) pairs, in input
+    order, each bitwise cls_score's for its pair.  The pairs are grouped by
+    length and each group is scored in stacks of at most STACK_TOKENS
+    tokens, one forward per stack; every sequence is checked as cls_score
+    checks one."""
+    # keyed by both lengths, so a misaligned pair stacks apart and
+    # _check_inputs names it
+    by_length: dict[tuple[int, int], list[int]] = {}
+    for i, (token_ids, segment_ids) in enumerate(sequences):
+        by_length.setdefault((len(token_ids), len(segment_ids)), []).append(i)
+    scores = [0.0] * len(sequences)
+    for (n, _), members in by_length.items():
+        per_stack = max(1, STACK_TOKENS // max(n, 1))
+        for start in range(0, len(members), per_stack):
+            stack = members[start : start + per_stack]
+            token_ids, segment_ids = _check_inputs(
+                config, [sequences[i][0] for i in stack], [sequences[i][1] for i in stack], ndim=2
+            )
+            _require_leading_cls(token_ids)
+            for i, s in zip(stack, _stack_scores(params, config, token_ids, segment_ids).tolist()):
+                scores[i] = s
+    return scores
 
 
 def attention_map(params, config: EncoderConfig, token_ids) -> np.ndarray:

@@ -21,7 +21,7 @@ from anchorrank.corpus import (
     Vocabulary,
     page_summary,
 )
-from anchorrank.encoder import AdamState, EncoderConfig, EncoderGraph, adam_step, cls_score, init_params, save_checkpoint, zero_grads
+from anchorrank.encoder import AdamState, EncoderConfig, EncoderGraph, adam_step, cls_scores, init_params, save_checkpoint, zero_grads
 from anchorrank.taskgen import TASKS, PretrainPair, derive_rng
 
 log = logging.getLogger(__name__)
@@ -403,15 +403,15 @@ def pairwise_accuracy(
     corpus: HyperlinkCorpus,
     config: TrainConfig,
 ) -> float:
-    """Fraction of pairs whose positive packing outscores the negative."""
+    """Fraction of pairs whose positive packing outscores the negative;
+    every packing is scored in stacks of equal length."""
     if not pairs:
         raise ValueError("no pairs to evaluate")
     doc_tokens = summary_lookup(corpus, config.summary_max_tokens)
-    wins = 0
+    packings = []
     for pair in pairs:
-        pos, neg = pack_pair(pair, vocab, doc_tokens, config.max_len)
-        s_pos = cls_score(params, enc_config, pos.token_ids, pos.segment_ids)
-        s_neg = cls_score(params, enc_config, neg.token_ids, neg.segment_ids)
-        if s_pos > s_neg:
-            wins += 1
+        for packed in pack_pair(pair, vocab, doc_tokens, config.max_len):
+            packings.append((packed.token_ids, packed.segment_ids))
+    scores = cls_scores(params, enc_config, packings)
+    wins = sum(s_pos > s_neg for s_pos, s_neg in zip(scores[0::2], scores[1::2]))
     return wins / len(pairs)

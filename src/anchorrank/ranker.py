@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from anchorrank.corpus import HyperlinkCorpus, Vocabulary, numbered_lines, tokenize
-from anchorrank.encoder import EncoderConfig, EncoderGraph, cls_score, load_checkpoint, save_checkpoint
+from anchorrank.encoder import EncoderConfig, EncoderGraph, cls_score, cls_scores, load_checkpoint, save_checkpoint
 from anchorrank.encoder import adam_step, zero_grads  # noqa: F401  (bench/perlayer.py wraps these two names here)
 from anchorrank.pretrain import Schedule, TrainError, pack_input, run_steps
 
@@ -88,7 +88,7 @@ def _sigmoid(z: float) -> float:
 
 def score_tokens(model: RankerModel, query_tokens: Sequence[str], doc_tokens: Sequence[str]) -> float:
     """Relevance probability in (0, 1): logistic over the CLS score of the
-    packed (query, document) sequence."""
+    packed (query, document) sequence, bitwise what rerank gives it."""
     packed = pack_input(query_tokens, doc_tokens, model.vocab, model.config.max_len)
     return _sigmoid(cls_score(model.params, model.config, packed.token_ids, packed.segment_ids))
 
@@ -151,19 +151,25 @@ def rerank(
 ) -> list[tuple[str, float]]:
     """Sort candidates by model score, ties broken by first-stage order,
     truncated to k.  The output is always a permutation-prefix of the
-    input documents."""
+    input documents.
+
+    Every candidate is packed first and the packings are scored in stacks
+    of equal length (cls_scores); each score is bitwise
+    score_tokens' for that candidate."""
     if not candidates:
         raise ValueError("candidate list is empty")
     if k < 1:
         raise ValueError("k must be >= 1")
     query_tokens = tokenize(query_text)
-    scored = []
-    for idx, (doc_id, _) in enumerate(candidates):
+    packings = []
+    for doc_id, _ in candidates:
         if doc_id not in collection:
             raise ValueError(f"candidate document {doc_id!r} missing from collection")
-        scored.append((doc_id, score_tokens(model, query_tokens, collection[doc_id].tokens), idx))
-    scored.sort(key=lambda t: (-t[1], t[2]))
-    return [(doc_id, s) for doc_id, s, _ in scored[:k]]
+        packed = pack_input(query_tokens, collection[doc_id].tokens, model.vocab, model.config.max_len)
+        packings.append((packed.token_ids, packed.segment_ids))
+    scores = [_sigmoid(s) for s in cls_scores(model.params, model.config, packings)]
+    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
+    return [(candidates[i][0], scores[i]) for i in order[:k]]
 
 
 def read_collection(path: str | Path) -> dict[str, DocRecord]:
@@ -244,6 +250,8 @@ def read_queries(path: str | Path) -> dict[str, str]:
         qid, text = line.split("\t", 1)
         if qid in queries:
             raise ValueError(f"{path}: line {line_no}: duplicate query id {qid!r}")
+        if not tokenize(text):
+            raise ValueError(f"{path}: line {line_no}: query {qid!r} has no word token")
         queries[qid] = text
     return queries
 

@@ -119,6 +119,21 @@ class TestPipeline:
         run_lines = (workdir / "rerank.run").read_text().splitlines()
         assert run_lines and len(run_lines[0].split()) == 6
 
+    @pytest.mark.parametrize("text", ["", "!!!"], ids=["empty", "punctuation"])
+    def test_08_query_without_words_is_one_error(self, text, config_path, workdir, tmp_path, capsys):
+        lines = (workdir / "eval_queries.tsv").read_text().splitlines()
+        qid = lines[0].split("\t")[0]
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("\n".join([f"{qid}\t{text}", *lines[1:]]) + "\n")
+        cfg = json.loads(Path(config_path).read_text())
+        cfg["paths"] = {"eval_queries": str(queries), "run": str(tmp_path / "rerank.run")}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["rerank", "--config", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {queries}: line 1: query {qid!r} has no word token"]
+        assert not (tmp_path / "rerank.run").exists()
+
     def test_09_eval(self, config_path, workdir):
         assert main(["eval", "--config", config_path]) == 0
         record = json.loads((workdir / "metrics.json").read_text())

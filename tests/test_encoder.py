@@ -20,6 +20,7 @@ from anchorrank.encoder import (
     adam_step,
     attention_map,
     cls_score,
+    cls_scores,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -153,6 +154,83 @@ class TestClsScore:
                 segs = rng.integers(0, 2, n)
                 expected = EncoderGraph(p, cfg, ids, segs).cls_score()
                 assert cls_score(p, cfg, ids, segs) == pytest.approx(expected, rel=0.0, abs=ROUNDING[dtype])
+
+
+class TestStackedScores:
+    STACK_CFG = EncoderConfig(layers=2, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=48)
+
+    def sequences(self, rng, lengths):
+        out = []
+        for n in lengths:
+            ids = rng.integers(0, self.STACK_CFG.vocab_size, n)
+            ids[0] = CLS_ID
+            out.append((ids, rng.integers(0, 2, n)))
+        return out
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_bitwise_equal_to_graph_and_one_sequence(self, dtype):
+        cfg = self.STACK_CFG
+        rng = np.random.default_rng(11)
+        p = as_dtype({k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=11).items()}, dtype)
+        for b in (1, 2, 5, 8, 9, 13):
+            for n in (4, 17, 48):
+                sequences = self.sequences(rng, [n] * b)
+                scores = cls_scores(p, cfg, sequences)
+                for (ids, segs), score in zip(sequences, scores):
+                    one = cls_score(p, cfg, ids, segs)
+                    assert score == one == EncoderGraph(p, cfg, ids, segs, outputs=[0]).cls_score(), (b, n)
+
+    @pytest.mark.parametrize(
+        "column, value, match",
+        [(0, 7, "CLS"), (3, 40, "vocabulary"), (3, -1, "vocabulary"), (None, 2, "0 or 1")],
+        ids=["no-leading-cls", "id-over-range", "negative-id", "segment-2"],
+    )
+    def test_bad_row_in_a_stack_rejected_as_one_sequence(self, params, column, value, match):
+        sequences = self.sequences(np.random.default_rng(0), [6] * 5)
+        ids, segs = sequences[3]
+        if column is None:
+            segs[4] = value
+        else:
+            ids[column] = value
+        with pytest.raises(ValueError, match=match):
+            cls_score(params, CFG, ids, segs)
+        with pytest.raises(ValueError, match=match):
+            cls_scores(params, CFG, sequences)
+
+    @pytest.mark.parametrize(
+        "ids, segs, match",
+        [
+            (seq(), seq(), "non-empty"),
+            (np.full(CFG.max_len + 1, CLS_ID), np.zeros(CFG.max_len + 1, dtype=np.int64), "max_len"),
+            (seq(CLS_ID, 7, 8), seq(0, 0), "align"),
+        ],
+        ids=["empty", "over-max-len", "misaligned-segments"],
+    )
+    def test_bad_sequence_rejected(self, params, ids, segs, match):
+        with pytest.raises(ValueError, match=match):
+            cls_scores(params, CFG, [(seq(CLS_ID, 7, 8), seq(0, 0, 1)), (ids, segs)])
+
+    def test_input_order_and_stack_budget(self, monkeypatch):
+        # lengths interleaved, one group over STACK_TOKENS: every stack holds
+        # one length and at most STACK_TOKENS tokens, and each score lands
+        # at its sequence's index
+        cfg = self.STACK_CFG
+        p = as_dtype(init_params(cfg, seed=4), np.float32)
+        sequences = self.sequences(np.random.default_rng(4), [48, 5, 48, 17] * 5 + [48] * 7)
+        shapes = []
+        real = model_module._stack_scores
+
+        def recording(params, config, token_ids, segment_ids):
+            shapes.append(token_ids.shape)
+            return real(params, config, token_ids, segment_ids)
+
+        monkeypatch.setattr(model_module, "_stack_scores", recording)
+        scores = cls_scores(p, cfg, sequences)
+        stacks = list(shapes)
+        assert scores == [cls_score(p, cfg, ids, segs) for ids, segs in sequences]
+        assert sorted(stacks) == [(1, 48), (5, 5), (5, 17), (8, 48), (8, 48)]
+        assert all(b * n <= model_module.STACK_TOKENS for b, n in stacks)
+        assert cls_scores(p, cfg, []) == []
 
 
 class TestAttentionMap:

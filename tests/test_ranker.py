@@ -1,13 +1,14 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from anchorrank import ranker
-from anchorrank.corpus import build_vocab
+from anchorrank.corpus import build_vocab, tokenize
 from anchorrank.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
-from anchorrank.pretrain import TrainError
+from anchorrank.pretrain import TrainError, pack_input
 from anchorrank.ranker import (
     DocRecord,
     FinetuneConfig,
@@ -277,6 +278,56 @@ class TestRerank:
         assert len(calls) == len(queries) + 3 * len(collection)
 
 
+def stack_collection(corpus):
+    """Ten long documents, which fill max_len 48 behind a two-word query,
+    and one short one: 11 candidates that pack to two lengths."""
+    words = " ".join(page.text for page in corpus.iter_pages()).split()
+    docs = {f"long{i}": DocRecord(id=f"long{i}", title="", url="", body=" ".join(words[3 * i : 3 * i + 60])) for i in range(10)}
+    docs["short"] = DocRecord(id="short", title="orchard", url="", body="fruit")
+    return docs
+
+
+class TestStackedRerank:
+    QUERY = "technology company"
+
+    def per_candidate(self, model, candidates, collection, k):
+        scored = [(ranker.score_tokens(model, tokenize(self.QUERY), collection[d].tokens), i) for i, (d, _) in enumerate(candidates)]
+        scored.sort(key=lambda t: (-t[0], t[1]))
+        return [(candidates[i][0], s) for s, i in scored[:k]]
+
+    def test_two_lengths_return_the_per_candidate_list(self, corpus):
+        model = make_model(corpus, seed=5)
+        collection = stack_collection(corpus)
+        candidates = [(doc_id, 1.0) for doc_id in ["long0", "long1", "long2", "long3", "short", *[f"long{i}" for i in range(4, 10)]]]
+        lengths = {len(pack_input(tokenize(self.QUERY), collection[d].tokens, model.vocab, 48).token_ids) for d, _ in candidates}
+        assert lengths == {7, 48}
+        for k in (3, len(candidates)):
+            assert rerank(model, self.QUERY, candidates, k=k, collection=collection) == self.per_candidate(model, candidates, collection, k)
+
+    def test_peak_memory_bounded_by_the_stack_budget(self, corpus):
+        # a stack holds at most STACK_TOKENS tokens, so 30 candidates of
+        # max_len 48 peak where 8 do; one stack of 30 would peak at ~3.5x
+        vocab = build_vocab(corpus, max_size=300)
+        cfg = EncoderConfig(layers=1, heads=4, hidden=64, ffn_dim=256, vocab_size=len(vocab), max_len=48)
+        model = RankerModel(params=init_params(cfg, seed=3), config=cfg, vocab=vocab)
+        collection = stack_collection(corpus)
+        collection.update({f"copy{i}": DocRecord(id=f"copy{i}", title="", url="", body=collection[f"long{i % 10}"].body) for i in range(20)})
+        long_ids = [d for d in collection if d != "short"]
+        assert len(long_ids) == 30
+
+        def peak(n):
+            candidates = [(d, 1.0) for d in long_ids[:n]]
+            rerank(model, self.QUERY, candidates, k=5, collection=collection)  # warm the token caches
+            tracemalloc.start()
+            try:
+                rerank(model, self.QUERY, candidates, k=5, collection=collection)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(30) <= 1.25 * peak(8)
+
+
 class TestModelIO:
     def test_load_model_round_trip(self, corpus, tmp_path):
         model = make_model(corpus)
@@ -330,6 +381,14 @@ class TestDataFiles:
         path = tmp_path / "queries.tsv"
         path.write_text("q1\tlaptop hardware\nq2\torchard fruit\nq1\triver delta\n")
         with pytest.raises(ValueError, match="line 3: duplicate query id 'q1'") as info:
+            read_queries(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("text", ["", "!!!", " - "], ids=["empty", "punctuation", "dash"])
+    def test_query_without_words_rejected(self, text, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_text(f"q1\tlaptop hardware\nq2\t{text}\n")
+        with pytest.raises(ValueError, match="line 2: query 'q2' has no word token") as info:
             read_queries(path)
         assert str(path) in str(info.value)
 
