@@ -1,6 +1,10 @@
 """Forward/backward primitives. Each forward returns (out, cache); the
 matching backward consumes the upstream gradient and the cache.
 
+Each forward allocates its output once and never writes into its
+arguments, which callers cache for the backward; callers in model.py in
+turn write only into arrays they have just made (a residual add).
+
 Every primitive computes in its inputs' dtype.  The constants are Python
 floats on purpose: numpy promotes a float32 array that meets a np.float64
 scalar to float64, and a Python float it does not."""
@@ -20,14 +24,16 @@ _GELU_A = 0.044715
 
 def layer_norm(x, g, b):
     # sum / d is what ndarray.mean computes, bit for bit, without the
-    # Python-level dispatch that dominates the cost at one or a few rows
+    # Python-level dispatch that dominates the cost at one or a few rows.
+    # ((x - mu) * inv) * g + b, written into the fresh x - mu and the output
     d = x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) / d
-    xc = x - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    out = xhat * g + b
+    xhat = x - mu
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + LN_EPS)
+    xhat *= inv
+    np.multiply(xhat, g, out=out)
+    out += b
     return out, (xhat, inv, g)
 
 
@@ -46,7 +52,9 @@ def layer_norm_backward(dout, cache):
 
 
 def linear(x, w, b):
-    return x @ w + b, (x, w)
+    out = x @ w
+    out += b
+    return out, (x, w)
 
 
 def linear_backward(dout, cache):
@@ -89,9 +97,12 @@ def gelu_backward(dout, cache):
 
 
 def softmax(x, axis=-1):
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    # fmax.reduce is ndarray.max on a row without NaN, and cheaper; a row
+    # with a NaN comes out all NaN either way
+    e = x - np.fmax.reduce(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax_backward(dprobs, probs, axis=-1):

@@ -78,7 +78,9 @@ def _embed(params, token_ids, segment_ids):
     """Layer-normed token + position + segment embeddings of (..., n) ids;
     (out (..., n, hidden), ln cache)."""
     n = token_ids.shape[-1]
-    e = params["tok_emb"][token_ids] + params["pos_emb"][:n] + params["seg_emb"][segment_ids]
+    e = params["tok_emb"][token_ids]
+    e += params["pos_emb"][:n]
+    e += params["seg_emb"][segment_ids]
     return lyr.layer_norm(e, params["emb_ln_g"], params["emb_ln_b"])
 
 
@@ -93,7 +95,9 @@ def _attention(params, config: EncoderConfig, i: int, x, xq) -> dict:
     k, k_cache = lyr.linear(x, params[pre + "wk"], params[pre + "bk"])
     qh = q.reshape(xq.shape[:-1] + (heads, head_dim)).swapaxes(-2, -3)
     kh = k.reshape(x.shape[:-1] + (heads, head_dim)).swapaxes(-2, -3)
-    probs = lyr.softmax((qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(head_dim)))
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= 1.0 / math.sqrt(head_dim)
+    probs = lyr.softmax(scores)
     return {"q_cache": q_cache, "k_cache": k_cache, "qh": qh, "kh": kh, "probs": probs}
 
 
@@ -117,11 +121,13 @@ def _layer(params, config: EncoderConfig, i: int, x, rows):
     ctx = cache["probs"] @ vh
     merged = ctx.swapaxes(-2, -3).reshape(xq.shape[:-1] + (config.hidden,))
     attn_out, o_cache = lyr.linear(merged, params[pre + "wo"], params[pre + "bo"])
-    h1, ln1_cache = lyr.layer_norm(xq + attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])
+    attn_out += xq
+    h1, ln1_cache = lyr.layer_norm(attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])
     f_pre, f1_cache = lyr.linear(h1, params[pre + "w1"], params[pre + "b1"])
     f_act, gelu_cache = lyr.gelu(f_pre)
     ffn_out, f2_cache = lyr.linear(f_act, params[pre + "w2"], params[pre + "b2"])
-    out, ln2_cache = lyr.layer_norm(h1 + ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"])
+    ffn_out += h1
+    out, ln2_cache = lyr.layer_norm(ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"])
     cache.update(
         rows=rows,
         v_cache=v_cache,

@@ -69,7 +69,7 @@ def pack_input(query_tokens: Sequence[str], doc_tokens: Sequence[str], vocab: Vo
     # the rest
     query = query[: min(max_len // 2, max_len - 3)]
     budget = max_len - 3 - len(query)
-    doc = list(doc_tokens)[:budget]
+    doc = list(doc_tokens[:budget])
     ids = [CLS_ID] + vocab.encode(query) + [SEP_ID] + vocab.encode(doc) + [SEP_ID]
     segs = [0] * (len(query) + 2) + [1] * (len(doc) + 1)
     return PackedSequence(token_ids=np.array(ids, dtype=np.int64), segment_ids=np.array(segs, dtype=np.int64))

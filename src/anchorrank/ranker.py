@@ -173,7 +173,8 @@ def rerank(
 
 
 def read_collection(path: str | Path) -> dict[str, DocRecord]:
-    """JSONL records with id, title, url, body."""
+    """JSONL records with id, title, url, body; a record whose title, url
+    and body are all empty is an error."""
     docs: dict[str, DocRecord] = {}
     for line_no, line in numbered_lines(path):
         line = line.strip()
@@ -188,6 +189,8 @@ def read_collection(path: str | Path) -> dict[str, DocRecord]:
             raise ValueError(f"{path}: line {line_no}: id, title, url and body must be strings")
         if doc.id in docs:
             raise ValueError(f"{path}: line {line_no}: duplicate document id {doc.id!r}")
+        if not (doc.title or doc.url or doc.body):
+            raise ValueError(f"{path}: line {line_no}: document {doc.id!r} has no text")
         docs[doc.id] = doc
     return docs
 

@@ -134,6 +134,21 @@ class TestPipeline:
         assert errors == [f"error: {queries}: line 1: query {qid!r} has no word token"]
         assert not (tmp_path / "rerank.run").exists()
 
+    def test_08_document_without_text_is_one_error(self, config_path, workdir, tmp_path, capsys):
+        lines = (workdir / "collection.jsonl").read_text().splitlines()
+        doc_id = json.loads(lines[1])["id"]
+        collection = tmp_path / "collection.jsonl"
+        empty = json.dumps({"id": doc_id, "title": "", "url": "", "body": ""})
+        collection.write_text("\n".join([lines[0], empty, *lines[2:]]) + "\n")
+        cfg = json.loads(Path(config_path).read_text())
+        cfg["paths"] = {"collection": str(collection), "run": str(tmp_path / "rerank.run")}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["rerank", "--config", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {collection}: line 2: document {doc_id!r} has no text"]
+        assert not (tmp_path / "rerank.run").exists()
+
     def test_09_eval(self, config_path, workdir):
         assert main(["eval", "--config", config_path]) == 0
         record = json.loads((workdir / "metrics.json").read_text())

@@ -403,6 +403,134 @@ class TestLayerNorm:
         assert np.allclose(xhat.var(axis=-1), 1.0, atol=1e-5)
 
 
+def _textbook_linear(x, w, b):
+    return x @ w + b
+
+
+def _textbook_layer_norm(x, g, b):
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
+    xc = x - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + layers_module.LN_EPS)
+    xhat = xc * inv
+    return xhat * g + b, xhat, inv
+
+
+def _textbook_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestForwardKernels:
+    """The forward primitives compute their textbook expressions to the bit
+    while working in the arrays they allocate, and never write into an
+    argument."""
+
+    HIDDEN, FFN, HEADS = 32, 64, 2
+
+    @staticmethod
+    def inputs(dtype, shape, rng):
+        # one sequence (n, d), a stack (B, n, d), and a stack's one-row
+        # slice (B, 1, d), which is a strided view
+        x = rng.normal(0.0, 3.0, shape).astype(dtype)
+        return {"one": x[0], "stack": x, "row-slice": x[:, 0:1]}
+
+    @staticmethod
+    def unchanged(args, call):
+        before = [a.copy() for a in args]
+        out = call(*args)
+        for a, b in zip(args, before):
+            _assert_bitwise(a, b)
+        return out
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_linear_is_product_plus_bias(self, dtype):
+        rng = np.random.default_rng(21)
+        w = rng.normal(size=(self.HIDDEN, self.FFN)).astype(dtype)
+        b = rng.normal(size=self.FFN).astype(dtype)
+        for x in self.inputs(dtype, (5, 9, self.HIDDEN), rng).values():
+            out, (cx, cw) = self.unchanged((x, w, b), layers_module.linear)
+            _assert_bitwise(out, _textbook_linear(x, w, b))
+            assert cx is x and cw is w
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_layer_norm_is_the_textbook_expression(self, dtype):
+        rng = np.random.default_rng(22)
+        g = rng.normal(1.0, 0.2, self.HIDDEN).astype(dtype)
+        b = rng.normal(0.0, 0.2, self.HIDDEN).astype(dtype)
+        for x in self.inputs(dtype, (5, 9, self.HIDDEN), rng).values():
+            out, (xhat, inv, cg) = self.unchanged((x, g, b), layer_norm)
+            want, want_xhat, want_inv = _textbook_layer_norm(x, g, b)
+            _assert_bitwise(out, want)
+            _assert_bitwise(xhat, want_xhat)
+            _assert_bitwise(inv, want_inv)
+            assert cg is g
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_softmax_is_the_textbook_expression(self, dtype):
+        rng = np.random.default_rng(23)
+        for x in self.inputs(dtype, (5, self.HEADS, 9, 9), rng).values():
+            _assert_bitwise(self.unchanged((x,), softmax), _textbook_softmax(x))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_softmax_of_special_rows(self, dtype):
+        inf, nan = math.inf, math.nan
+        x = np.array(
+            [
+                [1.0, inf, -2.0, 0.5],
+                [-inf, -inf, -inf, -inf],
+                [0.5, nan, -1.0, 2.0],
+                [nan, inf, -inf, 0.0],
+                [nan, nan, nan, nan],
+                [0.0, -0.0, 0.0, -0.0],
+                [-0.0, -0.0, -0.0, -0.0],
+                [-inf, 3.0, -inf, 1.0],
+            ],
+            dtype=dtype,
+        )
+        with np.errstate(invalid="ignore"):
+            got = self.unchanged((x,), softmax)
+            want = _textbook_softmax(x)
+        assert got.dtype == want.dtype
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.isnan(got[:5]).all() and not np.isnan(got[5:]).any()
+        _assert_bitwise(got[5:], want[5:])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_embed_is_token_plus_position_plus_segment(self, dtype):
+        rng = np.random.default_rng(24)
+        p = as_dtype({k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(CFG, seed=24).items()}, dtype)
+        ids = rng.integers(0, CFG.vocab_size, (4, 11))
+        segs = rng.integers(0, 2, (4, 11))
+        tables = [p[k] for k in ("tok_emb", "pos_emb", "seg_emb", "emb_ln_g", "emb_ln_b")]
+        for i, s in ((ids, segs), (ids[2], segs[2])):
+            e = p["tok_emb"][i] + p["pos_emb"][: i.shape[-1]] + p["seg_emb"][s]
+            out, (xhat, _, _) = self.unchanged(tables, lambda *_: model_module._embed(p, i, s))
+            want, want_xhat, _ = _textbook_layer_norm(e, p["emb_ln_g"], p["emb_ln_b"])
+            _assert_bitwise(out, want)
+            _assert_bitwise(xhat, want_xhat)
+
+    def test_forward_paths_leave_params_unchanged(self, params):
+        rng = np.random.default_rng(25)
+        ids, segs, positions, _ = _random_case(CFG, rng, 12)
+        tables = list(params.values())
+
+        def forwards(*_):
+            cls_scores(params, CFG, [(ids, segs)] * 3)
+            attention_map(params, CFG, ids)
+            g = EncoderGraph(params, CFG, ids, segs)
+            g.cls_score()
+            g.mlm_logits(positions)
+
+        self.unchanged(tables, forwards)
+
+
 class TestGelu:
     """BERT's GELU: the tanh approximation of x * Phi(x) (Hendrycks & Gimpel,
     arXiv:1606.08415)."""

@@ -365,6 +365,18 @@ class TestDataFiles:
             read_collection(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "rec", [{"id": "d2", "title": "", "url": "", "body": ""}, {"id": "d2"}], ids=["empty-fields", "no-fields"]
+    )
+    def test_document_without_text_rejected(self, tmp_path, rec):
+        import json
+
+        path = tmp_path / "collection.jsonl"
+        path.write_text(json.dumps({"id": "d1", "title": "t", "url": "", "body": ""}) + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ValueError, match="line 2: document 'd2' has no text") as info:
+            read_collection(path)
+        assert str(path) in str(info.value)
+
     def test_candidates_round_trip(self, tmp_path):
         cands = {"q1": [("d1", 9.5), ("d2", 8.0)], "q2": [("d3", 1.0)]}
         path = tmp_path / "cands.txt"
