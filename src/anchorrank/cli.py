@@ -33,7 +33,7 @@ from anchorrank.ranker import (
 )
 from anchorrank.sampler import AttentionSampler, default_stopwords, load_stopwords
 from anchorrank.synth import SynthConfig, synth_dataset
-from anchorrank.taskgen import TASKS, PairGenerator, TaskGenConfig, read_pairs, write_pairs
+from anchorrank.taskgen import PairGenerator, TaskGenConfig, read_pairs, write_pairs
 
 # artifact key -> (default file name under the workdir, command that writes it)
 ARTIFACTS = {
@@ -212,8 +212,8 @@ def announce(command: str, cfg: dict) -> None:
     print(json.dumps(cfg, indent=2, sort_keys=True))
 
 
-def write_sidecar(path: Path, command: str, cfg: dict) -> None:
-    meta = {"command": command, "seed": cfg["seed"], "config": cfg}
+def write_sidecar(path: Path, command: str, cfg: dict, **counts) -> None:
+    meta = {"command": command, "seed": cfg["seed"], "config": cfg, **counts}
     Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
 
 
@@ -278,17 +278,19 @@ def cmd_warm_sampler(args, cfg: dict) -> int:
 
 
 def cmd_build_pairs(args, cfg: dict) -> int:
+    gen_cfg = TaskGenConfig(**cfg["taskgen"], seed=cfg["seed"])
     corpus, vocab = _load_clean_corpus_and_vocab(cfg)
     ck = load_checkpoint(input_path(cfg, "sampler_ckpt"), expected_config=encoder_config(cfg, len(vocab)))
     sampler = AttentionSampler(ck.params, ck.config, vocab, stopwords=stopword_set(cfg))
-    pairs = PairGenerator(corpus, sampler, TaskGenConfig(**cfg["taskgen"], seed=cfg["seed"])).generate()
+    generator = PairGenerator(corpus, sampler, gen_cfg)
+    pairs = generator.generate()
     if not pairs:
         raise CommandError("no pairs were generated; corpus has too few usable anchors")
     out = output_path(cfg, "pairs", args.out)
     count = write_pairs(pairs, out)
-    write_sidecar(out, "build-pairs", cfg)
-    by_task = {t: sum(1 for p in pairs if p.task == t) for t in TASKS}
-    print(f"{count} pairs ({by_task}) -> {out}")
+    write_sidecar(out, "build-pairs", cfg, yields=generator.yields)
+    print(f"{count} pairs -> {out}")
+    print("kept/tried: " + ", ".join(f"{t} {y['kept']}/{y['tried']}" for t, y in generator.yields.items()))
     print(f"sampler: {sampler.lookups} attention lookups, {sampler.forwards} encoder forwards")
     return 0
 

@@ -181,6 +181,8 @@ class TrainConfig(Schedule):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if type(self.summary_max_tokens) is not int or self.summary_max_tokens < 1:
+            raise ValueError(f"summary_max_tokens must be an integer >= 1, got {self.summary_max_tokens!r}")
         unknown = sorted(set(self.task_weights) - set(default_task_weights()))
         if unknown:
             raise ValueError(f"unknown task_weights keys {unknown} (expected among {', '.join(default_task_weights())})")

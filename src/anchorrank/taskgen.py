@@ -312,11 +312,16 @@ def mix_tasks(streams: dict[str, Iterable[PretrainPair]], rng: np.random.Generat
             pending[task] = nxt
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass
 class TaskGenConfig:
     """per_task_cap may be one integer for every task or a {task: cap}
-    mapping; missing tasks are uncapped.  pair_budget truncates the mixed
-    stream."""
+    mapping; missing tasks are uncapped and a cap of 0 turns a task off.
+    pair_budget truncates the mixed stream."""
 
     lam: float = 3.0
     summary_max_tokens: int = 512
@@ -327,105 +332,66 @@ class TaskGenConfig:
     def __post_init__(self) -> None:
         if self.lam <= 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        unknown = sorted(set(self.per_task_cap) - set(TASKS)) if isinstance(self.per_task_cap, dict) else []
-        if unknown:
-            raise ValueError(f"unknown per_task_cap keys {unknown} (expected among {', '.join(TASKS)})")
+        if isinstance(self.per_task_cap, dict):
+            unknown = sorted(set(self.per_task_cap) - set(TASKS))
+            if unknown:
+                raise ValueError(f"unknown per_task_cap keys {unknown} (expected among {', '.join(TASKS)})")
+            for task, cap in self.per_task_cap.items():
+                _check_count(f"per_task_cap.{task}", cap, 0)
+        elif self.per_task_cap is not None:
+            _check_count("per_task_cap", self.per_task_cap, 0)
+        if self.pair_budget is not None:
+            _check_count("pair_budget", self.pair_budget, 1)
+        _check_count("summary_max_tokens", self.summary_max_tokens, 1)
 
     def cap_for(self, task: str) -> int | None:
-        if self.per_task_cap is None:
-            return None
         if isinstance(self.per_task_cap, dict):
-            cap = self.per_task_cap.get(task)
-            return int(cap) if cap is not None else None
-        return int(self.per_task_cap)
+            return self.per_task_cap.get(task)
+        return self.per_task_cap
 
 
 class PairGenerator:
-    """Scans a cleaned corpus in deterministic order and emits the mixed
-    pair stream for all four tasks."""
+    """Walks a cleaned corpus in deterministic order and emits the mixed
+    pair stream for all four tasks.  `yields` counts, per task, the seeds
+    tried and the pairs their builder kept; under a pair_budget, kept also
+    counts the pairs mix_tasks had drawn ahead when the budget ran out."""
 
     def __init__(self, corpus: HyperlinkCorpus, sampler: AttentionSampler, config: TaskGenConfig):
         self.corpus = corpus
         self.sampler = sampler
         self.config = config
+        self.yields = {task: {"kept": 0, "tried": 0} for task in TASKS}
 
-    def rqp_stream(self) -> Iterator[PretrainPair]:
-        for page in self.corpus.iter_pages():
-            for sent in page.sentences:
-                for a_idx, anchor in enumerate(sent.anchors):
-                    seed_path = f"rqp/{page.id}/{sent.index}/{a_idx}"
-                    pair = build_rqp_pair(
-                        sent,
-                        anchor,
-                        self.corpus,
-                        self.sampler,
-                        derive_rng(self.config.seed, seed_path),
-                        lam=self.config.lam,
-                        summary_max_tokens=self.config.summary_max_tokens,
-                        seed_path=seed_path,
-                    )
-                    if pair is not None:
-                        yield pair
-
-    def qdm_stream(self) -> Iterator[PretrainPair]:
-        index = anchor_occurrence_index(self.corpus)
-        for surface in sorted(index):
-            seed_path = f"qdm/{surface}"
-            pair = build_qdm_pair(
-                surface,
-                index[surface],
-                self.corpus,
-                self.sampler,
-                derive_rng(self.config.seed, seed_path),
-                lam=self.config.lam,
-                seed_path=seed_path,
-            )
+    def _pairs(self, task: str, build, seeds: Iterable[tuple], **options) -> Iterator[PretrainPair]:
+        """One build per (seed_path, *args) seed, each drawing from its own
+        stream derive_rng(seed, seed_path), so caps and task mixing never
+        change another seed's pair."""
+        counts = self.yields[task]
+        for seed_path, *args in seeds:
+            counts["tried"] += 1
+            rng = derive_rng(self.config.seed, seed_path)
+            pair = build(*args, self.corpus, self.sampler, rng, seed_path=seed_path, **options)
             if pair is not None:
+                counts["kept"] += 1
                 yield pair
 
-    def rdp_stream(self) -> Iterator[PretrainPair]:
-        for page in self.corpus.iter_pages():
-            for sent in page.sentences:
-                seed_path = f"rdp/{page.id}/{sent.index}"
-                pair = build_rdp_pair(
-                    sent,
-                    self.corpus,
-                    self.sampler,
-                    derive_rng(self.config.seed, seed_path),
-                    seed_path=seed_path,
-                )
-                if pair is not None:
-                    yield pair
-
-    def acm_stream(self) -> Iterator[PretrainPair]:
-        for page in self.corpus.iter_pages():
-            for sent in page.sentences:
-                seed_path = f"acm/{page.id}/{sent.index}"
-                pair = build_acm_pair(
-                    sent,
-                    self.corpus,
-                    self.sampler,
-                    derive_rng(self.config.seed, seed_path),
-                    lam=self.config.lam,
-                    summary_max_tokens=self.config.summary_max_tokens,
-                    seed_path=seed_path,
-                )
-                if pair is not None:
-                    yield pair
-
     def generate(self) -> list[PretrainPair]:
-        streams: dict[str, Iterable[PretrainPair]] = {
-            TASK_RQP: self.rqp_stream(),
-            TASK_QDM: self.qdm_stream(),
-            TASK_RDP: self.rdp_stream(),
-            TASK_ACM: self.acm_stream(),
+        cfg = self.config
+        sentences = self.corpus.iter_sentences
+        index = anchor_occurrence_index(self.corpus)
+        options = {"lam": cfg.lam, "summary_max_tokens": cfg.summary_max_tokens}
+        # the builders are looked up here, not bound at import, so that a
+        # wrapper installed on this module's names sees every call
+        streams = {
+            TASK_RQP: self._pairs(TASK_RQP, build_rqp_pair, (
+                (f"rqp/{s.page_id}/{s.index}/{i}", s, a) for s in sentences() for i, a in enumerate(s.anchors)
+            ), **options),
+            TASK_QDM: self._pairs(TASK_QDM, build_qdm_pair, ((f"qdm/{k}", k, index[k]) for k in sorted(index)), lam=cfg.lam),
+            TASK_RDP: self._pairs(TASK_RDP, build_rdp_pair, ((f"rdp/{s.page_id}/{s.index}", s) for s in sentences())),
+            TASK_ACM: self._pairs(TASK_ACM, build_acm_pair, ((f"acm/{s.page_id}/{s.index}", s) for s in sentences()), **options),
         }
-        for task in list(streams):
-            cap = self.config.cap_for(task)
-            if cap is not None:
-                streams[task] = islice(streams[task], cap)
-        mixed = mix_tasks(streams, derive_rng(self.config.seed, "mix"))
-        pairs = list(mixed if self.config.pair_budget is None else islice(mixed, self.config.pair_budget))
+        capped = {task: islice(stream, cfg.cap_for(task)) for task, stream in streams.items()}
+        pairs = list(islice(mix_tasks(capped, derive_rng(cfg.seed, "mix")), cfg.pair_budget))
         log.info(
             "%d pairs; sampler: %d attention lookups, %d encoder forwards",
             len(pairs),

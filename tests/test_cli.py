@@ -74,13 +74,23 @@ class TestPipeline:
         assert main(["build-pairs", "--config", config_path]) == 0
         assert sha256(pairs) == first
 
-    def test_05_build_pairs_reports_sampler_work(self, config_path, capsys):
+    def test_05_build_pairs_reports_sampler_work(self, config_path, workdir, capsys):
         assert main(["build-pairs", "--config", config_path]) == 0
-        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("sampler:")]
+        out = capsys.readouterr().out.splitlines()
+        lines = [line for line in out if line.startswith("sampler:")]
         assert len(lines) == 1
         counts = re.fullmatch(r"sampler: (\d+) attention lookups, (\d+) encoder forwards", lines[0])
         lookups, forwards = map(int, counts.groups())
         assert 0 < forwards < lookups
+        lines = [line for line in out if line.startswith("kept/tried:")]
+        assert len(lines) == 1
+        assert re.fullmatch(r"kept/tried: rqp \d+/\d+, qdm \d+/\d+, rdp \d+/\d+, acm \d+/\d+", lines[0])
+        printed = {t: {"kept": int(k), "tried": int(n)} for t, k, n in re.findall(r"(\w+) (\d+)/(\d+)", lines[0])}
+        yields = json.loads((workdir / "pairs.jsonl.meta.json").read_text())["yields"]
+        assert yields == printed
+        assert all(y["kept"] <= y["tried"] for y in yields.values())
+        lines = (workdir / "pairs.jsonl").read_text().splitlines()
+        assert sum(y["kept"] for y in yields.values()) == len(lines)
 
     def test_06_pretrain(self, config_path, workdir):
         assert main(["pretrain", "--config", config_path]) == 0
@@ -264,6 +274,17 @@ class TestConfigFile:
         assert len(errors) == 1
         assert str(path) in errors[0] and f" {key} must be " in errors[0]
         assert not (tmp_path / "w").exists()
+
+    def test_bad_build_pairs_limit_is_one_error_before_any_input(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(
+            {"seed": 1, "profile": "full", "taskgen": {"per_task_cap": {"rdp": -1}, "pair_budget": -3}}
+        ))
+        out = tmp_path / "pairs.jsonl"
+        assert main(["build-pairs", "--config", str(path), "--workdir", str(tmp_path), "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: per_task_cap.rdp must be an integer >= 0, got -1"]
+        assert not out.exists()
 
     def test_int_for_float_and_null_for_a_limit_are_accepted(self, tmp_path):
         import argparse

@@ -331,6 +331,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="max_steps"):
             TrainConfig(max_steps=-3)
 
+    @pytest.mark.parametrize("value", [-5, 0, 2.5])
+    def test_bad_summary_max_tokens_rejected(self, value):
+        with pytest.raises(ValueError, match=f"summary_max_tokens must be an integer >= 1, got {value}"):
+            TrainConfig(summary_max_tokens=value)
+
     def test_unknown_task_weight_rejected(self):
         with pytest.raises(ValueError, match="task_weights keys \\['rqq'\\]"):
             TrainConfig(task_weights={"rqp": 1.0, "rqq": 0.5})

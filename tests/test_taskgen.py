@@ -4,6 +4,7 @@ import pytest
 from anchorrank.corpus import Vocabulary, anchor_occurrence_index, build_vocab, tokenize
 from anchorrank.sampler import default_stopwords, poisson_length
 from anchorrank.taskgen import (
+    TASKS,
     PairGenerator,
     PretrainPair,
     TaskGenConfig,
@@ -224,11 +225,57 @@ class TestGenerator:
             if p.task == "rqp":
                 assert p.provenance["page_id"] != p.pos_doc_id
 
+    def test_every_pair_rebuilds_from_its_own_seed_path(self, corpus):
+        # one stream per seed: the seed path alone fixes the pair, whatever
+        # the caps, the mixing or the other tasks drew
+        sampler = make_sampler(corpus)
+        cfg = TaskGenConfig(lam=3.0, summary_max_tokens=64, seed=11)
+        pairs = PairGenerator(corpus, sampler, cfg).generate()
+        index = anchor_occurrence_index(corpus)
+        options = {"lam": cfg.lam, "summary_max_tokens": cfg.summary_max_tokens}
+        for pair in pairs:
+            task, _, rest = pair.seed_path.partition("/")
+            assert task == pair.task
+            rng = derive_rng(cfg.seed, pair.seed_path)
+            if task == "qdm":
+                rebuilt = build_qdm_pair(rest, index[rest], corpus, sampler, rng, lam=cfg.lam, seed_path=pair.seed_path)
+            elif task == "rqp":
+                page_id, sentence, anchor = rest.rsplit("/", 2)
+                sent = corpus.pages[page_id].sentences[int(sentence)]
+                rebuilt = build_rqp_pair(sent, sent.anchors[int(anchor)], corpus, sampler, rng,
+                                         seed_path=pair.seed_path, **options)
+            else:
+                page_id, sentence = rest.rsplit("/", 1)
+                sent = corpus.pages[page_id].sentences[int(sentence)]
+                if task == "rdp":
+                    rebuilt = build_rdp_pair(sent, corpus, sampler, rng, seed_path=pair.seed_path)
+                else:
+                    rebuilt = build_acm_pair(sent, corpus, sampler, rng, seed_path=pair.seed_path, **options)
+            assert rebuilt == pair, pair.seed_path
+        assert {p.task for p in pairs} == set(TASKS)
+
+    def test_yields_count_every_seed_tried_and_pair_kept(self, corpus):
+        sampler = make_sampler(corpus)
+        gen = PairGenerator(corpus, sampler, TaskGenConfig(seed=0))
+        pairs = gen.generate()
+        anchors = sum(len(s.anchors) for s in corpus.iter_sentences())
+        sentences = sum(1 for _ in corpus.iter_sentences())
+        tried = {"rqp": anchors, "qdm": len(anchor_occurrence_index(corpus)), "rdp": sentences, "acm": sentences}
+        for t in TASKS:
+            assert gen.yields[t] == {"kept": sum(1 for p in pairs if p.task == t), "tried": tried[t]}
+
     def test_per_task_cap(self, corpus):
         sampler = make_sampler(corpus)
         pairs = PairGenerator(corpus, sampler, TaskGenConfig(seed=0, per_task_cap=1)).generate()
         for t in ("rqp", "qdm", "rdp", "acm"):
             assert sum(1 for p in pairs if p.task == t) <= 1
+
+    def test_cap_of_zero_turns_a_task_off(self, corpus):
+        sampler = make_sampler(corpus)
+        gen = PairGenerator(corpus, sampler, TaskGenConfig(seed=0, per_task_cap={"rqp": 0}))
+        pairs = gen.generate()
+        assert "rqp" not in {p.task for p in pairs} and pairs
+        assert gen.yields["rqp"] == {"kept": 0, "tried": 0}
 
     def test_pairs_file_round_trip(self, corpus, tmp_path):
         sampler = make_sampler(corpus)
@@ -279,6 +326,22 @@ class TestTaskGenConfig:
     def test_unknown_per_task_cap_key_rejected(self):
         with pytest.raises(ValueError, match="per_task_cap keys \\['rdpp'\\]"):
             TaskGenConfig(per_task_cap={"rdp": 3, "rdpp": 3})
+
+    @pytest.mark.parametrize("field, value, key, minimum", [
+        ("per_task_cap", {"rdp": -1}, "per_task_cap.rdp", 0),
+        ("per_task_cap", {"rdp": 2.5}, "per_task_cap.rdp", 0),
+        ("per_task_cap", {"acm": True}, "per_task_cap.acm", 0),
+        ("per_task_cap", -1, "per_task_cap", 0),
+        ("pair_budget", -3, "pair_budget", 1),
+        ("pair_budget", 0, "pair_budget", 1),
+        ("summary_max_tokens", -5, "summary_max_tokens", 1),
+        ("summary_max_tokens", 0, "summary_max_tokens", 1),
+    ])
+    def test_bad_limit_rejected_naming_key_and_value(self, field, value, key, minimum):
+        bad = value[key.rpartition(".")[2]] if isinstance(value, dict) else value
+        with pytest.raises(ValueError) as info:
+            TaskGenConfig(**{field: value})
+        assert str(info.value) == f"{key} must be an integer >= {minimum}, got {bad!r}"
 
     def test_non_positive_lam_rejected(self):
         with pytest.raises(ValueError, match="lam must be positive"):
