@@ -8,7 +8,7 @@ float64 where the gradient checks pass float64 params.
 from anchorrank.encoder.adam import AdamState, adam_step
 from anchorrank.encoder.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from anchorrank.encoder.config import EncoderConfig
-from anchorrank.encoder.model import EncoderGraph, attention_map, cls_score, cls_scores
+from anchorrank.encoder.model import STACK_TOKENS, EncoderGraph, Workspace, attention_map, cls_score, cls_scores
 from anchorrank.encoder.params import init_params, param_shapes, zero_grads
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "CheckpointError",
     "EncoderConfig",
     "EncoderGraph",
+    "STACK_TOKENS",
     "attention_map",
     "cls_score",
     "cls_scores",
@@ -25,5 +26,6 @@ __all__ = [
     "load_checkpoint",
     "param_shapes",
     "save_checkpoint",
+    "Workspace",
     "zero_grads",
 ]

@@ -1,6 +1,8 @@
 """Encoder forward graph: embeddings + post-norm transformer layers, with
 attention map extraction, CLS scoring and MLM heads, and an exact analytic
-backward pass; plus two forward-only paths that share the same layer code:
+backward pass, over one sequence or a stack of equal-length sequences,
+optionally in a Workspace's reused buffers; plus two forward-only paths
+that share the same layer code:
 a [CLS] scorer for inference, over one sequence or a stack of equal-length
 sequences, and the last layer's attention map for the sampler.
 
@@ -66,7 +68,9 @@ def _output_rows(outputs, n: int):
     else the sorted distinct positions of outputs."""
     if outputs is None:
         return ALL_ROWS
-    rows = np.unique(np.asarray(outputs, dtype=np.int64).reshape(-1))
+    rows = np.asarray(outputs, dtype=np.int64).reshape(-1)
+    if rows.size > 1:  # one position is sorted and distinct already
+        rows = np.unique(rows)
     if rows.size == 0:
         raise ValueError("outputs must name at least one position")
     if rows[0] < 0 or rows[-1] >= n:
@@ -74,34 +78,51 @@ def _output_rows(outputs, n: int):
     return rows
 
 
-def _embed(params, token_ids, segment_ids):
+def _embed(params, token_ids, segment_ids, new=None, tmp=None):
     """Layer-normed token + position + segment embeddings of (..., n) ids;
     (out (..., n, hidden), ln cache)."""
     n = token_ids.shape[-1]
-    e = params["tok_emb"][token_ids]
+    tok_emb = params["tok_emb"]
+    shape = token_ids.shape + tok_emb.shape[1:]
+    # the ids are checked, so "clip" clips nothing; it spares np.take the
+    # buffered copy it makes for out= under the default "raise"
+    e = np.take(tok_emb, token_ids, axis=0, out=tmp and tmp(shape, tok_emb.dtype), mode="clip")
     e += params["pos_emb"][:n]
-    e += params["seg_emb"][segment_ids]
-    return lyr.layer_norm(e, params["emb_ln_g"], params["emb_ln_b"])
+    e += np.take(params["seg_emb"], segment_ids, axis=0, out=new and new(shape, tok_emb.dtype), mode="clip")
+    return lyr.layer_norm(e, params["emb_ln_g"], params["emb_ln_b"], new)
 
 
-def _attention(params, config: EncoderConfig, i: int, x, xq) -> dict:
+def _split_heads(x, heads: int):
+    """(..., m, heads * head_dim) -> a (..., heads, m, head_dim) view."""
+    return x.reshape(x.shape[:-1] + (heads, -1)).swapaxes(-2, -3)
+
+
+def _merge_heads(xh, new):
+    """(..., heads, m, head_dim) -> (..., m, heads * head_dim), copied."""
+    heads, m, head_dim = xh.shape[-3:]
+    if new is None:
+        return xh.swapaxes(-2, -3).reshape(xh.shape[:-3] + (m, heads * head_dim))
+    out = new(xh.shape[:-3] + (m, heads * head_dim), xh.dtype)
+    np.copyto(out.reshape(xh.shape[:-3] + (m, heads, head_dim)), xh.swapaxes(-2, -3))
+    return out
+
+
+def _attention(params, config: EncoderConfig, i: int, x, xq, new=None, tmp=None) -> dict:
     """Layer i's attention probabilities, queries from xq (..., m, hidden)
     and keys from every row of x (..., n, hidden).  Returns the layer-cache
     entries it computes: the Q and K linear caches, their per-head splits
     qh and kh, and probs (..., heads, m, n)."""
     pre = f"layer{i}."
-    heads, head_dim = config.heads, config.head_dim
-    q, q_cache = lyr.linear(xq, params[pre + "wq"], params[pre + "bq"])
-    k, k_cache = lyr.linear(x, params[pre + "wk"], params[pre + "bk"])
-    qh = q.reshape(xq.shape[:-1] + (heads, head_dim)).swapaxes(-2, -3)
-    kh = k.reshape(x.shape[:-1] + (heads, head_dim)).swapaxes(-2, -3)
-    scores = qh @ kh.swapaxes(-1, -2)
-    scores *= 1.0 / math.sqrt(head_dim)
-    probs = lyr.softmax(scores)
+    q, q_cache = lyr.linear(xq, params[pre + "wq"], params[pre + "bq"], new)
+    k, k_cache = lyr.linear(x, params[pre + "wk"], params[pre + "bk"], new)
+    qh, kh = _split_heads(q, config.heads), _split_heads(k, config.heads)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2), out=tmp and tmp(qh.shape[:-1] + kh.shape[-2:-1], qh.dtype))
+    scores *= 1.0 / math.sqrt(config.head_dim)
+    probs = lyr.softmax(scores, -1, new)
     return {"q_cache": q_cache, "k_cache": k_cache, "qh": qh, "kh": kh, "probs": probs}
 
 
-def _layer(params, config: EncoderConfig, i: int, x, rows):
+def _layer(params, config: EncoderConfig, i: int, x, rows, new=None, tmp=None):
     """Post-norm transformer layer i over x (..., n, hidden): one sequence,
     or a leading stack axis of equal-length sequences.
 
@@ -111,23 +132,24 @@ def _layer(params, config: EncoderConfig, i: int, x, rows):
     runs per sequence, so a sequence's output is bitwise the same in a
     stack as alone.  Returns (out, cache); the cache holds what
     EncoderGraph.backward needs, including rows and the attention
-    probabilities (..., heads, len(rows), n).
+    probabilities (..., heads, len(rows), n).  What the cache does not
+    hold (the attention scores and context, the two residual sums) is
+    made in tmp.
     """
     pre = f"layer{i}."
     xq = x[..., rows, :]
-    cache = _attention(params, config, i, x, xq)
-    v, v_cache = lyr.linear(x, params[pre + "wv"], params[pre + "bv"])
-    vh = v.reshape(x.shape[:-1] + (config.heads, config.head_dim)).swapaxes(-2, -3)
-    ctx = cache["probs"] @ vh
-    merged = ctx.swapaxes(-2, -3).reshape(xq.shape[:-1] + (config.hidden,))
-    attn_out, o_cache = lyr.linear(merged, params[pre + "wo"], params[pre + "bo"])
+    cache = _attention(params, config, i, x, xq, new, tmp)
+    v, v_cache = lyr.linear(x, params[pre + "wv"], params[pre + "bv"], new)
+    vh = _split_heads(v, config.heads)
+    ctx = np.matmul(cache["probs"], vh, out=tmp and tmp(cache["probs"].shape[:-1] + vh.shape[-1:], vh.dtype))
+    attn_out, o_cache = lyr.linear(_merge_heads(ctx, new), params[pre + "wo"], params[pre + "bo"], tmp)
     attn_out += xq
-    h1, ln1_cache = lyr.layer_norm(attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])
-    f_pre, f1_cache = lyr.linear(h1, params[pre + "w1"], params[pre + "b1"])
-    f_act, gelu_cache = lyr.gelu(f_pre)
-    ffn_out, f2_cache = lyr.linear(f_act, params[pre + "w2"], params[pre + "b2"])
+    h1, ln1_cache = lyr.layer_norm(attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"], new)
+    f_pre, f1_cache = lyr.linear(h1, params[pre + "w1"], params[pre + "b1"], new)
+    f_act, gelu_cache = lyr.gelu(f_pre, new)
+    ffn_out, f2_cache = lyr.linear(f_act, params[pre + "w2"], params[pre + "b2"], tmp)
     ffn_out += h1
-    out, ln2_cache = lyr.layer_norm(ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"])
+    out, ln2_cache = lyr.layer_norm(ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"], new)
     cache.update(
         rows=rows,
         v_cache=v_cache,
@@ -147,9 +169,20 @@ def _add_segment_rows(acc, segment_ids, d_rows) -> None:
     masked row sums.  Each sum starts from acc's row and goes down axis 0,
     which numpy adds row by row for more than one column: the same
     additions in the same order as np.add.at, so the same bits, at a
-    fraction of its cost."""
+    fraction of its cost.  A stack's rows are taken member by member."""
     for seg in (0, 1):
         acc[seg] = np.concatenate((acc[seg : seg + 1], d_rows[segment_ids == seg])).sum(axis=0)
+
+
+def _add_members(acc, grad) -> None:
+    """acc += grad, one sequence's gradient; or, for a stack's per-member
+    gradients (one more axis than acc), acc += each member's in turn: the
+    additions one graph per member would make."""
+    if grad.ndim == acc.ndim:
+        acc += grad
+        return
+    for member in grad:
+        acc += member
 
 
 def _cls_head(params, h_cls):
@@ -159,8 +192,54 @@ def _cls_head(params, h_cls):
     return c_act @ params["cls_w2"] + params["cls_b2"][0], c_act
 
 
+class Workspace:
+    """The arrays of one graph at a time, kept from one graph to the next.
+
+    A training step builds, scores and back-propagates a graph and drops
+    it.  A stack's arrays are large enough that, made fresh, the allocator
+    hands their pages back to the system after each step and faults them
+    in again in the next.  A graph built with a workspace takes the k-th
+    array it keeps from the workspace's k-th buffer (`new`), grown when a
+    later graph needs it larger, and every array it is done with before
+    it makes the next such one from one scratch buffer (`tmp`).  So a
+    step with the stack shapes of the last writes into the same memory.
+
+    A graph's arrays stay valid until the next graph claims the
+    workspace; backward() on the earlier graph is then an error.  The
+    memory goes with the workspace.
+    """
+
+    def __init__(self) -> None:
+        self._buffers = [np.empty(0)]  # [0] is the scratch buffer
+        self._next = 1
+        self.claims = 0
+
+    def claim(self) -> int:
+        """Start a graph in the buffers; returns its claim number."""
+        self._next = 1
+        self.claims += 1
+        return self.claims
+
+    def _view(self, i: int, shape, dtype) -> np.ndarray:
+        size = math.prod(shape)
+        if i == len(self._buffers):
+            self._buffers.append(np.empty(size, dtype))
+        buf = self._buffers[i]
+        if buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[i] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def new(self, shape, dtype) -> np.ndarray:
+        self._next += 1
+        return self._view(self._next - 1, shape, dtype)
+
+    def tmp(self, shape, dtype) -> np.ndarray:
+        return self._view(0, shape, dtype)
+
+
 class EncoderGraph:
-    """One recorded forward pass over a single sequence.
+    """One recorded forward pass over a single sequence (n,) or a stack of
+    equal-length sequences (B, n).
 
     Heads attach lazily via cls_score() / mlm_logits(); backward() then
     propagates the supplied upstream gradients through heads, layers and
@@ -168,26 +247,39 @@ class EncoderGraph:
     A graph is single-shot: backward() may only be called once.
 
     `outputs` names the positions whose last-layer states a head will
-    read; the last layer then runs, forward and backward, for those rows
-    only (keys and values still cover every row), and `hidden` holds
-    their states in ascending position order.  Gradients are exact for
-    any loss of those rows.  None keeps every row.
+    read, the same for every member; the last layer then runs, forward
+    and backward, for those rows only (keys and values still cover every
+    row), and `hidden` holds their states in ascending position order,
+    (rows, hidden) or (B, rows, hidden).  Gradients are exact for any loss
+    of those rows.  None keeps every row.
+
+    A stack runs the code of one sequence with a leading axis, and every
+    product and row reduction runs per member, so each member's states,
+    score and gradient are bitwise what a graph of that member alone
+    gives.  With a `workspace`, the graph computes in its buffers.
     """
 
-    def __init__(self, params, config: EncoderConfig, token_ids, segment_ids=None, outputs=None):
-        token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids)
+    def __init__(self, params, config: EncoderConfig, token_ids, segment_ids=None, outputs=None, workspace=None):
+        ndim = 2 if np.ndim(token_ids) == 2 else 1
+        token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids, ndim)
         self.params = params
         self.config = config
         self.token_ids = token_ids
         self.segment_ids = segment_ids
-        rows = _output_rows(outputs, token_ids.size)
+        rows = _output_rows(outputs, token_ids.shape[-1])
         self.outputs = None if outputs is None else rows
+        self._workspace = workspace
+        if workspace is None:
+            self._new = self._tmp = None
+        else:
+            self._claim = workspace.claim()
+            self._new, self._tmp = workspace.new, workspace.tmp
 
-        h, self._emb_ln_cache = _embed(params, token_ids, segment_ids)
+        h, self._emb_ln_cache = _embed(params, token_ids, segment_ids, self._new, self._tmp)
         self._layer_caches: list[dict] = []
         last = config.layers - 1
         for i in range(config.layers):
-            h, cache = _layer(params, config, i, h, rows if i == last else ALL_ROWS)
+            h, cache = _layer(params, config, i, h, rows if i == last else ALL_ROWS, self._new, self._tmp)
             self._layer_caches.append(cache)
 
         self.hidden = h
@@ -198,26 +290,34 @@ class EncoderGraph:
 
     @property
     def attention(self) -> np.ndarray:
-        """Attention probabilities of every layer, (layers, heads, n, n);
-        stacked on request, since training never reads them."""
+        """Attention probabilities of every layer, (layers, heads, n, n), or
+        (layers, B, heads, n, n) for a stack; stacked on request, since
+        training never reads them."""
         if self.outputs is not None:
             raise ValueError("a graph with outputs has no full last-layer attention map")
         return np.stack([c["probs"] for c in self._layer_caches])
 
-    def cls_score(self) -> float:
-        """Two-layer tanh MLP over the [CLS] representation; unbounded."""
+    def cls_score(self):
+        """Two-layer tanh MLP over the [CLS] representation; unbounded.  A
+        float, or for a stack a list of floats in member order."""
         _require_leading_cls(self.token_ids)
         if self.outputs is not None and self.outputs[0] != 0:
             raise ValueError("cls_score needs position 0 among the graph's outputs")
         if self._cls_cache is None:
-            h_cls = self.hidden[0]
+            # the one-row slice (..., 1, hidden): the head's products then
+            # run per member, as for one sequence
+            h_cls = self.hidden[..., :1, :]
             score, c_act = _cls_head(self.params, h_cls)
-            self._cls_value = float(score)
-            self._cls_cache = (h_cls, c_act)
+            self._cls_value = score[..., 0].tolist()
+            width = self.config.hidden
+            self._cls_cache = (h_cls.reshape(-1, width), c_act.reshape(-1, width))
         return self._cls_value
 
     def mlm_logits(self, positions) -> np.ndarray:
-        """Vocabulary logits for each masked position; (len(positions), vocab)."""
+        """Vocabulary logits for each masked position of a single-sequence
+        graph; (len(positions), vocab)."""
+        if self.token_ids.ndim != 1:
+            raise ValueError("mlm_logits needs a single-sequence graph, not a stack")
         positions = np.asarray(positions, dtype=np.int64).reshape(-1)
         if positions.size and (positions.min() < 0 or positions.max() >= self.token_ids.size):
             raise ValueError("masked position out of range")
@@ -230,26 +330,43 @@ class EncoderGraph:
         self._mlm_cache = (rows, h_masked)
         return h_masked @ self.params["mlm_w"] + self.params["mlm_b"]
 
-    def backward(self, grads: dict[str, np.ndarray], d_score: float = 0.0, d_mlm_logits=None) -> None:
+    def backward(self, grads: dict[str, np.ndarray], d_score=0.0, d_mlm_logits=None) -> None:
         """Accumulate exact loss gradients into grads, given upstream
-        gradients for the attached heads."""
+        gradients for the attached heads; a stack's d_score is a sequence
+        of one float per member.
+
+        A stack's activation gradients run through all members at once;
+        each member's parameter-gradient contribution is then added into
+        grads in member order, so grads gets the bits that one graph per
+        member, back-propagated in turn, would give it."""
         if self._spent:
             raise RuntimeError("backward() already called on this graph")
+        if self._workspace is not None and self._workspace.claims != self._claim:
+            raise RuntimeError("a later graph has claimed this graph's workspace")
         self._spent = True
-        params = self.params
-        n = self.token_ids.size
-        d_hidden = np.zeros_like(self.hidden)
+        params, new, tmp = self.params, self._new, self._tmp
+        d_hidden = (new or np.empty)(self.hidden.shape, self.hidden.dtype)
+        d_hidden.fill(0.0)
 
-        if d_score != 0.0:
+        # member by member, with d a Python float that numpy casts to the
+        # params' dtype and one matrix-vector product per member: the
+        # operations of a single-sequence graph
+        d_scores = [d_score] if self.token_ids.ndim == 1 else list(d_score)
+        if self.token_ids.ndim == 2 and len(d_scores) != len(self.token_ids):
+            raise ValueError("d_score needs one value per member of the stack")
+        d_cls = d_hidden[..., 0, :].reshape(-1, self.config.hidden)
+        for b, d in enumerate(map(float, d_scores)):
+            if d == 0.0:
+                continue
             if self._cls_cache is None:
                 raise RuntimeError("cls_score() was never called on this graph")
-            h_cls, c_act = self._cls_cache
-            grads["cls_w2"] += d_score * c_act
-            grads["cls_b2"] += d_score
-            dc_pre = (d_score * params["cls_w2"]) * (1.0 - c_act * c_act)
+            h_cls, c_act = self._cls_cache[0][b], self._cls_cache[1][b]
+            grads["cls_w2"] += d * c_act
+            grads["cls_b2"] += d
+            dc_pre = (d * params["cls_w2"]) * (1.0 - c_act * c_act)
             grads["cls_w1"] += np.outer(h_cls, dc_pre)
             grads["cls_b1"] += dc_pre
-            d_hidden[0] += params["cls_w1"] @ dc_pre
+            d_cls[b] += params["cls_w1"] @ dc_pre
 
         if d_mlm_logits is not None:
             if self._mlm_cache is None:
@@ -262,59 +379,57 @@ class EncoderGraph:
             grads["mlm_b"] += d_logits.sum(axis=0)
             np.add.at(d_hidden, rows, d_logits @ params["mlm_w"].T)
 
-        heads, head_dim = self.config.heads, self.config.head_dim
-        scale = 1.0 / math.sqrt(head_dim)
+        scale = 1.0 / math.sqrt(self.config.head_dim)
         dout = d_hidden
         for i in reversed(range(self.config.layers)):
             c = self._layer_caches[i]
             pre = f"layer{i}."
-            dres2, dg, db = lyr.layer_norm_backward(dout, c["ln2_cache"])
-            grads[pre + "ln2_g"] += dg
-            grads[pre + "ln2_b"] += db
-            df_act, dw2, db2 = lyr.linear_backward(dres2, c["f2_cache"])
-            grads[pre + "w2"] += dw2
-            grads[pre + "b2"] += db2
-            df_pre = lyr.gelu_backward(df_act, c["gelu_cache"])
-            dh1_ffn, dw1, db1 = lyr.linear_backward(df_pre, c["f1_cache"])
-            grads[pre + "w1"] += dw1
-            grads[pre + "b1"] += db1
-            dh1 = dres2 + dh1_ffn
-            dres1, dg1, db1n = lyr.layer_norm_backward(dh1, c["ln1_cache"])
-            grads[pre + "ln1_g"] += dg1
-            grads[pre + "ln1_b"] += db1n
-            dmerged, dwo, dbo = lyr.linear_backward(dres1, c["o_cache"])
-            grads[pre + "wo"] += dwo
-            grads[pre + "bo"] += dbo
-            m = dmerged.shape[0]
-            dctx = dmerged.reshape(m, heads, head_dim).transpose(1, 0, 2)
-            dprobs = dctx @ c["vh"].transpose(0, 2, 1)
-            dvh = c["probs"].transpose(0, 2, 1) @ dctx
-            dscores = lyr.softmax_backward(dprobs, c["probs"]) * scale
-            dqh = dscores @ c["kh"]
-            dkh = dscores.transpose(0, 2, 1) @ c["qh"]
-            dq = dqh.transpose(1, 0, 2).reshape(m, -1)
-            dk = dkh.transpose(1, 0, 2).reshape(n, -1)
-            dv = dvh.transpose(1, 0, 2).reshape(n, -1)
-            dx_q, dwq, dbq = lyr.linear_backward(dq, c["q_cache"])
-            grads[pre + "wq"] += dwq
-            grads[pre + "bq"] += dbq
-            dx_k, dwk, dbk = lyr.linear_backward(dk, c["k_cache"])
-            grads[pre + "wk"] += dwk
-            grads[pre + "bk"] += dbk
-            dx_v, dwv, dbv = lyr.linear_backward(dv, c["v_cache"])
-            grads[pre + "wv"] += dwv
-            grads[pre + "bv"] += dbv
+            dres2 = self._layer_norm_backward(grads, pre + "ln2", dout, c["ln2_cache"])
+            df_act = self._linear_backward(grads, pre, "2", dres2, c["f2_cache"])
+            df_pre = lyr.gelu_backward(df_act, c["gelu_cache"], new, tmp)
+            dh1 = self._linear_backward(grads, pre, "1", df_pre, c["f1_cache"])
+            dh1 += dres2
+            dres1 = self._layer_norm_backward(grads, pre + "ln1", dh1, c["ln1_cache"])
+            dctx = _split_heads(self._linear_backward(grads, pre, "o", dres1, c["o_cache"]), self.config.heads)
+            qh, kh, vh, probs = c["qh"], c["kh"], c["vh"], c["probs"]
+            dprobs = np.matmul(dctx, vh.swapaxes(-1, -2), out=tmp and tmp(probs.shape, probs.dtype))
+            dscores = lyr.softmax_backward(dprobs, probs, -1, new)
+            dscores *= scale
+            # each per-head gradient is made in tmp and merged right away
+            dq = _merge_heads(np.matmul(dscores, kh, out=tmp and tmp(qh.shape, qh.dtype)), new)
+            dk = _merge_heads(np.matmul(dscores.swapaxes(-1, -2), qh, out=tmp and tmp(kh.shape, kh.dtype)), new)
+            dv = _merge_heads(np.matmul(probs.swapaxes(-1, -2), dctx, out=tmp and tmp(vh.shape, vh.dtype)), new)
+            dx_q = self._linear_backward(grads, pre, "q", dq, c["q_cache"])
+            dx_k = self._linear_backward(grads, pre, "k", dk, c["k_cache"])
+            dx_v = self._linear_backward(grads, pre, "v", dv, c["v_cache"])
             # the query rows' gradient lands on rows of dx_k; over all rows
             # this sums in the same order as dres1 + dx_q + dx_k + dx_v
-            dx_k[c["rows"]] += dres1 + dx_q
-            dout = dx_k + dx_v
+            dx_q += dres1
+            dx_k[..., c["rows"], :] += dx_q
+            dx_k += dx_v
+            dout = dx_k
 
-        de, dg, db = lyr.layer_norm_backward(dout, self._emb_ln_cache)
-        grads["emb_ln_g"] += dg
-        grads["emb_ln_b"] += db
+        de = self._layer_norm_backward(grads, "emb_ln", dout, self._emb_ln_cache)
+        # np.add.at and _add_segment_rows take a stack's rows in member order
         np.add.at(grads["tok_emb"], self.token_ids, de)
-        grads["pos_emb"][:n] += de
+        _add_members(grads["pos_emb"][: self.token_ids.shape[-1]], de)
         _add_segment_rows(grads["seg_emb"], self.segment_ids, de)
+
+    def _linear_backward(self, grads, pre: str, suffix: str, dout, cache):
+        """dx of a linear; its weight and bias gradients go into
+        grads[pre + "w" + suffix] and grads[pre + "b" + suffix]."""
+        dx, dw, db = lyr.linear_backward(dout, cache, self._new, self._tmp)
+        _add_members(grads[pre + "w" + suffix], dw)
+        _add_members(grads[pre + "b" + suffix], db)
+        return dx
+
+    def _layer_norm_backward(self, grads, name: str, dout, cache):
+        """dx of a layer norm; its gain and shift gradients go into
+        grads[name + "_g"] and grads[name + "_b"]."""
+        dx, dg, db = lyr.layer_norm_backward(dout, cache, self._new, self._tmp)
+        _add_members(grads[name + "_g"], dg)
+        _add_members(grads[name + "_b"], db)
+        return dx
 
 
 def _stack_scores(params, config, token_ids, segment_ids) -> np.ndarray:

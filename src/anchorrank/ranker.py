@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from anchorrank.corpus import HyperlinkCorpus, Vocabulary, numbered_lines, tokenize
-from anchorrank.encoder import EncoderConfig, EncoderGraph, cls_score, cls_scores, load_checkpoint, save_checkpoint
+from anchorrank.encoder import STACK_TOKENS, EncoderConfig, EncoderGraph, Workspace, cls_score, cls_scores, load_checkpoint, save_checkpoint
 from anchorrank.encoder import adam_step, zero_grads  # noqa: F401  (bench/perlayer.py wraps these two names here)
 from anchorrank.pretrain import Schedule, TrainError, pack_input, run_steps
 
@@ -97,6 +97,20 @@ def score(model: RankerModel, query_text: str, doc: DocRecord) -> float:
     return score_tokens(model, tokenize(query_text), document_text(doc))
 
 
+def _stacks(lengths: Sequence[int]):
+    """(start, stop) of each run of consecutive equal lengths, cut so that
+    a run holds at most STACK_TOKENS tokens (and at least one sequence)."""
+    start = 0
+    while start < len(lengths):
+        n = lengths[start]
+        stop = start + 1
+        limit = min(len(lengths), start + max(1, STACK_TOKENS // n))
+        while stop < limit and lengths[stop] == n:
+            stop += 1
+        yield start, stop
+        start = stop
+
+
 def finetune(
     model: RankerModel,
     examples: Sequence[RankingExample],
@@ -109,6 +123,12 @@ def finetune(
 
     The input model is left untouched; training happens on a copy, so the
     loaded checkpoint stays bitwise intact until the first step.
+
+    A step packs its batch, cuts it into runs of consecutive equal-length
+    packings of at most STACK_TOKENS tokens, and back-propagates one
+    stacked graph per run, in batch order: the same bits as one graph per
+    example.  The graphs compute in one Workspace, so every step with the
+    stack shapes of the last reuses its memory; it is dropped on return.
     """
     query_tokens: dict[str, list[str]] = {}
     for ex in examples:
@@ -123,16 +143,31 @@ def finetune(
         raise TrainError("no fine-tuning examples")
 
     params = {k: v.copy() for k, v in model.params.items()}
+    workspace = Workspace()
 
     def body(indices, grads):
+        batch = [examples[i] for i in indices]
+        packings = [
+            pack_input(query_tokens[ex.query_text], collection[ex.doc_id].tokens, model.vocab, config.max_len)
+            for ex in batch
+        ]
         loss = 0.0
-        for ex in [examples[i] for i in indices]:
-            packed = pack_input(query_tokens[ex.query_text], collection[ex.doc_id].tokens, model.vocab, config.max_len)
-            graph = EncoderGraph(params, model.config, packed.token_ids, packed.segment_ids, outputs=[0])
-            s = _sigmoid(graph.cls_score())
-            eps = 1e-12
-            loss += -(ex.label * math.log(s + eps) + (1 - ex.label) * math.log(1.0 - s + eps))
-            graph.backward(grads, d_score=(s - ex.label) / len(indices))
+        for start, stop in _stacks([len(p.token_ids) for p in packings]):
+            graph = EncoderGraph(
+                params,
+                model.config,
+                [p.token_ids for p in packings[start:stop]],
+                [p.segment_ids for p in packings[start:stop]],
+                outputs=[0],
+                workspace=workspace,
+            )
+            d_scores = []
+            for ex, logit in zip(batch[start:stop], graph.cls_score()):
+                s = _sigmoid(logit)
+                eps = 1e-12
+                loss += -(ex.label * math.log(s + eps) + (1 - ex.label) * math.log(1.0 - s + eps))
+                d_scores.append((s - ex.label) / len(indices))
+            graph.backward(grads, d_score=d_scores)
         return {"total": loss / len(indices)}
 
     _, step = run_steps(len(examples), config, "finetune", params, body, log, config.warmup)

@@ -353,8 +353,9 @@ class TaskGenConfig:
 class PairGenerator:
     """Walks a cleaned corpus in deterministic order and emits the mixed
     pair stream for all four tasks.  `yields` counts, per task, the seeds
-    tried and the pairs their builder kept; under a pair_budget, kept also
-    counts the pairs mix_tasks had drawn ahead when the budget ran out."""
+    tried and the pairs generate() returned; under a pair_budget, tried
+    also counts the seeds of pairs that mix_tasks drew ahead and the
+    budget then dropped."""
 
     def __init__(self, corpus: HyperlinkCorpus, sampler: AttentionSampler, config: TaskGenConfig):
         self.corpus = corpus
@@ -372,7 +373,6 @@ class PairGenerator:
             rng = derive_rng(self.config.seed, seed_path)
             pair = build(*args, self.corpus, self.sampler, rng, seed_path=seed_path, **options)
             if pair is not None:
-                counts["kept"] += 1
                 yield pair
 
     def generate(self) -> list[PretrainPair]:
@@ -392,6 +392,8 @@ class PairGenerator:
         }
         capped = {task: islice(stream, cfg.cap_for(task)) for task, stream in streams.items()}
         pairs = list(islice(mix_tasks(capped, derive_rng(cfg.seed, "mix")), cfg.pair_budget))
+        for pair in pairs:
+            self.yields[pair.task]["kept"] += 1
         log.info(
             "%d pairs; sampler: %d attention lookups, %d encoder forwards",
             len(pairs),

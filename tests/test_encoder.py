@@ -17,6 +17,7 @@ from anchorrank.encoder import (
     CheckpointError,
     EncoderConfig,
     EncoderGraph,
+    Workspace,
     adam_step,
     attention_map,
     cls_score,
@@ -655,6 +656,84 @@ class TestBackward:
     def test_mlm_uniform_logits_loss_is_log_vocab(self):
         logits = np.zeros((3, 57))
         assert abs(mlm_nll(logits, [4, 5, 6]) - np.log(57)) < 1e-9
+
+
+class TestStackedGraph:
+    """A stack of equal-length sequences is one graph whose scores and
+    gradients are, to the bit, those of its members run one by one."""
+
+    @staticmethod
+    def case(cfg, rng, b, n):
+        ids = rng.integers(0, cfg.vocab_size, (b, n))
+        ids[:, 0] = CLS_ID
+        return ids, rng.integers(0, 2, (b, n))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_bitwise_equal_to_members_one_by_one(self, dtype, layers):
+        cfg = EncoderConfig(layers=layers, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=48)
+        rng = np.random.default_rng(40 + layers)
+        p = as_dtype({k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}, dtype)
+        # gradients that start away from zero, so the order in which the
+        # members' contributions are added shows in the bits
+        start = as_dtype({k: rng.normal(0.0, 1.0, v.shape) for k, v in p.items()}, dtype)
+        workspace = Workspace()
+        for outputs in ([0], None):
+            for b in (1, 2, 8):
+                for n in (2, 48):
+                    ids, segs = self.case(cfg, rng, b, n)
+                    # Python floats, as a training step computes them; the
+                    # second member's is 0, so its head adds nothing
+                    d_scores = rng.normal(0.0, 1.0, b).tolist()
+                    if b > 1:
+                        d_scores[1] = 0.0
+                    want = {k: v.copy() for k, v in start.items()}
+                    want_scores = []
+                    for i in range(b):
+                        g = EncoderGraph(p, cfg, ids[i], segs[i], outputs=outputs)
+                        want_scores.append(g.cls_score())
+                        g.backward(want, d_score=d_scores[i])
+                    for ws in (None, workspace):
+                        got = {k: v.copy() for k, v in start.items()}
+                        g = EncoderGraph(p, cfg, ids, segs, outputs=outputs, workspace=ws)
+                        assert g.cls_score() == want_scores, (outputs, b, n)
+                        g.backward(got, d_score=d_scores)
+                        for k in want:
+                            _assert_bitwise(got[k], want[k])
+
+    def test_states_and_attention_are_the_members(self, params):
+        rng = np.random.default_rng(3)
+        ids, segs = self.case(CFG, rng, 3, 9)
+        g = EncoderGraph(params, CFG, ids, segs)
+        assert g.hidden.shape == (3, 9, CFG.hidden)
+        assert g.attention.shape == (CFG.layers, 3, CFG.heads, 9, 9)
+        for i in range(3):
+            one = EncoderGraph(params, CFG, ids[i], segs[i])
+            _assert_bitwise(g.hidden[i], one.hidden)
+            _assert_bitwise(g.attention[:, i], one.attention)
+
+    def test_stack_rejects_mlm_logits(self, params):
+        ids, segs = self.case(CFG, np.random.default_rng(4), 2, 5)
+        g = EncoderGraph(params, CFG, ids, segs, outputs=[0, 2])
+        with pytest.raises(ValueError, match="single-sequence"):
+            g.mlm_logits([2])
+
+    def test_d_score_needs_one_value_per_member(self, params):
+        ids, segs = self.case(CFG, np.random.default_rng(5), 3, 5)
+        g = EncoderGraph(params, CFG, ids, segs, outputs=[0])
+        g.cls_score()
+        with pytest.raises(ValueError, match="one value per member"):
+            g.backward(zero_grads(params), d_score=[0.1, 0.2])
+
+    def test_workspace_serves_one_graph_at_a_time(self, params):
+        rng = np.random.default_rng(6)
+        workspace = Workspace()
+        first = EncoderGraph(params, CFG, *self.case(CFG, rng, 2, 5), outputs=[0], workspace=workspace)
+        first.cls_score()
+        second = EncoderGraph(params, CFG, *self.case(CFG, rng, 2, 5), outputs=[0], workspace=workspace)
+        assert np.shares_memory(first.hidden, second.hidden)
+        with pytest.raises(RuntimeError, match="later graph"):
+            first.backward(zero_grads(params), d_score=[0.1, 0.2])
 
 
 class TestAdam:

@@ -1,14 +1,16 @@
 import logging
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from anchorrank import ranker
 from anchorrank.corpus import build_vocab, tokenize
-from anchorrank.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
-from anchorrank.pretrain import TrainError, pack_input
+from anchorrank.encoder import EncoderConfig, EncoderGraph, init_params, load_checkpoint, save_checkpoint
+from anchorrank.encoder import layers as layers_module
+from anchorrank.pretrain import TrainError, pack_input, run_steps
 from anchorrank.ranker import (
     DocRecord,
     FinetuneConfig,
@@ -30,9 +32,9 @@ from anchorrank.ranker import (
 )
 from util import encode
 
-def make_model(corpus, seed=0, zero_head=False):
+def make_model(corpus, seed=0, zero_head=False, layers=1):
     vocab = build_vocab(corpus, max_size=300)
-    cfg = EncoderConfig(layers=1, heads=2, hidden=32, ffn_dim=64, vocab_size=len(vocab), max_len=48)
+    cfg = EncoderConfig(layers=layers, heads=2, hidden=32, ffn_dim=64, vocab_size=len(vocab), max_len=48)
     params = init_params(cfg, seed=seed)
     if zero_head:
         params["cls_w2"][:] = 0.0
@@ -326,6 +328,114 @@ class TestStackedRerank:
                 tracemalloc.stop()
 
         assert peak(30) <= 1.25 * peak(8)
+
+
+def per_example_finetune(model, examples, collection, config):
+    """The fine-tuning loop of one graph per example, in batch order: what
+    finetune's stacked step must equal to the bit."""
+    params = {k: v.copy() for k, v in model.params.items()}
+
+    def body(indices, grads):
+        loss = 0.0
+        for ex in [examples[i] for i in indices]:
+            packed = pack_input(tokenize(ex.query_text), collection[ex.doc_id].tokens, model.vocab, config.max_len)
+            graph = EncoderGraph(params, model.config, packed.token_ids, packed.segment_ids, outputs=[0])
+            s = ranker._sigmoid(graph.cls_score())
+            loss += -(ex.label * math.log(s + 1e-12) + (1 - ex.label) * math.log(1.0 - s + 1e-12))
+            graph.backward(grads, d_score=(s - ex.label) / len(indices))
+        return {"total": loss / len(indices)}
+
+    run_steps(len(examples), config, "finetune", params, body, logging.getLogger("reference"), config.warmup)
+    return params
+
+
+class RecordingGraph(EncoderGraph):
+    """EncoderGraph that keeps the shape of every stack it is built on."""
+
+    shapes: list = []
+
+    def __init__(self, params, config, token_ids, *args, **kwargs):
+        super().__init__(params, config, token_ids, *args, **kwargs)
+        RecordingGraph.shapes.append(self.token_ids.shape)
+
+
+class TestStackedFinetune:
+    QUERIES = ["technology company", "orchard fruit", "water"]
+
+    @pytest.mark.parametrize("stack_tokens", [ranker.STACK_TOKENS, 100])
+    def test_mixed_lengths_match_the_per_example_loop(self, corpus, monkeypatch, stack_tokens):
+        # three queries of different lengths against ten documents that
+        # fill max_len and one short one: batches hold runs of several
+        # lengths, and a stack budget of 100 tokens cuts the 48-token runs
+        model = make_model(corpus, seed=2, layers=2)
+        collection = stack_collection(corpus)
+        docs = [f"long{i}" for i in range(10)] + ["short"] * 4
+        examples = [RankingExample(f"q{i % 3}", self.QUERIES[i % 3], d, int(i % 4 == 0)) for i, d in enumerate(docs)]
+        cfg = FinetuneConfig(lr=1e-3, epochs=3, batch_size=6, max_len=48, seed=4)
+        monkeypatch.setattr(ranker, "STACK_TOKENS", stack_tokens)
+        monkeypatch.setattr(ranker, "EncoderGraph", RecordingGraph)
+        monkeypatch.setattr(RecordingGraph, "shapes", [])
+        tuned = finetune(model, examples, collection, cfg)
+        want = per_example_finetune(model, examples, collection, cfg)
+        for k in want:
+            assert tuned.params[k].tobytes() == want[k].tobytes(), k
+        shapes = RecordingGraph.shapes
+        assert len({n for _, n in shapes}) >= 3 and max(b for b, _ in shapes) > 1
+        assert len(shapes) > 9  # more stacks than the 9 steps
+        assert all(b * n <= stack_tokens or b == 1 for b, n in shapes)
+
+    def test_consecutive_steps_compute_in_the_same_buffers(self, corpus, monkeypatch):
+        # every stack-sized array a layer primitive returns in the second
+        # step lies in the memory of its counterpart in the first
+        model = make_model(corpus, layers=2)
+        collection = stack_collection(corpus)
+        examples = [RankingExample("q", "technology company", f"long{i}", i % 2) for i in range(8)]
+        stack_size = 4 * 48 * model.config.hidden
+        steps = []
+
+        def arrays(tree):
+            if isinstance(tree, np.ndarray):
+                yield tree
+            elif isinstance(tree, tuple):
+                for t in tree:
+                    yield from arrays(t)
+
+        def recording(f):
+            def wrapped(*args):
+                out = f(*args)
+                steps[-1].extend(a for a in arrays(out) if a.shape[0] == 4 and a.size >= stack_size)
+                return out
+
+            return wrapped
+
+        for name in ("linear", "layer_norm", "gelu", "softmax"):
+            for fn in (name, name + "_backward"):
+                monkeypatch.setattr(layers_module, fn, recording(getattr(layers_module, fn)))
+
+        class StepGraph(EncoderGraph):
+            def __init__(self, *args, **kwargs):
+                steps.append([])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ranker, "EncoderGraph", StepGraph)
+        finetune(model, examples, collection, FinetuneConfig(lr=1e-3, epochs=1, batch_size=4, max_len=48))
+        first, second = steps
+        assert len(first) == len(second) > 20
+        assert all(np.shares_memory(a, b) for a, b in zip(first, second))
+
+    def test_buffers_released_on_return(self, corpus, monkeypatch):
+        made = []
+
+        class Recording(ranker.Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(ranker, "Workspace", Recording)
+        collection = stack_collection(corpus)
+        examples = [RankingExample("q", "technology company", f"long{i}", i % 2) for i in range(4)]
+        finetune(make_model(corpus), examples, collection, FinetuneConfig(lr=1e-3, epochs=1, batch_size=4, max_len=48))
+        assert len(made) == 1 and made[0]() is None
 
 
 class TestModelIO:

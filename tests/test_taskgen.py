@@ -264,6 +264,16 @@ class TestGenerator:
         for t in TASKS:
             assert gen.yields[t] == {"kept": sum(1 for p in pairs if p.task == t), "tried": tried[t]}
 
+    def test_yields_under_a_pair_budget_count_only_returned_pairs(self, corpus):
+        # mix_tasks draws one pair ahead per task; the budget drops those,
+        # and kept must not count them
+        gen = PairGenerator(corpus, make_sampler(corpus), TaskGenConfig(seed=0, pair_budget=3))
+        pairs = gen.generate()
+        assert len(pairs) == 3
+        for t in TASKS:
+            assert gen.yields[t]["kept"] == sum(1 for p in pairs if p.task == t)
+            assert gen.yields[t]["kept"] <= gen.yields[t]["tried"]
+
     def test_per_task_cap(self, corpus):
         sampler = make_sampler(corpus)
         pairs = PairGenerator(corpus, sampler, TaskGenConfig(seed=0, per_task_cap=1)).generate()
