@@ -255,7 +255,7 @@ def cmd_ingest(args, cfg: dict) -> int:
     vocab = build_vocab(cleaned, max_size=cfg["corpus"]["vocab_size"])
     clean_path = output_path(cfg, "corpus_clean", args.out)
     write_corpus(cleaned, clean_path)
-    vocab_path = resolve_path(cfg, "vocab")
+    vocab_path = output_path(cfg, "vocab")
     vocab.save(vocab_path)
     write_sidecar(clean_path, "ingest", cfg)
     print(f"cleaned corpus: {cleaned.counts()} -> {clean_path}")
@@ -302,7 +302,7 @@ def cmd_pretrain(args, cfg: dict) -> int:
     tcfg = train_config(cfg["pretrain"], cfg)
     init = load_checkpoint(Path(args.init), expected_config=enc).params if args.init else None
     out = output_path(cfg, "pretrain_ckpt", args.out)
-    metrics_path = resolve_path(cfg, "pretrain_metrics")
+    metrics_path = output_path(cfg, "pretrain_metrics")
     meta = {"seed": cfg["seed"], "command": "pretrain"}
     train(pairs, corpus, enc, tcfg, vocab, init=init, checkpoint_path=out, metrics_path=metrics_path, extra_meta=meta)
     print(f"pre-trained checkpoint -> {out}")

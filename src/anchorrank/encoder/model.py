@@ -1,10 +1,10 @@
 """Encoder forward graph: embeddings + post-norm transformer layers, with
 attention map extraction, CLS scoring and MLM heads, and an exact analytic
 backward pass, over one sequence or a stack of equal-length sequences,
-optionally in a Workspace's reused buffers; plus two forward-only paths
-that share the same layer code:
-a [CLS] scorer for inference, over one sequence or a stack of equal-length
-sequences, and the last layer's attention map for the sampler.
+optionally in a Workspace's reused buffers.  cls_scores scores packings
+through the graph, one stack at a time; attention_map is the one
+forward-only path of its own, the last layer's attention map for the
+sampler, and shares the same layer code.
 
 Every path computes in the params' dtype: float32 for the pipeline, whose
 params come from init_params or load_checkpoint, and float64 for the
@@ -21,17 +21,31 @@ from anchorrank.encoder import layers as lyr
 from anchorrank.encoder.config import EncoderConfig
 
 
-# Query-row selections for _layer: a basic slice is a view, so the all-rows
-# case computes exactly what a layer over the whole sequence computes.
+# The query-row selection of _layer for every row: a basic slice is a view,
+# so it computes exactly what a layer over the whole sequence computes.
 ALL_ROWS = slice(None)
-CLS_ROW = slice(0, 1)
 
-# Tokens per stacked forward in cls_scores: 8 sequences at max_len 48,
-# one at 512.  A stack shares each layer's Python and numpy dispatch among
-# its sequences, but its temporaries and peak memory grow with it; on the
-# toy rerank benchmark 6-8 sequences of 48 tokens scored fastest, and an
-# uncapped stack of 30 raised peak RSS by about 14%.
+# Tokens per stack (stack_runs), in cls_scores and in fine-tuning: 8
+# sequences at max_len 48, one at 512.  A stack shares each layer's Python
+# and numpy dispatch among its sequences, but its temporaries and peak
+# memory grow with it; on the toy rerank benchmark 6-8 sequences of 48
+# tokens scored fastest, and an uncapped stack of 30 raised peak RSS by
+# about 14%.
 STACK_TOKENS = 384
+
+
+def stack_runs(lengths):
+    """(start, stop) of each run of consecutive equal lengths, cut so that
+    a run holds at most STACK_TOKENS tokens (and at least one sequence)."""
+    start = 0
+    while start < len(lengths):
+        n = lengths[start]
+        stop = start + 1
+        limit = min(len(lengths), start + max(1, STACK_TOKENS // max(n, 1)))
+        while stop < limit and lengths[stop] == n:
+            stop += 1
+        yield start, stop
+        start = stop
 
 
 def _check_inputs(config: EncoderConfig, token_ids, segment_ids, ndim=1):
@@ -48,7 +62,10 @@ def _check_inputs(config: EncoderConfig, token_ids, segment_ids, ndim=1):
     if segment_ids is None:
         segment_ids = np.zeros(token_ids.shape, dtype=np.int64)
     else:
-        segment_ids = np.asarray(segment_ids, dtype=np.int64)
+        try:
+            segment_ids = np.asarray(segment_ids, dtype=np.int64)
+        except ValueError:  # a stack's rows of unequal lengths
+            segment_ids = np.empty(0, dtype=np.int64)
         if segment_ids.shape != token_ids.shape:
             raise ValueError("segment_ids must align with token_ids")
         if segment_ids.min() < 0 or segment_ids.max() > 1:
@@ -260,8 +277,8 @@ class EncoderGraph:
     """
 
     def __init__(self, params, config: EncoderConfig, token_ids, segment_ids=None, outputs=None, workspace=None):
-        ndim = 2 if np.ndim(token_ids) == 2 else 1
-        token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids, ndim)
+        token_ids = np.asarray(token_ids, dtype=np.int64)  # once: a stack is a list of arrays
+        token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids, 2 if token_ids.ndim == 2 else 1)
         self.params = params
         self.config = config
         self.token_ids = token_ids
@@ -432,58 +449,27 @@ class EncoderGraph:
         return dx
 
 
-def _stack_scores(params, config, token_ids, segment_ids) -> np.ndarray:
-    """[CLS] scores of checked ids: a (B, n) stack gives (B,), one
-    sequence (n,) a 0-d array.  No backward caches are kept.
-
-    The last layer computes keys and values for every row but the rest of
-    the layer for the [CLS] row only, and the head reads each sequence's
-    one-row slice (..., 1, hidden): per sequence, the same BLAS calls as
-    EncoderGraph(..., outputs=[0]).cls_score(), so the same bits.
-    """
-    h, _ = _embed(params, token_ids, segment_ids)
-    last = config.layers - 1
-    for i in range(config.layers):
-        h, _ = _layer(params, config, i, h, CLS_ROW if i == last else ALL_ROWS)
-    return _cls_head(params, h)[0][..., 0]
-
-
-def cls_score(params, config, token_ids, segment_ids=None) -> float:
-    """Forward-only [CLS] score of one sequence: EncoderGraph(...,
-    outputs=[0]).cls_score(), bitwise, through cls_scores' body.
-
-    Its one-row last-layer products round differently from the all-rows
-    ones, so the score matches the full graph's to rounding (about 1e-16
-    in float64, 1e-8 in float32) rather than bitwise.
-    """
-    token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids)
-    _require_leading_cls(token_ids)
-    return float(_stack_scores(params, config, token_ids, segment_ids))
-
-
 def cls_scores(params, config, sequences) -> list[float]:
     """Forward-only [CLS] scores of (token_ids, segment_ids) pairs, in input
-    order, each bitwise cls_score's for its pair.  The pairs are grouped by
-    length and each group is scored in stacks of at most STACK_TOKENS
-    tokens, one forward per stack; every sequence is checked as cls_score
-    checks one."""
-    # keyed by both lengths, so a misaligned pair stacks apart and
-    # _check_inputs names it
-    by_length: dict[tuple[int, int], list[int]] = {}
-    for i, (token_ids, segment_ids) in enumerate(sequences):
-        by_length.setdefault((len(token_ids), len(segment_ids)), []).append(i)
+    order.  The pairs are sorted by length and cut by stack_runs; each
+    stack is one EncoderGraph(..., outputs=[0]), so every pair is checked,
+    and scored to the bit, as a graph of that pair alone."""
+    order = sorted(range(len(sequences)), key=lambda i: len(sequences[i][0]))
     scores = [0.0] * len(sequences)
-    for (n, _), members in by_length.items():
-        per_stack = max(1, STACK_TOKENS // max(n, 1))
-        for start in range(0, len(members), per_stack):
-            stack = members[start : start + per_stack]
-            token_ids, segment_ids = _check_inputs(
-                config, [sequences[i][0] for i in stack], [sequences[i][1] for i in stack], ndim=2
-            )
-            _require_leading_cls(token_ids)
-            for i, s in zip(stack, _stack_scores(params, config, token_ids, segment_ids).tolist()):
-                scores[i] = s
+    for start, stop in stack_runs([len(sequences[i][0]) for i in order]):
+        stack = order[start:stop]
+        for i, s in zip(stack, _stack_scores(params, config, [sequences[i] for i in stack])):
+            scores[i] = s
     return scores
+
+
+def _stack_scores(params, config, pairs) -> list[float]:
+    """The [CLS] scores of one stack of equal-length pairs.  Its graph dies
+    on return, before the next stack's is built: with two graphs alive the
+    allocator maps fresh pages for every stack, and the rerank benchmark
+    took 811k page faults against 15k and ran 19% slower."""
+    token_ids, segment_ids = zip(*pairs)
+    return EncoderGraph(params, config, token_ids, segment_ids, outputs=[0]).cls_score()
 
 
 def attention_map(params, config: EncoderConfig, token_ids) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from anchorrank.corpus import HyperlinkCorpus, Vocabulary, numbered_lines, tokenize
-from anchorrank.encoder import STACK_TOKENS, EncoderConfig, EncoderGraph, Workspace, cls_score, cls_scores, load_checkpoint, save_checkpoint
+from anchorrank.encoder import EncoderConfig, EncoderGraph, Workspace, cls_scores, load_checkpoint, save_checkpoint, stack_runs
 from anchorrank.encoder import adam_step, zero_grads  # noqa: F401  (bench/perlayer.py wraps these two names here)
 from anchorrank.pretrain import Schedule, TrainError, pack_input, run_steps
 
@@ -90,25 +90,11 @@ def score_tokens(model: RankerModel, query_tokens: Sequence[str], doc_tokens: Se
     """Relevance probability in (0, 1): logistic over the CLS score of the
     packed (query, document) sequence, bitwise what rerank gives it."""
     packed = pack_input(query_tokens, doc_tokens, model.vocab, model.config.max_len)
-    return _sigmoid(cls_score(model.params, model.config, packed.token_ids, packed.segment_ids))
+    return _sigmoid(cls_scores(model.params, model.config, [(packed.token_ids, packed.segment_ids)])[0])
 
 
 def score(model: RankerModel, query_text: str, doc: DocRecord) -> float:
     return score_tokens(model, tokenize(query_text), document_text(doc))
-
-
-def _stacks(lengths: Sequence[int]):
-    """(start, stop) of each run of consecutive equal lengths, cut so that
-    a run holds at most STACK_TOKENS tokens (and at least one sequence)."""
-    start = 0
-    while start < len(lengths):
-        n = lengths[start]
-        stop = start + 1
-        limit = min(len(lengths), start + max(1, STACK_TOKENS // n))
-        while stop < limit and lengths[stop] == n:
-            stop += 1
-        yield start, stop
-        start = stop
 
 
 def finetune(
@@ -125,10 +111,10 @@ def finetune(
     loaded checkpoint stays bitwise intact until the first step.
 
     A step packs its batch, cuts it into runs of consecutive equal-length
-    packings of at most STACK_TOKENS tokens, and back-propagates one
-    stacked graph per run, in batch order: the same bits as one graph per
-    example.  The graphs compute in one Workspace, so every step with the
-    stack shapes of the last reuses its memory; it is dropped on return.
+    packings (encoder.stack_runs), and back-propagates one stacked graph
+    per run, in batch order: the same bits as one graph per example.  The
+    graphs compute in one Workspace, so every step with the stack shapes
+    of the last reuses its memory; it is dropped on return.
     """
     query_tokens: dict[str, list[str]] = {}
     for ex in examples:
@@ -152,7 +138,7 @@ def finetune(
             for ex in batch
         ]
         loss = 0.0
-        for start, stop in _stacks([len(p.token_ids) for p in packings]):
+        for start, stop in stack_runs([len(p.token_ids) for p in packings]):
             graph = EncoderGraph(
                 params,
                 model.config,

@@ -63,6 +63,16 @@ class TestPipeline:
         assert (workdir / "clean.jsonl").exists()
         assert (workdir / "vocab.txt").exists()
 
+    def test_03_ingest_makes_the_vocab_directory(self, config_path, workdir, tmp_path):
+        cfg = json.loads(Path(config_path).read_text())
+        vocab = tmp_path / "w" / "sub" / "vocab.txt"
+        cfg["workdir"] = str(tmp_path)
+        cfg["paths"] = {"corpus": str(workdir / "corpus.jsonl"), "vocab": str(vocab)}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["ingest", "--config", str(path)]) == 0
+        assert vocab.read_text() == (workdir / "vocab.txt").read_text()
+
     def test_04_warm_sampler(self, config_path, workdir):
         assert main(["warm-sampler", "--config", config_path]) == 0
         assert (workdir / "sampler.ckpt").exists()
@@ -99,6 +109,17 @@ class TestPipeline:
         assert metrics
         record = json.loads(metrics[0])
         assert set(record["components"]) == {"rqp", "qdm", "rdp", "acm", "mlm"}
+
+    def test_06_pretrain_makes_the_metrics_directory(self, config_path, tmp_path):
+        cfg = json.loads(Path(config_path).read_text())
+        metrics = tmp_path / "w" / "new" / "metrics.jsonl"
+        cfg["pretrain"]["max_steps"] = 2
+        cfg["paths"] = {"pretrain_metrics": str(metrics)}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "out.ckpt")]) == 0
+        assert (tmp_path / "out.ckpt").exists()
+        assert json.loads(metrics.read_text().splitlines()[-1])["step"] == 2
 
     def test_07_finetune(self, config_path, workdir):
         assert main(["finetune", "--config", config_path]) == 0

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,11 @@ from anchorrank.encoder import (
     Workspace,
     adam_step,
     attention_map,
-    cls_score,
     cls_scores,
     init_params,
     load_checkpoint,
     save_checkpoint,
+    stack_runs,
     zero_grads,
 )
 from anchorrank.encoder import layers as layers_module
@@ -60,6 +61,23 @@ def params():
 
 def seq(*ids):
     return np.array(ids, dtype=np.int64)
+
+
+@pytest.fixture
+def built_graphs(monkeypatch):
+    """Substitutes a recording EncoderGraph in encoder.model; the list it
+    returns gets, for each graph built, (a weakref to it, its stack shape,
+    the number of earlier graphs still alive when it was built)."""
+    built = []
+
+    class Recording(EncoderGraph):
+        def __init__(self, *args, **kwargs):
+            alive = sum(ref() is not None for ref, _, _ in built)
+            super().__init__(*args, **kwargs)
+            built.append((weakref.ref(self), self.token_ids.shape, alive))
+
+    monkeypatch.setattr(model_module, "EncoderGraph", Recording)
+    return built
 
 
 class TestEncode:
@@ -107,22 +125,22 @@ class TestClsScore:
         p = {k: v.copy() for k, v in params.items()}
         p["cls_w2"][:] = 0.0
         p["cls_b2"][:] = 0.0
-        assert cls_score(p, CFG, seq(CLS_ID, 7, 8, SEP_ID)) == 0.0
+        assert cls_scores(p, CFG, [(seq(CLS_ID, 7, 8, SEP_ID), seq(0, 0, 0, 0))])[0] == 0.0
 
     def test_deterministic(self, params):
-        ids = seq(CLS_ID, 5, 6, 7, SEP_ID)
-        assert cls_score(params, CFG, ids) == cls_score(params, CFG, ids)
+        ids, segs = seq(CLS_ID, 5, 6, 7, SEP_ID), seq(0, 0, 0, 0, 0)
+        assert cls_scores(params, CFG, [(ids, segs)]) == cls_scores(params, CFG, [(ids, segs)])
 
     def test_sensitive_to_document_segment(self, params):
         quer = [CLS_ID, 9, 10, SEP_ID]
         a = seq(*quer, 11, 12, SEP_ID)
         b = seq(*quer, 13, 14, SEP_ID)
         segs = np.array([0, 0, 0, 0, 1, 1, 1])
-        assert cls_score(params, CFG, a, segs) != cls_score(params, CFG, b, segs)
+        assert cls_scores(params, CFG, [(a, segs)])[0] != cls_scores(params, CFG, [(b, segs)])[0]
 
     def test_requires_leading_cls(self, params):
         with pytest.raises(ValueError, match="CLS"):
-            cls_score(params, CFG, seq(7, 8))
+            cls_scores(params, CFG, [(seq(7, 8), seq(0, 0))])
 
     @pytest.mark.parametrize(
         "ids, segs, match",
@@ -137,7 +155,7 @@ class TestClsScore:
     )
     def test_input_checks_match_graph(self, params, ids, segs, match):
         with pytest.raises(ValueError, match=match):
-            cls_score(params, CFG, ids, segs)
+            cls_scores(params, CFG, [(ids, segs)])
         with pytest.raises(ValueError, match=match):
             EncoderGraph(params, CFG, ids, segs)
 
@@ -154,7 +172,7 @@ class TestClsScore:
                 ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
                 segs = rng.integers(0, 2, n)
                 expected = EncoderGraph(p, cfg, ids, segs).cls_score()
-                assert cls_score(p, cfg, ids, segs) == pytest.approx(expected, rel=0.0, abs=ROUNDING[dtype])
+                assert cls_scores(p, cfg, [(ids, segs)])[0] == pytest.approx(expected, rel=0.0, abs=ROUNDING[dtype])
 
 
 class TestStackedScores:
@@ -178,7 +196,7 @@ class TestStackedScores:
                 sequences = self.sequences(rng, [n] * b)
                 scores = cls_scores(p, cfg, sequences)
                 for (ids, segs), score in zip(sequences, scores):
-                    one = cls_score(p, cfg, ids, segs)
+                    one = cls_scores(p, cfg, [(ids, segs)])[0]
                     assert score == one == EncoderGraph(p, cfg, ids, segs, outputs=[0]).cls_score(), (b, n)
 
     @pytest.mark.parametrize(
@@ -194,7 +212,7 @@ class TestStackedScores:
         else:
             ids[column] = value
         with pytest.raises(ValueError, match=match):
-            cls_score(params, CFG, ids, segs)
+            cls_scores(params, CFG, [(ids, segs)])
         with pytest.raises(ValueError, match=match):
             cls_scores(params, CFG, sequences)
 
@@ -211,27 +229,46 @@ class TestStackedScores:
         with pytest.raises(ValueError, match=match):
             cls_scores(params, CFG, [(seq(CLS_ID, 7, 8), seq(0, 0, 1)), (ids, segs)])
 
-    def test_input_order_and_stack_budget(self, monkeypatch):
+    def test_input_order_and_stack_budget(self, built_graphs):
         # lengths interleaved, one group over STACK_TOKENS: every stack holds
         # one length and at most STACK_TOKENS tokens, and each score lands
         # at its sequence's index
         cfg = self.STACK_CFG
         p = as_dtype(init_params(cfg, seed=4), np.float32)
         sequences = self.sequences(np.random.default_rng(4), [48, 5, 48, 17] * 5 + [48] * 7)
-        shapes = []
-        real = model_module._stack_scores
-
-        def recording(params, config, token_ids, segment_ids):
-            shapes.append(token_ids.shape)
-            return real(params, config, token_ids, segment_ids)
-
-        monkeypatch.setattr(model_module, "_stack_scores", recording)
         scores = cls_scores(p, cfg, sequences)
-        stacks = list(shapes)
-        assert scores == [cls_score(p, cfg, ids, segs) for ids, segs in sequences]
+        stacks = [shape for _, shape, _ in built_graphs]
+        assert scores == [cls_scores(p, cfg, [pair])[0] for pair in sequences]
         assert sorted(stacks) == [(1, 48), (5, 5), (5, 17), (8, 48), (8, 48)]
         assert all(b * n <= model_module.STACK_TOKENS for b, n in stacks)
         assert cls_scores(p, cfg, []) == []
+
+    def test_one_graph_alive_at_a_time(self, built_graphs):
+        # each stack's graph is gone before the next is built: two live
+        # stacks' arrays page-fault the allocator's memory in afresh
+        cfg = self.STACK_CFG
+        p = as_dtype(init_params(cfg, seed=4), np.float32)
+        cls_scores(p, cfg, self.sequences(np.random.default_rng(4), [48, 5, 48, 17] * 5 + [48] * 7))
+        assert [alive for _, _, alive in built_graphs] == [0] * 5
+        assert all(ref() is None for ref, _, _ in built_graphs)
+
+
+class TestStackRuns:
+    """stack_runs, the one rule that cuts stacks, for fine-tuning in batch
+    order and for cls_scores over its pairs sorted by length."""
+
+    def test_a_length_over_the_budget_stacks_alone(self):
+        # 512 is the full profile's max_len
+        assert model_module.STACK_TOKENS < 512
+        assert list(stack_runs([512] * 3)) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_no_lengths_no_stack(self):
+        assert list(stack_runs([])) == []
+
+    def test_empty_sequence_is_the_graph_error(self, params):
+        for sequences in ([(seq(), seq())], [(seq(), seq())] * 2 + [(seq(CLS_ID, 7), seq(0, 0))]):
+            with pytest.raises(ValueError, match="non-empty"):
+                cls_scores(params, CFG, sequences)
 
 
 class TestAttentionMap:
@@ -348,7 +385,7 @@ class TestPrunedOutputs:
             for n in range(1, cfg.max_len + 1):
                 ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
                 segs = rng.integers(0, 2, n)
-                assert EncoderGraph(p, cfg, ids, segs, outputs=[0]).cls_score() == cls_score(p, cfg, ids, segs)
+                assert EncoderGraph(p, cfg, ids, segs, outputs=[0]).cls_score() == cls_scores(p, cfg, [(ids, segs)])[0]
 
     def test_outputs_sorted_and_distinct(self, params):
         ids = seq(CLS_ID, 7, 8, 9, SEP_ID)
@@ -1022,7 +1059,7 @@ class TestFloat32:
 
         monkeypatch.setattr(model_module, "_cls_head", cls_head)
         ids, segs = seq(CLS_ID, 7, 8, 9, SEP_ID, 10, 11, SEP_ID), seq(0, 0, 0, 0, 0, 1, 1, 1)
-        score = cls_score(params, CFG, ids, segs)
+        score = cls_scores(params, CFG, [(ids, segs)])[0]
         assert isinstance(score, float)
         assert {name for name, _ in seen} >= {"linear[0]", "layer_norm[0]", "gelu[0]", "softmax", "h_cls", "c_act"}
         amap = attention_map(params, CFG, ids)

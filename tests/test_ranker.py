@@ -10,6 +10,7 @@ from anchorrank import ranker
 from anchorrank.corpus import build_vocab, tokenize
 from anchorrank.encoder import EncoderConfig, EncoderGraph, init_params, load_checkpoint, save_checkpoint
 from anchorrank.encoder import layers as layers_module
+from anchorrank.encoder import model as model_module
 from anchorrank.pretrain import TrainError, pack_input, run_steps
 from anchorrank.ranker import (
     DocRecord,
@@ -362,7 +363,7 @@ class RecordingGraph(EncoderGraph):
 class TestStackedFinetune:
     QUERIES = ["technology company", "orchard fruit", "water"]
 
-    @pytest.mark.parametrize("stack_tokens", [ranker.STACK_TOKENS, 100])
+    @pytest.mark.parametrize("stack_tokens", [model_module.STACK_TOKENS, 100])
     def test_mixed_lengths_match_the_per_example_loop(self, corpus, monkeypatch, stack_tokens):
         # three queries of different lengths against ten documents that
         # fill max_len and one short one: batches hold runs of several
@@ -372,7 +373,7 @@ class TestStackedFinetune:
         docs = [f"long{i}" for i in range(10)] + ["short"] * 4
         examples = [RankingExample(f"q{i % 3}", self.QUERIES[i % 3], d, int(i % 4 == 0)) for i, d in enumerate(docs)]
         cfg = FinetuneConfig(lr=1e-3, epochs=3, batch_size=6, max_len=48, seed=4)
-        monkeypatch.setattr(ranker, "STACK_TOKENS", stack_tokens)
+        monkeypatch.setattr(model_module, "STACK_TOKENS", stack_tokens)
         monkeypatch.setattr(ranker, "EncoderGraph", RecordingGraph)
         monkeypatch.setattr(RecordingGraph, "shapes", [])
         tuned = finetune(model, examples, collection, cfg)
