@@ -14,6 +14,7 @@ import argparse
 import copy
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from anchorrank.ranker import (
     examples_from_candidates,
     finetune,
     load_model,
-    read_candidates,
     read_collection,
     read_queries,
     rerank,
@@ -120,14 +120,16 @@ KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an o
 
 def _check_value(path: Path, name: str, value, default) -> None:
     """value must be of one of the kinds KINDS gives its key, or else of its
-    default's kind; an int passes for a float, a bool never for a number.
-    The items of a list or an object are checked against the default's
-    first item."""
+    default's kind; an int passes for a float, a bool never for a number,
+    and NaN or an infinity (which json reads) never.  The items of a list
+    or an object are checked against the default's first item."""
     kinds = KINDS.get(name.rpartition(".")[2], (type(default),))
     accepted = kinds + (int,) if float in kinds else kinds
     if isinstance(value, bool) or not isinstance(value, accepted):
         expected = " or ".join(KIND_NAMES[k] for k in kinds)
         raise CommandError(f"config file {path}: {name} must be {expected}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise CommandError(f"config file {path}: {name} must be a finite number, got {value!r}")
     if isinstance(value, (dict, list)) and isinstance(default, (dict, list)) and default:
         first = next(iter(default.values() if isinstance(default, dict) else default))
         for item, item_value in value.items() if isinstance(value, dict) else enumerate(value):
@@ -228,11 +230,9 @@ def stopword_set(cfg: dict):
 
 
 def train_config(section: dict, cfg: dict, task_weights=None) -> TrainConfig:
-    """The warm-up section has no task_weights of its own.  TrainConfig
-    fills task_weights in place, so it gets a copy."""
-    weights = dict(section["task_weights"] if task_weights is None else task_weights)
+    """The warm-up section has no task_weights of its own."""
     return TrainConfig(
-        **{**section, "task_weights": weights},
+        **{**section, "task_weights": section["task_weights"] if task_weights is None else task_weights},
         seed=cfg["seed"],
         max_len=cfg["encoder"]["max_len"],
         summary_max_tokens=cfg["taskgen"]["summary_max_tokens"],
@@ -315,7 +315,7 @@ def cmd_finetune(args, cfg: dict) -> int:
     collection = read_collection(input_path(cfg, "collection"))
     queries = read_queries(input_path(cfg, "train_queries"))
     qrels = evalkit.read_qrels(input_path(cfg, "train_qrels"))
-    candidates = read_candidates(input_path(cfg, "train_candidates"))
+    candidates = evalkit.read_run(input_path(cfg, "train_candidates"))
     examples = examples_from_candidates(queries, candidates, qrels)
     if not examples:
         raise CommandError("no fine-tuning examples; check the train queries/candidates/qrels files")
@@ -330,7 +330,7 @@ def cmd_rerank(args, cfg: dict) -> int:
     model = load_model(input_path(cfg, "finetune_ckpt", args.init))
     collection = read_collection(input_path(cfg, "collection"))
     queries = read_queries(input_path(cfg, "eval_queries"))
-    candidates = read_candidates(input_path(cfg, "eval_candidates"))
+    candidates = evalkit.read_run(input_path(cfg, "eval_candidates"))
     run: evalkit.RankedRun = {}
     for qid in sorted(candidates):
         if qid not in queries:

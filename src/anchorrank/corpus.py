@@ -319,15 +319,21 @@ class Vocabulary:
 
     @classmethod
     def from_terms(cls, terms: Iterable[str]) -> "Vocabulary":
-        id_to_term = list(SPECIAL_TOKENS)
-        seen = set(SPECIAL_TOKENS)
-        for t in terms:
-            if t in seen:
+        return cls.from_id_to_term([*SPECIAL_TOKENS, *terms])
+
+    @classmethod
+    def from_id_to_term(cls, id_to_term) -> "Vocabulary":
+        """The vocabulary of the given id -> term list: the five special
+        tokens at ids 0-4, then distinct string terms."""
+        if not isinstance(id_to_term, list) or id_to_term[:NUM_SPECIAL_TOKENS] != list(SPECIAL_TOKENS):
+            raise CorpusError("vocabulary missing special-token header")
+        term_to_id: dict[str, int] = {}
+        for i, t in enumerate(id_to_term):
+            if not isinstance(t, str):
+                raise CorpusError(f"vocabulary term {t!r} is not a string")
+            if term_to_id.setdefault(t, i) != i:
                 raise CorpusError(f"duplicate vocabulary term {t!r}")
-            seen.add(t)
-            id_to_term.append(t)
-        term_to_id = {t: i for i, t in enumerate(id_to_term)}
-        return cls(id_to_term=id_to_term, term_to_id=term_to_id)
+        return cls(id_to_term=list(id_to_term), term_to_id=term_to_id)
 
     def __len__(self) -> int:
         return len(self.id_to_term)
@@ -341,10 +347,8 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         terms = [line.rstrip("\n") for _, line in numbered_lines(path)]
-        if terms[:NUM_SPECIAL_TOKENS] != list(SPECIAL_TOKENS):
-            raise CorpusError(f"{path}: vocabulary file missing special-token header")
         try:
-            return cls.from_terms(terms[NUM_SPECIAL_TOKENS:])
+            return cls.from_id_to_term(terms)
         except CorpusError as exc:
             raise CorpusError(f"{path}: {exc}") from None
 

@@ -17,9 +17,11 @@ Qrels = dict[str, dict[str, int]]
 
 
 def read_run(path: str | Path) -> RankedRun:
-    """Lines of "qid Q0 docid rank score tag"; per query, ranks must be
-    contiguous from 1 and docs unique."""
-    rows: dict[str, list[tuple[int, str, float]]] = {}
+    """Lines of "qid Q0 docid rank score tag", the one layout of every
+    ranked list: first-stage candidates and reranked runs alike.  Per
+    query, ranks must be contiguous from 1 and docs unique; an error names
+    the line that breaks the rule."""
+    rows: dict[str, list[tuple[int, str, float, int]]] = {}
     for line_no, line in numbered_lines(path):
         parts = line.split()
         if not parts:
@@ -31,17 +33,18 @@ def read_run(path: str | Path) -> RankedRun:
             rank, score = int(rank_s), float(score_s)
         except ValueError:
             raise ValueError(f"{path}: line {line_no}: bad rank or score") from None
-        rows.setdefault(qid, []).append((rank, doc_id, score))
+        rows.setdefault(qid, []).append((rank, doc_id, score, line_no))
     run: RankedRun = {}
     for qid, entries in rows.items():
         entries.sort(key=lambda t: t[0])
-        ranks = [r for r, _, _ in entries]
-        if ranks != list(range(1, len(ranks) + 1)):
-            raise ValueError(f"{path}: query {qid!r}: ranks are not contiguous from 1")
-        docs = [d for _, d, _ in entries]
-        if len(set(docs)) != len(docs):
-            raise ValueError(f"{path}: query {qid!r}: duplicate document")
-        run[qid] = [(d, s) for _, d, s in entries]
+        seen = set()
+        for expected, (rank, doc_id, _, line_no) in enumerate(entries, start=1):
+            if rank != expected:
+                raise ValueError(f"{path}: line {line_no}: query {qid!r}: ranks are not contiguous from 1")
+            if doc_id in seen:
+                raise ValueError(f"{path}: line {line_no}: query {qid!r}: duplicate document {doc_id!r}")
+            seen.add(doc_id)
+        run[qid] = [(d, s) for _, d, s, _ in entries]
     return run
 
 

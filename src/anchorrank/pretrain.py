@@ -186,8 +186,7 @@ class TrainConfig(Schedule):
         unknown = sorted(set(self.task_weights) - set(default_task_weights()))
         if unknown:
             raise ValueError(f"unknown task_weights keys {unknown} (expected among {', '.join(default_task_weights())})")
-        for key in default_task_weights():
-            self.task_weights.setdefault(key, 1.0)
+        self.task_weights = {**default_task_weights(), **self.task_weights}
 
 
 def summary_lookup(corpus: HyperlinkCorpus, max_tokens: int) -> Callable[[str], list[str]]:

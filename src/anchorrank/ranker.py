@@ -13,9 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from anchorrank.corpus import HyperlinkCorpus, Vocabulary, numbered_lines, tokenize
-from anchorrank.encoder import EncoderConfig, EncoderGraph, Workspace, cls_scores, load_checkpoint, save_checkpoint, stack_runs
+from anchorrank.corpus import CorpusError, HyperlinkCorpus, Vocabulary, numbered_lines, tokenize
+from anchorrank.encoder import CheckpointError, EncoderConfig, EncoderGraph, Workspace, cls_scores, stack_runs
+from anchorrank.encoder import load_checkpoint, save_checkpoint
 from anchorrank.encoder import adam_step, zero_grads  # noqa: F401  (bench/perlayer.py wraps these two names here)
+from anchorrank.evalkit import read_run as read_candidates  # noqa: F401  (bench/run.py:243, the train set-up, calls it by this name)
 from anchorrank.pretrain import Schedule, TrainError, pack_input, run_steps
 
 log = logging.getLogger(__name__)
@@ -71,11 +73,15 @@ class RankerModel:
 
 
 def load_model(path: str | Path, expected_config: EncoderConfig | None = None) -> RankerModel:
+    """A checkpoint whose vocabulary is not a Vocabulary.from_id_to_term
+    list of config.vocab_size terms is a CheckpointError."""
     ck = load_checkpoint(path, expected_config=expected_config)
-    terms = ck.extra.get("vocab")
-    if not terms:
-        raise ValueError(f"{path}: checkpoint carries no vocabulary")
-    vocab = Vocabulary(id_to_term=list(terms), term_to_id={t: i for i, t in enumerate(terms)})
+    try:
+        vocab = Vocabulary.from_id_to_term(ck.extra.get("vocab"))
+    except CorpusError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    if len(vocab) != ck.config.vocab_size:
+        raise CheckpointError(f"{path}: vocabulary has {len(vocab)} terms, config.vocab_size is {ck.config.vocab_size}")
     return RankerModel(params=ck.params, config=ck.config, vocab=vocab)
 
 
@@ -228,38 +234,6 @@ def write_collection(docs: dict[str, DocRecord], path: str | Path) -> None:
         for doc_id in sorted(docs):
             d = docs[doc_id]
             f.write(json.dumps({"id": d.id, "title": d.title, "url": d.url, "body": d.body}, ensure_ascii=False) + "\n")
-
-
-def read_candidates(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    """First-stage lists: lines of "qid docid rank score"."""
-    rows: dict[str, list[tuple[int, str, float]]] = {}
-    for line_no, line in numbered_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 4:
-            raise ValueError(f"{path}: line {line_no}: expected 'qid docid rank score'")
-        qid, doc_id, rank_s, score_s = parts
-        try:
-            rank, retrieval = int(rank_s), float(score_s)
-        except ValueError:
-            raise ValueError(f"{path}: line {line_no}: bad rank or score") from None
-        rows.setdefault(qid, []).append((rank, doc_id, retrieval))
-    out: dict[str, list[tuple[str, float]]] = {}
-    for qid, entries in rows.items():
-        entries.sort(key=lambda t: t[0])
-        docs = [d for _, d, _ in entries]
-        if len(set(docs)) != len(docs):
-            raise ValueError(f"{path}: duplicate candidate document for query {qid!r}")
-        out[qid] = [(d, s) for _, d, s in entries]
-    return out
-
-
-def write_candidates(candidates: dict[str, list[tuple[str, float]]], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as f:
-        for qid in sorted(candidates):
-            for rank, (doc_id, retrieval) in enumerate(candidates[qid], start=1):
-                f.write(f"{qid} {doc_id} {rank} {retrieval:.6f}\n")
 
 
 def read_queries(path: str | Path) -> dict[str, str]:

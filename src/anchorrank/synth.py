@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from anchorrank.corpus import HyperlinkCorpus, parse_corpus, write_corpus
-from anchorrank.evalkit import Qrels, write_qrels
-from anchorrank.ranker import collection_from_corpus, write_candidates, write_collection, write_queries
+from anchorrank.evalkit import Qrels, write_qrels, write_run
+from anchorrank.ranker import collection_from_corpus, write_collection, write_queries
 from anchorrank.taskgen import derive_rng
 
 log = logging.getLogger(__name__)
@@ -265,9 +265,9 @@ def synth_dataset(out_dir: str | Path, cfg: SynthConfig) -> dict[str, Path]:
     write_collection(collection_from_corpus(corpus), paths["collection"])
     write_queries(train["queries"], paths["train_queries"])
     write_qrels(train["qrels"], paths["train_qrels"])
-    write_candidates(train["candidates"], paths["train_candidates"])
+    write_run(train["candidates"], paths["train_candidates"], tag="synth")
     write_queries(eval_split["queries"], paths["eval_queries"])
     write_qrels(eval_split["qrels"], paths["eval_qrels"])
-    write_candidates(eval_split["candidates"], paths["eval_candidates"])
+    write_run(eval_split["candidates"], paths["eval_candidates"], tag="synth")
     log.info("synthetic dataset: %d pages, %d train / %d eval queries", len(corpus), len(train["queries"]), len(eval_split["queries"]))
     return paths

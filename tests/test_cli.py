@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from anchorrank.cli import main
+from anchorrank.evalkit import read_run
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,43 @@ class TestPipeline:
         run_lines = (workdir / "rerank.run").read_text().splitlines()
         assert run_lines and len(run_lines[0].split()) == 6
 
+    def test_08_first_stage_run_is_read_as_candidates(self, config_path, workdir, tmp_path):
+        # candidates as a first-stage retriever writes them: its own tag and
+        # negative scores, such as "train000 Q0 pg0001 1 -5.99003 bm25"
+        docs = [json.loads(line)["id"] for line in (workdir / "collection.jsonl").read_text().splitlines()[:4]]
+        cfg = json.loads(Path(config_path).read_text())
+        cfg["finetune"]["max_steps"] = 2
+        cfg["paths"] = {"finetune_ckpt": str(tmp_path / "ft.ckpt"), "run": str(tmp_path / "rerank.run")}
+        qids = {}
+        for split in ("train", "eval"):
+            qids[split] = [line.split("\t")[0] for line in (workdir / f"{split}_queries.tsv").read_text().splitlines()]
+            lines = [f"{q} Q0 {d} {r} {-5.99003 - r:.5f} bm25\n" for q in qids[split] for r, d in enumerate(docs, 1)]
+            (tmp_path / f"{split}.run").write_text("".join(lines))
+            cfg["paths"][f"{split}_candidates"] = str(tmp_path / f"{split}.run")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["finetune", "--config", str(path)]) == 0
+        assert main(["rerank", "--config", str(path)]) == 0
+        run = read_run(tmp_path / "rerank.run")
+        assert sorted(run) == sorted(qids["eval"])
+        assert all(sorted(d for d, _ in ranked) == sorted(docs) for ranked in run.values())
+
+    @pytest.mark.parametrize("command, split", [("finetune", "train"), ("rerank", "eval")])
+    def test_08_four_field_candidates_line_is_one_error(self, command, split, config_path, workdir, tmp_path, capsys):
+        lines = (workdir / f"{split}_candidates.txt").read_text().splitlines()
+        qid, _, doc_id, rank, score, _ = lines[1].split()
+        candidates = tmp_path / "candidates.txt"
+        candidates.write_text("\n".join([lines[0], f"{qid} {doc_id} {rank} {score}", *lines[2:]]) + "\n")
+        out = tmp_path / "out"
+        cfg = json.loads(Path(config_path).read_text())
+        cfg["paths"] = {f"{split}_candidates": str(candidates)}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {candidates}: line 2: expected 6 fields 'qid Q0 docid rank score tag'"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["", "!!!"], ids=["empty", "punctuation"])
     def test_08_query_without_words_is_one_error(self, text, config_path, workdir, tmp_path, capsys):
         lines = (workdir / "eval_queries.tsv").read_text().splitlines()
@@ -282,6 +320,9 @@ WRONGLY_TYPED_CONFIGS = {
     "eval.ks.1": '{"seed": 1, "eval": {"ks": [10, "100"]}}',
     "paths.corpus": '{"seed": 1, "paths": {"corpus": 5}}',
     "seed": '{"seed": "1"}',
+    "pretrain.lr": '{"seed": 1, "pretrain": {"lr": NaN}}',
+    "finetune.warmup": '{"seed": 1, "finetune": {"warmup": Infinity}}',
+    "pretrain.task_weights.rqp": '{"seed": 1, "pretrain": {"task_weights": {"rqp": -Infinity}}}',
 }
 
 

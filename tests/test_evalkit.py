@@ -167,14 +167,16 @@ class TestFiles:
     def test_non_contiguous_ranks_rejected(self, tmp_path):
         path = tmp_path / "bad.run"
         path.write_text("q1 Q0 d7 1 3.0 t\nq1 Q0 d8 3 2.0 t\n")
-        with pytest.raises(ValueError, match="contiguous"):
+        with pytest.raises(ValueError, match="line 2: query 'q1': ranks are not contiguous from 1") as info:
             read_run(path)
+        assert str(path) in str(info.value)
 
     def test_duplicate_doc_rejected(self, tmp_path):
         path = tmp_path / "bad.run"
-        path.write_text("q1 Q0 d7 1 3.0 t\nq1 Q0 d7 2 2.0 t\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        path.write_text("q1 Q0 d7 2 3.0 t\nq2 Q0 d1 1 1.0 t\nq1 Q0 d7 1 2.0 t\n")
+        with pytest.raises(ValueError, match="line 1: query 'q1': duplicate document 'd7'") as info:
             read_run(path)
+        assert str(path) in str(info.value)
 
     def test_duplicate_judgment_rejected(self, tmp_path):
         # a second grade for the same pair would silently replace the first

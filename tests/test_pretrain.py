@@ -340,6 +340,12 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="task_weights keys \\['rqq'\\]"):
             TrainConfig(task_weights={"rqp": 1.0, "rqq": 0.5})
 
+    def test_missing_task_weights_fill_a_new_dict(self):
+        weights = {"rqp": 0.0}
+        tcfg = TrainConfig(task_weights=weights)
+        assert weights == {"rqp": 0.0}
+        assert tcfg.task_weights == {"rqp": 0.0, "qdm": 1.0, "rdp": 1.0, "acm": 1.0, "mlm": 1.0}
+
     def test_one_log_record_per_step(self, corpus, caplog):
         # the benchmark times training steps from these records
         vocab, pairs, enc = self.make_setup(corpus)

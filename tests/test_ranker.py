@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from anchorrank import ranker
-from anchorrank.corpus import build_vocab, tokenize
-from anchorrank.encoder import EncoderConfig, EncoderGraph, init_params, load_checkpoint, save_checkpoint
+from anchorrank.corpus import SPECIAL_TOKENS, build_vocab, tokenize
+from anchorrank.encoder import CheckpointError, EncoderConfig, EncoderGraph, init_params, load_checkpoint, save_checkpoint
 from anchorrank.encoder import layers as layers_module
 from anchorrank.encoder import model as model_module
+from anchorrank.evalkit import read_run
 from anchorrank.pretrain import TrainError, pack_input, run_steps
 from anchorrank.ranker import (
     DocRecord,
@@ -22,15 +23,14 @@ from anchorrank.ranker import (
     examples_from_candidates,
     finetune,
     load_model,
-    read_candidates,
     read_collection,
     read_queries,
     rerank,
     score,
-    write_candidates,
     write_collection,
     write_queries,
 )
+from anchorrank.synth import SynthConfig, build_retrieval_split, build_synthetic_corpus, synth_dataset
 from util import encode
 
 def make_model(corpus, seed=0, zero_head=False, layers=1):
@@ -449,6 +449,19 @@ class TestModelIO:
         for k in model.params:
             assert np.array_equal(loaded.params[k], model.params[k])
 
+    @pytest.mark.parametrize(
+        "terms",
+        [list("abcdefgh"), [*SPECIAL_TOKENS, "x", "x", "y"], "abcdefgh", [*SPECIAL_TOKENS, "x"]],
+        ids=["no-special-tokens", "repeated-term", "string", "too-few-terms"],
+    )
+    def test_bad_vocabulary_rejected(self, terms, tmp_path):
+        cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, vocab_size=8, max_len=16)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(cfg, seed=0), cfg, extra={"vocab": terms})
+        with pytest.raises(CheckpointError, match="vocabulary") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
     def test_checkpoint_without_vocab_rejected(self, corpus, tmp_path):
         model = make_model(corpus)
         path = tmp_path / "m.ckpt"
@@ -489,10 +502,14 @@ class TestDataFiles:
         assert str(path) in str(info.value)
 
     def test_candidates_round_trip(self, tmp_path):
-        cands = {"q1": [("d1", 9.5), ("d2", 8.0)], "q2": [("d3", 1.0)]}
-        path = tmp_path / "cands.txt"
-        write_candidates(cands, path)
-        assert read_candidates(path) == cands
+        # synth writes both splits' candidate lists as runs that read back,
+        # in order, as the lists it built
+        cfg = SynthConfig(pages=40, topics=4, train_queries=8, eval_queries=6, candidates_per_query=5, seed=7)
+        paths = synth_dataset(tmp_path, cfg)
+        train, eval_split = build_retrieval_split(cfg, build_synthetic_corpus(cfg)[1])
+        for split, name in ((train, "train_candidates"), (eval_split, "eval_candidates")):
+            assert list(read_run(paths[name]).items()) == list(split["candidates"].items())
+        assert ranker.read_candidates is read_run  # the name bench/run.py's train set-up reads them by
 
     def test_queries_round_trip(self, tmp_path):
         queries = {"q1": "laptop hardware", "q2": "orchard fruit"}

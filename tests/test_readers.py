@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from anchorrank import evalkit
 from anchorrank.corpus import Vocabulary, read_corpus
 from anchorrank.encoder import CheckpointError, EncoderConfig, init_params, load_checkpoint, save_checkpoint
-from anchorrank.ranker import read_candidates, read_collection, read_queries
+from anchorrank.ranker import read_collection, read_queries
 from anchorrank.sampler import load_stopwords
 from anchorrank.synth import SynthConfig, synth_dataset
 from anchorrank.taskgen import PretrainPair, read_pairs, write_pairs
@@ -37,7 +37,7 @@ def valid_files(tmp_path_factory):
         "read_corpus": (read_corpus, first_lines(d / "corpus.jsonl", 3)),
         "read_run": (evalkit.read_run, (d / "r.run").read_bytes()),
         "read_qrels": (evalkit.read_qrels, (d / "eval_qrels.txt").read_bytes()),
-        "read_candidates": (read_candidates, (d / "eval_candidates.txt").read_bytes()),
+        "read_candidates": (evalkit.read_run, (d / "eval_candidates.txt").read_bytes()),
         "read_queries": (read_queries, (d / "eval_queries.tsv").read_bytes()),
         "read_collection": (read_collection, first_lines(d / "collection.jsonl", 3)),
         "read_pairs": (read_pairs, (d / "pairs.jsonl").read_bytes()),
