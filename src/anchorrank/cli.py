@@ -310,12 +310,28 @@ def cmd_pretrain(args, cfg: dict) -> int:
     return 0
 
 
+def _ranking_inputs(cfg: dict, split: str):
+    """(collection, queries, candidates) of the train or eval split.  A
+    candidate query missing from the queries file, or a candidate document
+    missing from the collection, is an error that names the candidates
+    file, before anything is trained or written."""
+    collection = read_collection(input_path(cfg, "collection"))
+    queries = read_queries(input_path(cfg, f"{split}_queries"))
+    path = input_path(cfg, f"{split}_candidates")
+    candidates = evalkit.read_run(path)
+    for qid, docs in candidates.items():
+        if qid not in queries:
+            raise CommandError(f"{path}: query {qid!r} is not in the {split} queries file")
+        for doc_id, _ in docs:
+            if doc_id not in collection:
+                raise CommandError(f"{path}: query {qid!r}: document {doc_id!r} is not in the collection")
+    return collection, queries, candidates
+
+
 def cmd_finetune(args, cfg: dict) -> int:
     model = load_model(input_path(cfg, "pretrain_ckpt", args.init))
-    collection = read_collection(input_path(cfg, "collection"))
-    queries = read_queries(input_path(cfg, "train_queries"))
+    collection, queries, candidates = _ranking_inputs(cfg, "train")
     qrels = evalkit.read_qrels(input_path(cfg, "train_qrels"))
-    candidates = evalkit.read_run(input_path(cfg, "train_candidates"))
     examples = examples_from_candidates(queries, candidates, qrels)
     if not examples:
         raise CommandError("no fine-tuning examples; check the train queries/candidates/qrels files")
@@ -328,13 +344,9 @@ def cmd_finetune(args, cfg: dict) -> int:
 
 def cmd_rerank(args, cfg: dict) -> int:
     model = load_model(input_path(cfg, "finetune_ckpt", args.init))
-    collection = read_collection(input_path(cfg, "collection"))
-    queries = read_queries(input_path(cfg, "eval_queries"))
-    candidates = evalkit.read_run(input_path(cfg, "eval_candidates"))
+    collection, queries, candidates = _ranking_inputs(cfg, "eval")
     run: evalkit.RankedRun = {}
     for qid in sorted(candidates):
-        if qid not in queries:
-            raise CommandError(f"candidate query {qid!r} missing from queries file")
         run[qid] = rerank(model, queries[qid], candidates[qid], k=cfg["rerank"]["k"], collection=collection)
     out = output_path(cfg, "run", args.out)
     evalkit.write_run(run, out, tag=f"anchorrank-seed{cfg['seed']}")

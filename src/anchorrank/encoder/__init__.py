@@ -8,7 +8,7 @@ float64 where the gradient checks pass float64 params.
 from anchorrank.encoder.adam import AdamState, adam_step
 from anchorrank.encoder.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from anchorrank.encoder.config import EncoderConfig
-from anchorrank.encoder.model import EncoderGraph, Workspace, attention_map, cls_scores, stack_runs
+from anchorrank.encoder.model import EncoderGraph, Workspace, cls_scores, stack_runs
 from anchorrank.encoder.params import init_params, param_shapes, zero_grads
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "CheckpointError",
     "EncoderConfig",
     "EncoderGraph",
-    "attention_map",
     "cls_scores",
     "init_params",
     "load_checkpoint",

@@ -1,10 +1,9 @@
 """Encoder forward graph: embeddings + post-norm transformer layers, with
-attention map extraction, CLS scoring and MLM heads, and an exact analytic
-backward pass, over one sequence or a stack of equal-length sequences,
-optionally in a Workspace's reused buffers.  cls_scores scores packings
-through the graph, one stack at a time; attention_map is the one
-forward-only path of its own, the last layer's attention map for the
-sampler, and shares the same layer code.
+attention maps, CLS scoring and MLM heads, and an exact analytic backward
+pass, over one sequence or a stack of equal-length sequences, optionally
+in a Workspace's reused buffers.  Every forward is one EncoderGraph:
+training, cls_scores (which scores packings one stack at a time) and the
+sampler's attention maps alike.
 
 Every path computes in the params' dtype: float32 for the pipeline, whose
 params come from init_params or load_checkpoint, and float64 for the
@@ -48,12 +47,12 @@ def stack_runs(lengths):
         start = stop
 
 
-def _check_inputs(config: EncoderConfig, token_ids, segment_ids, ndim=1):
-    """Validated int64 (token_ids, segment_ids) of one sequence (ndim 1) or
-    a stack of equal-length sequences (ndim 2); segment ids default to 0."""
+def _check_inputs(config: EncoderConfig, token_ids, segment_ids):
+    """Validated int64 (token_ids, segment_ids) of one sequence (n,) or a
+    stack of equal-length sequences (B, n); segment ids default to 0."""
     token_ids = np.asarray(token_ids, dtype=np.int64)
-    if token_ids.ndim != ndim or token_ids.size == 0:
-        raise ValueError(f"token_ids must be a non-empty {ndim}-d array")
+    if token_ids.ndim not in (1, 2) or token_ids.size == 0:
+        raise ValueError("token_ids must be a non-empty (n,) sequence or (B, n) stack")
     n = token_ids.shape[-1]
     if n > config.max_len:
         raise ValueError(f"sequence length {n} exceeds max_len {config.max_len}; caller must truncate")
@@ -124,21 +123,6 @@ def _merge_heads(xh, new):
     return out
 
 
-def _attention(params, config: EncoderConfig, i: int, x, xq, new=None, tmp=None) -> dict:
-    """Layer i's attention probabilities, queries from xq (..., m, hidden)
-    and keys from every row of x (..., n, hidden).  Returns the layer-cache
-    entries it computes: the Q and K linear caches, their per-head splits
-    qh and kh, and probs (..., heads, m, n)."""
-    pre = f"layer{i}."
-    q, q_cache = lyr.linear(xq, params[pre + "wq"], params[pre + "bq"], new)
-    k, k_cache = lyr.linear(x, params[pre + "wk"], params[pre + "bk"], new)
-    qh, kh = _split_heads(q, config.heads), _split_heads(k, config.heads)
-    scores = np.matmul(qh, kh.swapaxes(-1, -2), out=tmp and tmp(qh.shape[:-1] + kh.shape[-2:-1], qh.dtype))
-    scores *= 1.0 / math.sqrt(config.head_dim)
-    probs = lyr.softmax(scores, -1, new)
-    return {"q_cache": q_cache, "k_cache": k_cache, "qh": qh, "kh": kh, "probs": probs}
-
-
 def _layer(params, config: EncoderConfig, i: int, x, rows, new=None, tmp=None):
     """Post-norm transformer layer i over x (..., n, hidden): one sequence,
     or a leading stack axis of equal-length sequences.
@@ -155,10 +139,15 @@ def _layer(params, config: EncoderConfig, i: int, x, rows, new=None, tmp=None):
     """
     pre = f"layer{i}."
     xq = x[..., rows, :]
-    cache = _attention(params, config, i, x, xq, new, tmp)
+    q, q_cache = lyr.linear(xq, params[pre + "wq"], params[pre + "bq"], new)
+    k, k_cache = lyr.linear(x, params[pre + "wk"], params[pre + "bk"], new)
+    qh, kh = _split_heads(q, config.heads), _split_heads(k, config.heads)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2), out=tmp and tmp(qh.shape[:-1] + kh.shape[-2:-1], qh.dtype))
+    scores *= 1.0 / math.sqrt(config.head_dim)
+    probs = lyr.softmax(scores, -1, new)
     v, v_cache = lyr.linear(x, params[pre + "wv"], params[pre + "bv"], new)
     vh = _split_heads(v, config.heads)
-    ctx = np.matmul(cache["probs"], vh, out=tmp and tmp(cache["probs"].shape[:-1] + vh.shape[-1:], vh.dtype))
+    ctx = np.matmul(probs, vh, out=tmp and tmp(probs.shape[:-1] + vh.shape[-1:], vh.dtype))
     attn_out, o_cache = lyr.linear(_merge_heads(ctx, new), params[pre + "wo"], params[pre + "bo"], tmp)
     attn_out += xq
     h1, ln1_cache = lyr.layer_norm(attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"], new)
@@ -167,10 +156,15 @@ def _layer(params, config: EncoderConfig, i: int, x, rows, new=None, tmp=None):
     ffn_out, f2_cache = lyr.linear(f_act, params[pre + "w2"], params[pre + "b2"], tmp)
     ffn_out += h1
     out, ln2_cache = lyr.layer_norm(ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"], new)
-    cache.update(
+    cache = dict(
         rows=rows,
+        q_cache=q_cache,
+        k_cache=k_cache,
         v_cache=v_cache,
+        qh=qh,
+        kh=kh,
         vh=vh,
+        probs=probs,
         o_cache=o_cache,
         ln1_cache=ln1_cache,
         f1_cache=f1_cache,
@@ -277,8 +271,7 @@ class EncoderGraph:
     """
 
     def __init__(self, params, config: EncoderConfig, token_ids, segment_ids=None, outputs=None, workspace=None):
-        token_ids = np.asarray(token_ids, dtype=np.int64)  # once: a stack is a list of arrays
-        token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids, 2 if token_ids.ndim == 2 else 1)
+        token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids)
         self.params = params
         self.config = config
         self.token_ids = token_ids
@@ -470,19 +463,3 @@ def _stack_scores(params, config, pairs) -> list[float]:
     took 811k page faults against 15k and ran 19% slower."""
     token_ids, segment_ids = zip(*pairs)
     return EncoderGraph(params, config, token_ids, segment_ids, outputs=[0]).cls_score()
-
-
-def attention_map(params, config: EncoderConfig, token_ids) -> np.ndarray:
-    """Forward-only attention probabilities (heads, n, n) of the last layer:
-    EncoderGraph(...).attention[-1] without backward caches or the stacked
-    maps of every layer.
-
-    The layers below the last run whole; the last computes only Q, K and
-    the softmax, over every row, so the map is bitwise the graph's.
-    """
-    token_ids, segment_ids = _check_inputs(config, token_ids, None)
-    h, _ = _embed(params, token_ids, segment_ids)
-    last = config.layers - 1
-    for i in range(last):
-        h, _ = _layer(params, config, i, h, ALL_ROWS)
-    return _attention(params, config, last, h, h[ALL_ROWS])["probs"]

@@ -19,8 +19,8 @@ Qrels = dict[str, dict[str, int]]
 def read_run(path: str | Path) -> RankedRun:
     """Lines of "qid Q0 docid rank score tag", the one layout of every
     ranked list: first-stage candidates and reranked runs alike.  Per
-    query, ranks must be contiguous from 1 and docs unique; an error names
-    the line that breaks the rule."""
+    query, ranks must be contiguous from 1 and docs unique, and every score
+    is finite; an error names the line that breaks the rule."""
     rows: dict[str, list[tuple[int, str, float, int]]] = {}
     for line_no, line in numbered_lines(path):
         parts = line.split()
@@ -33,6 +33,8 @@ def read_run(path: str | Path) -> RankedRun:
             rank, score = int(rank_s), float(score_s)
         except ValueError:
             raise ValueError(f"{path}: line {line_no}: bad rank or score") from None
+        if not math.isfinite(score):
+            raise ValueError(f"{path}: line {line_no}: score {score_s!r} is not a finite number")
         rows.setdefault(qid, []).append((rank, doc_id, score, line_no))
     run: RankedRun = {}
     for qid, entries in rows.items():

@@ -201,7 +201,7 @@ def rerank(
 
 def read_collection(path: str | Path) -> dict[str, DocRecord]:
     """JSONL records with id, title, url, body; a record whose title, url
-    and body are all empty is an error."""
+    and body are all empty, or whose id is not one word, is an error."""
     docs: dict[str, DocRecord] = {}
     for line_no, line in numbered_lines(path):
         line = line.strip()
@@ -214,6 +214,8 @@ def read_collection(path: str | Path) -> dict[str, DocRecord]:
             raise ValueError(f"{path}: line {line_no}: bad document record: {exc}") from None
         if not all(isinstance(v, str) for v in (doc.id, doc.title, doc.url, doc.body)):
             raise ValueError(f"{path}: line {line_no}: id, title, url and body must be strings")
+        if doc.id.split() != [doc.id]:  # a run line holds it as one field
+            raise ValueError(f"{path}: line {line_no}: document id {doc.id!r} is empty or holds whitespace")
         if doc.id in docs:
             raise ValueError(f"{path}: line {line_no}: duplicate document id {doc.id!r}")
         if not (doc.title or doc.url or doc.body):
@@ -237,7 +239,8 @@ def write_collection(docs: dict[str, DocRecord], path: str | Path) -> None:
 
 
 def read_queries(path: str | Path) -> dict[str, str]:
-    """Tab-separated "qid<TAB>query text" lines, one per query id."""
+    """Tab-separated "qid<TAB>query text" lines, one per query id; a qid
+    must be one word."""
     queries: dict[str, str] = {}
     for line_no, line in numbered_lines(path):
         line = line.rstrip("\n")
@@ -246,6 +249,8 @@ def read_queries(path: str | Path) -> dict[str, str]:
         if "\t" not in line:
             raise ValueError(f"{path}: line {line_no}: expected 'qid<TAB>text'")
         qid, text = line.split("\t", 1)
+        if qid.split() != [qid]:  # a run line holds it as one field
+            raise ValueError(f"{path}: line {line_no}: query id {qid!r} is empty or holds whitespace")
         if qid in queries:
             raise ValueError(f"{path}: line {line_no}: duplicate query id {qid!r}")
         if not tokenize(text):
@@ -270,7 +275,7 @@ def examples_from_candidates(
     examples = []
     for qid in sorted(candidates):
         if qid not in queries:
-            continue
+            raise ValueError(f"candidate query {qid!r} has no query text")
         judged = qrels.get(qid, {})
         for doc_id, _ in candidates[qid]:
             label = 1 if judged.get(doc_id, 0) >= 1 else 0

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from anchorrank.corpus import CLS_TOKEN, SEP_TOKEN, SPECIAL_TOKENS, AnchorSpan, Sentence, Vocabulary, numbered_lines
-from anchorrank.encoder import EncoderConfig, attention_map
+from anchorrank.encoder import EncoderConfig, EncoderGraph
 
 
 class SamplerError(ValueError):
@@ -175,9 +175,9 @@ class AttentionSampler:
         shape (heads, n, n))."""
         seq_tokens = self._sequence_tokens(tokens)
         ids = self.vocab.encode(seq_tokens)
-        return seq_tokens, attention_map(self.params, self.config, ids)
+        return seq_tokens, EncoderGraph(self.params, self.config, ids).attention[-1]
 
-    def _attention_rows(self, tokens, wanted, fill=()) -> tuple[list[str], list[np.ndarray]]:
+    def _lookup_rows(self, tokens, wanted, fill=()) -> tuple[list[str], list[np.ndarray]]:
         """(sequence tokens, the head-averaged attention row of each position
         list in `wanted`).
 
@@ -216,7 +216,7 @@ class AttentionSampler:
         return seq_tokens, [self._rows[k] for k in keys]
 
     def _distribution(self, tokens, query_positions, exclusions, fill=()) -> TermDistribution:
-        seq_tokens, (alpha,) = self._attention_rows(tokens, [query_positions], fill)
+        seq_tokens, (alpha,) = self._lookup_rows(tokens, [query_positions], fill)
         beta = merge_position_weights(alpha, seq_tokens)
         return normalize(beta, exclusions=set(exclusions) | self.stopwords)
 
@@ -242,7 +242,7 @@ class AttentionSampler:
         """Per-anchor importance: head-averaged attention from the anchor's
         positions to the [CLS] position, one value per sentence anchor."""
         positions = [_anchor_positions(a) for a in sentence.anchors]
-        _, rows = self._attention_rows(list(sentence.tokens), positions)
+        _, rows = self._lookup_rows(list(sentence.tokens), positions)
         return [float(row[0]) for row in rows]
 
 

@@ -188,6 +188,31 @@ class TestPipeline:
         assert errors == [f"error: {candidates}: line 2: expected 6 fields 'qid Q0 docid rank score tag'"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("unknown", ["query", "document"])
+    @pytest.mark.parametrize("command, split", [("finetune", "train"), ("rerank", "eval")])
+    def test_08_unknown_candidate_is_one_error(self, command, split, unknown, config_path, workdir, tmp_path, capsys):
+        # both stages reject a run that names a query or a document they do
+        # not have, the same way, before anything is trained or written
+        lines = (workdir / f"{split}_candidates.txt").read_text().splitlines()
+        qid, _, doc_id, rank, score, tag = lines[1].split()
+        if unknown == "query":
+            lines.append(f"ghost Q0 {doc_id} 1 {score} {tag}")
+            message = f"query 'ghost' is not in the {split} queries file"
+        else:
+            lines[1] = f"{qid} Q0 ghost {rank} {score} {tag}"
+            message = f"query {qid!r}: document 'ghost' is not in the collection"
+        candidates = tmp_path / "candidates.txt"
+        candidates.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        cfg = json.loads(Path(config_path).read_text())
+        cfg["paths"] = {f"{split}_candidates": str(candidates)}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {candidates}: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["", "!!!"], ids=["empty", "punctuation"])
     def test_08_query_without_words_is_one_error(self, text, config_path, workdir, tmp_path, capsys):
         lines = (workdir / "eval_queries.tsv").read_text().splitlines()

@@ -20,7 +20,6 @@ from anchorrank.encoder import (
     EncoderGraph,
     Workspace,
     adam_step,
-    attention_map,
     cls_scores,
     init_params,
     load_checkpoint,
@@ -269,21 +268,6 @@ class TestStackRuns:
         for sequences in ([(seq(), seq())], [(seq(), seq())] * 2 + [(seq(CLS_ID, 7), seq(0, 0))]):
             with pytest.raises(ValueError, match="non-empty"):
                 cls_scores(params, CFG, sequences)
-
-
-class TestAttentionMap:
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_bitwise_equal_to_encoder_graph(self, layers):
-        # the same operations on the same rows as the graph: equal to the bit
-        cfg = EncoderConfig(layers=layers, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24)
-        rng = np.random.default_rng(layers)
-        noisy = {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}
-        for dtype in DTYPES:
-            p = as_dtype(noisy, dtype)
-            for n in range(1, cfg.max_len + 1):
-                ids = np.concatenate(([CLS_ID], rng.integers(0, cfg.vocab_size, n - 1)))
-                graph = EncoderGraph(p, cfg, ids)
-                assert np.array_equal(attention_map(p, cfg, ids), graph.attention[-1])
 
 
 def _random_case(cfg, rng, n):
@@ -561,7 +545,6 @@ class TestForwardKernels:
 
         def forwards(*_):
             cls_scores(params, CFG, [(ids, segs)] * 3)
-            attention_map(params, CFG, ids)
             g = EncoderGraph(params, CFG, ids, segs)
             g.cls_score()
             g.mlm_logits(positions)
@@ -1048,7 +1031,8 @@ class TestFloat32:
 
     def test_cls_score_internals_and_attention_map(self, params, monkeypatch):
         # every primitive's output and cache, and the [CLS] head's input and
-        # activations, as the forward-only paths compute them
+        # activations, as cls_scores computes them, and every layer's
+        # attention map, which the sampler reads
         seen = _record_primitives(monkeypatch)
         real_cls_head = model_module._cls_head
 
@@ -1062,8 +1046,8 @@ class TestFloat32:
         score = cls_scores(params, CFG, [(ids, segs)])[0]
         assert isinstance(score, float)
         assert {name for name, _ in seen} >= {"linear[0]", "layer_norm[0]", "gelu[0]", "softmax", "h_cls", "c_act"}
-        amap = attention_map(params, CFG, ids)
-        assert _not_float32([*seen, ("attention_map", amap)]) == []
+        amap = EncoderGraph(params, CFG, ids).attention
+        assert _not_float32([*seen, ("attention", amap)]) == []
 
     @pytest.mark.parametrize("head", TestPrunedOutputs.HEADS)
     def test_gradients_agree_with_float64(self, head):

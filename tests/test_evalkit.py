@@ -178,6 +178,14 @@ class TestFiles:
             read_run(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity"])
+    def test_non_finite_score_rejected(self, score, tmp_path):
+        path = tmp_path / "bad.run"
+        path.write_text(f"q1 Q0 d7 1 3.0 t\nq1 Q0 d8 2 {score} t\n")
+        with pytest.raises(ValueError, match=f"line 2: score '{score}' is not a finite number") as info:
+            read_run(path)
+        assert str(path) in str(info.value)
+
     def test_duplicate_judgment_rejected(self, tmp_path):
         # a second grade for the same pair would silently replace the first
         path = tmp_path / "bad.qrels"

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -532,9 +533,36 @@ class TestDataFiles:
             read_queries(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("qid", ["", "q 1", "q1 "], ids=["empty", "inner-space", "trailing-space"])
+    def test_query_id_a_run_cannot_hold_rejected(self, qid, tmp_path):
+        # a run line is whitespace-separated: such a qid would be written as
+        # a line that read_run refuses
+        path = tmp_path / "queries.tsv"
+        path.write_text(f"q0\tlaptop hardware\n{qid}\tfoo bar\n")
+        message = f"line 2: query id {qid!r} is empty or holds whitespace"
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            read_queries(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("doc_id", ["", "d 1", "\td1"], ids=["empty", "inner-space", "leading-tab"])
+    def test_document_id_a_run_cannot_hold_rejected(self, doc_id, tmp_path):
+        import json
+
+        path = tmp_path / "collection.jsonl"
+        path.write_text(json.dumps({"id": "d0", "body": "x"}) + "\n" + json.dumps({"id": doc_id, "body": "y"}) + "\n")
+        message = f"line 2: document id {doc_id!r} is empty or holds whitespace"
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            read_collection(path)
+        assert str(path) in str(info.value)
+
     def test_examples_from_candidates(self):
         queries = {"q1": "text"}
         cands = {"q1": [("d1", 2.0), ("d2", 1.0)]}
         qrels = {"q1": {"d1": 2}}
         examples = examples_from_candidates(queries, cands, qrels)
         assert [(e.doc_id, e.label) for e in examples] == [("d1", 1), ("d2", 0)]
+
+    def test_candidate_query_without_text_rejected(self):
+        # a query missing from queries is an error, not a silently dropped list
+        with pytest.raises(ValueError, match="candidate query 'ghost' has no query text"):
+            examples_from_candidates({"q1": "text"}, {"q1": [("d1", 1.0)], "ghost": [("d1", 1.0)]}, {})

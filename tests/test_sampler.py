@@ -271,17 +271,17 @@ def reference_rows(params, cfg, vocab, tokens, position_lists):
 class TestAttentionMemo:
     @pytest.fixture()
     def forwarded(self, monkeypatch):
-        """Token ids of every encoder forward the sampler runs."""
+        """Token ids of every EncoderGraph the sampler builds."""
         import anchorrank.sampler as sampler_module
 
         calls = []
-        attention_map = sampler_module.attention_map
 
-        def counting(params, config, token_ids):
-            calls.append(tuple(token_ids))
-            return attention_map(params, config, token_ids)
+        class CountingGraph(sampler_module.EncoderGraph):
+            def __init__(self, params, config, token_ids, *args, **kwargs):
+                calls.append(tuple(token_ids))
+                super().__init__(params, config, token_ids, *args, **kwargs)
 
-        monkeypatch.setattr(sampler_module, "attention_map", counting)
+        monkeypatch.setattr(sampler_module, "EncoderGraph", CountingGraph)
         return calls
 
     @pytest.fixture()
@@ -343,6 +343,25 @@ class TestAttentionMemo:
         assert len(forwarded) == sampler.forwards == len(set(looked_up))
         assert set(forwarded) == set(looked_up)
 
+    def test_generate_builds_one_graph_per_sampler_forward(self, setup, monkeypatch):
+        # every forward generate() runs is an EncoderGraph the sampler counts
+        from anchorrank.encoder import EncoderGraph
+        from anchorrank.taskgen import PairGenerator, TaskGenConfig
+
+        corpus, vocab, params, cfg = setup
+        built = 0
+        init = EncoderGraph.__init__
+
+        def counting(graph, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(graph, *args, **kwargs)
+
+        monkeypatch.setattr(EncoderGraph, "__init__", counting)
+        sampler = AttentionSampler(params, cfg, vocab, stopwords=default_stopwords())
+        assert PairGenerator(corpus, sampler, TaskGenConfig(lam=2.0, summary_max_tokens=32, seed=1)).generate()
+        assert built == sampler.forwards > 0
+
     def test_sequences_equal_after_truncation_share_a_forward(self, setup, forwarded):
         corpus, vocab, _, _ = setup
         params, cfg = small_encoder(vocab, max_len=6)
@@ -386,14 +405,14 @@ class TestRowAveraging:
 
     def test_single_head_single_position_identity(self):
         maps = [[[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.1, 0.1, 0.8]]]
-        _, (row,) = MapSampler(make_vocab("x"), maps)._attention_rows(["x"], [[1]])
+        _, (row,) = MapSampler(make_vocab("x"), maps)._lookup_rows(["x"], [[1]])
         assert np.array_equal(row, [1.0, 0.0, 0.0])
 
     def test_two_heads_average(self):
         maps = np.zeros((2, 3, 3))
         maps[0, 0] = [1.0, 0.0, 0.0]
         maps[1, 0] = [0.0, 1.0, 0.0]
-        _, (row,) = MapSampler(make_vocab("x"), maps)._attention_rows(["x"], [[0]])
+        _, (row,) = MapSampler(make_vocab("x"), maps)._lookup_rows(["x"], [[0]])
         assert np.array_equal(row, [0.5, 0.5, 0.0])
 
     def test_multi_position_matches_manual_average(self):
@@ -402,7 +421,7 @@ class TestRowAveraging:
         vocab = make_vocab("red fox jumps over")
         params, cfg = small_encoder(vocab)
         tokens = ["red", "fox", "jumps", "over"]
-        _, (row,) = AttentionSampler(params, cfg, vocab, stopwords=frozenset())._attention_rows(tokens, [[3, 2, 3]])
+        _, (row,) = AttentionSampler(params, cfg, vocab, stopwords=frozenset())._lookup_rows(tokens, [[3, 2, 3]])
         attn = EncoderGraph(params, cfg, vocab.encode([CLS_TOKEN, *tokens, SEP_TOKEN])).attention[-1]
         manual = (attn[:, 2, :].mean(axis=0) + attn[:, 3, :].mean(axis=0)) / 2.0
         assert np.allclose(row, manual, atol=1e-12)
@@ -410,7 +429,7 @@ class TestRowAveraging:
 
     def test_empty_positions_rejected(self):
         with pytest.raises(SamplerError, match="empty"):
-            MapSampler(make_vocab("x"), np.ones((1, 3, 3)))._attention_rows(["x"], [[]])
+            MapSampler(make_vocab("x"), np.ones((1, 3, 3)))._lookup_rows(["x"], [[]])
 
 
 def test_load_stopwords_file(tmp_path):
