@@ -343,7 +343,8 @@ class EncoderGraph:
     def backward(self, grads: dict[str, np.ndarray], d_score=0.0, d_mlm_logits=None) -> None:
         """Accumulate exact loss gradients into grads, given upstream
         gradients for the attached heads; a stack's d_score is a sequence
-        of one float per member.
+        of one float per member, and anything else, a scalar included, is a
+        ValueError.
 
         A stack's activation gradients run through all members at once;
         each member's parameter-gradient contribution is then added into
@@ -353,6 +354,9 @@ class EncoderGraph:
             raise RuntimeError("backward() already called on this graph")
         if self._workspace is not None and self._workspace.claims != self._claim:
             raise RuntimeError("a later graph has claimed this graph's workspace")
+        d_scores = [d_score] if self.token_ids.ndim == 1 else d_score
+        if self.token_ids.ndim == 2 and (np.ndim(d_scores) != 1 or len(d_scores) != len(self.token_ids)):
+            raise ValueError("d_score needs one value per member of the stack")
         self._spent = True
         params, new, tmp = self.params, self._new, self._tmp
         d_hidden = (new or np.empty)(self.hidden.shape, self.hidden.dtype)
@@ -361,9 +365,6 @@ class EncoderGraph:
         # member by member, with d a Python float that numpy casts to the
         # params' dtype and one matrix-vector product per member: the
         # operations of a single-sequence graph
-        d_scores = [d_score] if self.token_ids.ndim == 1 else list(d_score)
-        if self.token_ids.ndim == 2 and len(d_scores) != len(self.token_ids):
-            raise ValueError("d_score needs one value per member of the stack")
         d_cls = d_hidden[..., 0, :].reshape(-1, self.config.hidden)
         for b, d in enumerate(map(float, d_scores)):
             if d == 0.0:

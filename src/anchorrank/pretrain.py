@@ -163,12 +163,14 @@ class Schedule:
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
-        if self.lr <= 0 or self.batch_size < 1 or self.max_len < 4 or self.epochs < 0:
-            raise ValueError("lr, batch_size, max_len must be positive and epochs >= 0")
-        if self.log_every < 1:
-            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
+        # each check is `not <rule>`, so that NaN fails it too
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        for name, minimum in (("epochs", 0), ("batch_size", 1), ("max_len", 4), ("log_every", 1)):
+            if not getattr(self, name) >= minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
+        if self.max_steps is not None and not self.max_steps >= 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -165,21 +165,16 @@ class AttentionSampler:
         self.forwards = 0
         self._rows: dict[tuple, np.ndarray] = {}
 
-    def _sequence_tokens(self, tokens) -> list[str]:
-        """[CLS] + tokens + [SEP], with tokens cut to fit max_len."""
-        return [CLS_TOKEN, *tokens[: self.config.max_len - 2], SEP_TOKEN]
-
-    def _sequence_attention(self, tokens: list[str]) -> tuple[list[str], np.ndarray]:
-        """Encode [CLS] + tokens + [SEP] (truncating tokens to fit) and
-        return (sequence tokens, per-head attention maps of the last layer,
-        shape (heads, n, n))."""
-        seq_tokens = self._sequence_tokens(tokens)
+    def _sequence_attention(self, seq_tokens: list[str]) -> np.ndarray:
+        """Encode the sequence _lookup_rows built and return the per-head
+        attention maps of the last layer, shape (heads, n, n)."""
         ids = self.vocab.encode(seq_tokens)
-        return seq_tokens, EncoderGraph(self.params, self.config, ids).attention[-1]
+        return EncoderGraph(self.params, self.config, ids).attention[-1]
 
     def _lookup_rows(self, tokens, wanted, fill=()) -> tuple[list[str], list[np.ndarray]]:
         """(sequence tokens, the head-averaged attention row of each position
-        list in `wanted`).
+        list in `wanted`); the sequence is [CLS] + tokens + [SEP], with
+        tokens cut to fit max_len.
 
         A row averages the maps over heads and over the sorted distinct
         positions of its list.  A miss runs one forward and memoises the
@@ -192,7 +187,7 @@ class AttentionSampler:
         of floats), so no caller can write into the memo.
         """
         self.lookups += 1
-        seq_tokens = self._sequence_tokens(tokens)
+        seq_tokens = [CLS_TOKEN, *tokens[: self.config.max_len - 2], SEP_TOKEN]
         n = len(seq_tokens)
         for positions in wanted:
             if not positions:
@@ -207,7 +202,7 @@ class AttentionSampler:
 
         keys = [key(positions) for positions in wanted]
         if any(k not in self._rows for k in keys):
-            _, maps = self._sequence_attention(tokens)
+            maps = self._sequence_attention(seq_tokens)
             self.forwards += 1
             in_range = [positions for positions in fill if all(0 <= p < n for p in positions)]
             for k in map(key, [*wanted, *in_range]):

@@ -105,27 +105,20 @@ def build_rqp_pair(
     seed_path: str = "",
 ) -> PretrainPair | None:
     """Anchor-plus-context query vs a query sampled from the destination
-    page itself; both score against the destination page summary."""
+    page itself; both score against the destination page summary.  Either
+    distribution's SamplerError reaches the caller."""
     if not _usable_anchor(anchor, sentence, corpus):
         return None
     target = corpus.pages[anchor.target_id]
     summary = page_summary(target, summary_max_tokens)
     if not summary:
         return None
-    try:
-        context_dist = sampler.anchor_term_distribution(sentence, anchor)
-    except SamplerError as exc:
-        log.debug("rqp skip %s: %s", seed_path, exc)
-        return None
+    context_dist = sampler.anchor_term_distribution(sentence, anchor)
     length = poisson_length(lam, rng)
     pos_query = sample_word_set(context_dist, length, anchor_surface=anchor.normalized_surface(), rng=rng)
 
     anchor_terms = set(anchor.surface_tokens())
-    try:
-        page_dist = sampler.cls_term_distribution(summary, anchor_terms)
-    except SamplerError as exc:
-        log.debug("rqp skip %s: %s", seed_path, exc)
-        return None
+    page_dist = sampler.cls_term_distribution(summary, anchor_terms)
     neg_query = sample_word_set(page_dist, len(pos_query), rng=rng)
     if len(neg_query) != len(pos_query):
         log.debug("rqp skip %s: negative support too small for equal lengths", seed_path)
@@ -152,7 +145,8 @@ def build_qdm_pair(
 ) -> PretrainPair | None:
     """Disambiguation pair for one ambiguous anchor surface: the context
     query must prefer the occurrence's true destination over another page
-    the same surface links to elsewhere."""
+    the same surface links to elsewhere.  The context distribution's
+    SamplerError reaches the caller."""
     usable = [
         o
         for o in occurrences
@@ -164,11 +158,7 @@ def build_qdm_pair(
     occ = usable[int(rng.integers(len(usable)))]
     sentence = corpus.pages[occ.page_id].sentences[occ.sentence_index]
     anchor = sentence.anchors[occ.anchor_index]
-    try:
-        context_dist = sampler.anchor_term_distribution(sentence, anchor)
-    except SamplerError as exc:
-        log.debug("qdm skip %s: %s", seed_path, exc)
-        return None
+    context_dist = sampler.anchor_term_distribution(sentence, anchor)
     length = poisson_length(lam, rng)
     query = sample_word_set(context_dist, length, anchor_surface=anchor.normalized_surface(), rng=rng)
     negatives = [t for t in distinct if t != occ.target_id]
@@ -192,15 +182,12 @@ def build_rdp_pair(
     seed_path: str = "",
 ) -> PretrainPair | None:
     """Long-query pair: the full sentence against the pages of two of its
-    anchors, ordered by [CLS]-attention importance."""
+    anchors, ordered by [CLS]-attention importance.  The importances'
+    SamplerError reaches the caller."""
     groups = _distinct_anchors(sentence, corpus)
     if len(groups) < 2:
         return None
-    try:
-        gammas = sampler.anchor_cls_attention(sentence)
-    except SamplerError as exc:
-        log.debug("rdp skip %s: %s", seed_path, exc)
-        return None
+    gammas = sampler.anchor_cls_attention(sentence)
 
     eta: dict[str, float] = {key: 0.0 for key in groups}
     for anchor, gamma in zip(sentence.anchors, gammas):
@@ -253,7 +240,8 @@ def build_acm_pair(
     seed_path: str = "",
 ) -> PretrainPair | None:
     """Co-occurrence pair: a query built from one anchor's page must prefer
-    the co-occurring anchor's page over a random corpus page."""
+    the co-occurring anchor's page over a random corpus page.  The page
+    distribution's SamplerError reaches the caller."""
     groups = _distinct_anchors(sentence, corpus)
     if len(groups) < 2:
         return None
@@ -266,11 +254,7 @@ def build_acm_pair(
     summary = page_summary(first_page, summary_max_tokens)
     if not summary:
         return None
-    try:
-        dist = sampler.cls_term_distribution(summary, set(first_key.split()))
-    except SamplerError as exc:
-        log.debug("acm skip %s: %s", seed_path, exc)
-        return None
+    dist = sampler.cls_term_distribution(summary, set(first_key.split()))
     length = poisson_length(lam, rng)
     query = sample_word_set(dist, length, anchor_surface=first_key, rng=rng)
 
@@ -330,7 +314,7 @@ class TaskGenConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
+        if not self.lam > 0:  # NaN fails too
             raise ValueError(f"lam must be positive, got {self.lam}")
         if isinstance(self.per_task_cap, dict):
             unknown = sorted(set(self.per_task_cap) - set(TASKS))
@@ -366,12 +350,17 @@ class PairGenerator:
     def _pairs(self, task: str, build, seeds: Iterable[tuple], **options) -> Iterator[PretrainPair]:
         """One build per (seed_path, *args) seed, each drawing from its own
         stream derive_rng(seed, seed_path), so caps and task mixing never
-        change another seed's pair."""
+        change another seed's pair.  A seed whose build raises SamplerError
+        (the sampler cannot serve it) is tried, logged once and skipped."""
         counts = self.yields[task]
         for seed_path, *args in seeds:
             counts["tried"] += 1
             rng = derive_rng(self.config.seed, seed_path)
-            pair = build(*args, self.corpus, self.sampler, rng, seed_path=seed_path, **options)
+            try:
+                pair = build(*args, self.corpus, self.sampler, rng, seed_path=seed_path, **options)
+            except SamplerError as exc:
+                log.debug("%s skip %s: %s", task, seed_path, exc)
+                continue
             if pair is not None:
                 yield pair
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from anchorrank.corpus import CLS_TOKEN, SEP_TOKEN, clean_corpus, parse_corpus
+from anchorrank.corpus import clean_corpus, parse_corpus
 from anchorrank.encoder import EncoderConfig
 from anchorrank.sampler import AttentionSampler
 
@@ -90,8 +90,7 @@ class TableAttentionSampler(AttentionSampler):
         self.row_toward_cls = dict(row_toward_cls or {})
         self.default = default
 
-    def _sequence_attention(self, tokens):
-        seq = [CLS_TOKEN] + list(tokens) + [SEP_TOKEN]
+    def _sequence_attention(self, seq):
         n = len(seq)
         # rows are intentionally not normalized: tests drive the merged
         # weights directly
@@ -105,4 +104,4 @@ class TableAttentionSampler(AttentionSampler):
                 row = np.full(n, (1.0 - toward) / max(n - 1, 1))
                 row[0] = toward
                 maps[0, q] = row
-        return seq, maps
+        return maps

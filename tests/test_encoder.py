@@ -745,6 +745,17 @@ class TestStackedGraph:
         with pytest.raises(ValueError, match="one value per member"):
             g.backward(zero_grads(params), d_score=[0.1, 0.2])
 
+    @pytest.mark.parametrize("d_score", [None, 0.5, np.float32(0.5)], ids=["default", "float", "numpy-scalar"])
+    def test_scalar_d_score_on_a_stack_rejected(self, params, d_score):
+        ids, segs = self.case(CFG, np.random.default_rng(5), 3, 5)
+        g = EncoderGraph(params, CFG, ids, segs, outputs=[0])
+        g.cls_score()
+        kwargs = {} if d_score is None else {"d_score": d_score}
+        with pytest.raises(ValueError, match="one value per member"):
+            g.backward(zero_grads(params), **kwargs)
+        # the rejected call left the graph able to back-propagate
+        g.backward(zero_grads(params), d_score=[0.1, 0.2, 0.3])
+
     def test_workspace_serves_one_graph_at_a_time(self, params):
         rng = np.random.default_rng(6)
         workspace = Workspace()

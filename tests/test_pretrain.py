@@ -331,6 +331,20 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="max_steps"):
             TrainConfig(max_steps=-3)
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("lr", 0.0, "positive"),
+        ("lr", float("nan"), "positive"),
+        ("epochs", -1, ">= 0"),
+        ("batch_size", 0, ">= 1"),
+        ("max_len", 3, ">= 4"),
+        ("log_every", 0, ">= 1"),
+        ("max_steps", -1, ">= 0"),
+    ], ids=["lr-zero", "lr-nan", "epochs", "batch_size", "max_len", "log_every", "max_steps"])
+    def test_bad_schedule_field_rejected_naming_rule_and_value(self, field, value, rule):
+        with pytest.raises(ValueError) as info:
+            pretrain.Schedule(**{field: value})
+        assert str(info.value) == f"{field} must be {rule}, got {value}"
+
     @pytest.mark.parametrize("value", [-5, 0, 2.5])
     def test_bad_summary_max_tokens_rejected(self, value):
         with pytest.raises(ValueError, match=f"summary_max_tokens must be an integer >= 1, got {value}"):

@@ -58,12 +58,10 @@ class FakeAttentionSampler(AttentionSampler):
         self.weights = dict(weights or {})
         self.default = default
 
-    def _sequence_attention(self, tokens):
-        seq = [CLS_TOKEN] + list(tokens) + [SEP_TOKEN]
+    def _sequence_attention(self, seq):
         row = np.array([self.weights.get(t, self.default) for t in seq], dtype=float)
         row = row / row.sum()
-        maps = np.tile(row, (1, len(seq), 1))
-        return seq, maps
+        return np.tile(row, (1, len(seq), 1))
 
 
 class TestMerge:
@@ -396,8 +394,8 @@ class MapSampler(AttentionSampler):
         super().__init__(params=None, config=EncoderConfig(vocab_size=len(vocab)), vocab=vocab, stopwords=frozenset())
         self.maps = np.asarray(maps, dtype=float)
 
-    def _sequence_attention(self, tokens):
-        return self._sequence_tokens(tokens), self.maps
+    def _sequence_attention(self, seq):
+        return self.maps
 
 
 class TestRowAveraging:

@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from anchorrank.corpus import Vocabulary, anchor_occurrence_index, build_vocab, tokenize
-from anchorrank.sampler import default_stopwords, poisson_length
+from anchorrank.encoder import EncoderConfig, init_params
+from anchorrank.sampler import AttentionSampler, SamplerError, default_stopwords, poisson_length
 from anchorrank.taskgen import (
     TASKS,
     PairGenerator,
@@ -307,6 +310,41 @@ class TestGenerator:
         assert set(rec) == {"task", "query", "pos_doc_id", "neg_doc_id", "neg_query", "provenance", "seed_path"}
 
 
+def short_window_sampler(corpus):
+    # max_len 6 leaves 4 sentence tokens: news sentence 0's "MacBook Pro"
+    # anchor ends past the window
+    vocab = build_vocab(corpus, max_size=500)
+    cfg = EncoderConfig(vocab_size=len(vocab), max_len=6)
+    return AttentionSampler(init_params(cfg, seed=0), cfg, vocab)
+
+
+class TestSeedTheSamplerCannotServe:
+    def test_generate_tries_logs_and_skips_it(self, corpus, caplog):
+        gen = PairGenerator(corpus, short_window_sampler(corpus), TaskGenConfig(seed=42))
+        with caplog.at_level(logging.DEBUG, logger="anchorrank.taskgen"):
+            pairs = gen.generate()
+        skips = [(r.levelno, r.getMessage()) for r in caplog.records if " skip " in r.getMessage()]
+        assert skips == [
+            (logging.DEBUG, "rdp skip rdp/news/0: query position 6 truncated out of the sequence"),
+            (logging.DEBUG, "rqp skip rqp/news/0/1: query position 6 truncated out of the sequence"),
+        ]
+        assert {t: (y["kept"], y["tried"]) for t, y in gen.yields.items()} == {
+            "rqp": (2, 4), "qdm": (1, 3), "rdp": (0, 12), "acm": (1, 12),
+        }
+        assert [(p.seed_path, p.query_tokens, p.neg_query_tokens, p.pos_doc_id, p.neg_doc_id) for p in pairs] == [
+            ("acm/news/0", ["macbook pro", "laptop", "hardware", "computer"], None, "company", "river"),
+            ("qdm/apple", ["apple", "pie", "uses"], None, "fruit", "company"),
+            ("rqp/news/0/0", ["apple", "unveiled", "new"], ["technology", "company", "selling"], "company", "company"),
+            ("rqp/news/1/0", ["apple", "pie", "uses"], ["sweet", "fruit", "grown"], "fruit", "fruit"),
+        ]
+
+    def test_builder_lets_the_sampler_error_reach_the_caller(self, corpus):
+        sent = news_sentence(corpus, 0)
+        with pytest.raises(SamplerError, match="query position 6 truncated"):
+            build_rqp_pair(sent, sent.anchors[1], corpus, short_window_sampler(corpus),
+                           derive_rng(42, "rqp/news/0/1"), seed_path="rqp/news/0/1")
+
+
 GOOD_RQP = {"task": "rqp", "query": ["a", "b"], "pos_doc_id": "d1", "neg_doc_id": "d1", "neg_query": ["c"]}
 
 
@@ -354,8 +392,9 @@ class TestTaskGenConfig:
         assert str(info.value) == f"{key} must be an integer >= {minimum}, got {bad!r}"
 
     def test_non_positive_lam_rejected(self):
-        with pytest.raises(ValueError, match="lam must be positive"):
-            TaskGenConfig(lam=0.0)
+        for lam in (0.0, float("nan")):
+            with pytest.raises(ValueError, match=f"lam must be positive, got {lam}"):
+                TaskGenConfig(lam=lam)
 
 
 def test_derive_rng_stable_and_independent():
