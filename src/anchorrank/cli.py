@@ -20,7 +20,7 @@ from pathlib import Path
 
 from anchorrank import evalkit
 from anchorrank.corpus import Vocabulary, build_vocab, clean_corpus, read_corpus, write_corpus
-from anchorrank.encoder import EncoderConfig, load_checkpoint
+from anchorrank.encoder import EncoderConfig
 from anchorrank.pretrain import TrainConfig, TrainError, mlm_warmup, train
 from anchorrank.ranker import (
     FinetuneConfig,
@@ -267,6 +267,16 @@ def _load_clean_corpus_and_vocab(cfg: dict):
     return read_corpus(input_path(cfg, "corpus_clean")), Vocabulary.load(input_path(cfg, "vocab"))
 
 
+def _load_model_on_vocab(path: Path, cfg: dict, vocab: Vocabulary):
+    """The checkpoint at path as a RankerModel, refused unless it holds the
+    encoder config and, term for term, the vocabulary read from vocab.txt:
+    a term at another id would feed the encoder the wrong embeddings."""
+    model = load_model(path, expected_config=encoder_config(cfg, len(vocab)))
+    if model.vocab.id_to_term != vocab.id_to_term:
+        raise CommandError(f"checkpoint {path} was trained on another vocabulary than {input_path(cfg, 'vocab')}")
+    return model
+
+
 def cmd_warm_sampler(args, cfg: dict) -> int:
     corpus, vocab = _load_clean_corpus_and_vocab(cfg)
     enc = encoder_config(cfg, len(vocab))
@@ -280,8 +290,8 @@ def cmd_warm_sampler(args, cfg: dict) -> int:
 def cmd_build_pairs(args, cfg: dict) -> int:
     gen_cfg = TaskGenConfig(**cfg["taskgen"], seed=cfg["seed"])
     corpus, vocab = _load_clean_corpus_and_vocab(cfg)
-    ck = load_checkpoint(input_path(cfg, "sampler_ckpt"), expected_config=encoder_config(cfg, len(vocab)))
-    sampler = AttentionSampler(ck.params, ck.config, vocab, stopwords=stopword_set(cfg))
+    model = _load_model_on_vocab(input_path(cfg, "sampler_ckpt"), cfg, vocab)
+    sampler = AttentionSampler(model.params, model.config, vocab, stopwords=stopword_set(cfg))
     generator = PairGenerator(corpus, sampler, gen_cfg)
     pairs = generator.generate()
     if not pairs:
@@ -300,7 +310,7 @@ def cmd_pretrain(args, cfg: dict) -> int:
     pairs = read_pairs(input_path(cfg, "pairs"))
     enc = encoder_config(cfg, len(vocab))
     tcfg = train_config(cfg["pretrain"], cfg)
-    init = load_checkpoint(Path(args.init), expected_config=enc).params if args.init else None
+    init = _load_model_on_vocab(Path(args.init), cfg, vocab).params if args.init else None
     out = output_path(cfg, "pretrain_ckpt", args.out)
     metrics_path = output_path(cfg, "pretrain_metrics")
     meta = {"seed": cfg["seed"], "command": "pretrain"}

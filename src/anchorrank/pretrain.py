@@ -37,28 +37,18 @@ class TrainError(RuntimeError):
     """Training diverged or received invalid inputs."""
 
 
-@dataclass
-class PackedSequence:
-    """[CLS] query [SEP] document [SEP] with 0/1 segment ids; sequences are
-    packed unpadded, so every position is attended to."""
-
-    token_ids: np.ndarray
-    segment_ids: np.ndarray
-
-
-@dataclass
-class MaskedBatch:
-    seq: PackedSequence
-    labels: list[tuple[int, int]]  # (position, original token id)
-
-
 def flatten_query(query_tokens: Sequence[str]) -> list[str]:
     """Word-set elements may be multi-word phrases (anchor surfaces); split
     them back into vocabulary tokens for encoding."""
     return [t for element in query_tokens for t in element.split()]
 
 
-def pack_input(query_tokens: Sequence[str], doc_tokens: Sequence[str], vocab: Vocabulary, max_len: int) -> PackedSequence:
+def pack_input(
+    query_tokens: Sequence[str], doc_tokens: Sequence[str], vocab: Vocabulary, max_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 (token_ids, segment_ids) of [CLS] query [SEP] document
+    [SEP], segments 0 then 1: the pair EncoderGraph and cls_scores take.
+    It is unpadded, so every position is attended to."""
     query = flatten_query(query_tokens)
     if not query:
         raise PackError("query must be non-empty")
@@ -72,14 +62,18 @@ def pack_input(query_tokens: Sequence[str], doc_tokens: Sequence[str], vocab: Vo
     doc = list(doc_tokens[:budget])
     ids = [CLS_ID] + vocab.encode(query) + [SEP_ID] + vocab.encode(doc) + [SEP_ID]
     segs = [0] * (len(query) + 2) + [1] * (len(doc) + 1)
-    return PackedSequence(token_ids=np.array(ids, dtype=np.int64), segment_ids=np.array(segs, dtype=np.int64))
+    return np.array(ids, dtype=np.int64), np.array(segs, dtype=np.int64)
 
 
-def mask_tokens(seq: PackedSequence, vocab_size: int, rng: np.random.Generator) -> MaskedBatch:
-    """Select round(MASK_RATE * maskable) positions (at least one when any
-    exist); replace with [MASK] 80% of the time, a random non-special token
-    10%, and leave unchanged 10%.  Special tokens are never selected."""
-    ids = seq.token_ids.copy()
+def mask_tokens(
+    token_ids: np.ndarray, vocab_size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """(masked copy of token_ids, labels), each label a (position, original
+    token id).  Select round(MASK_RATE * maskable) positions (at least one
+    when any exist); replace with [MASK] 80% of the time, a random
+    non-special token 10%, and leave unchanged 10%.  Special tokens are
+    never selected."""
+    ids = token_ids.copy()
     maskable = np.flatnonzero(ids >= NUM_SPECIAL_TOKENS)
     labels: list[tuple[int, int]] = []
     if maskable.size:
@@ -94,8 +88,7 @@ def mask_tokens(seq: PackedSequence, vocab_size: int, rng: np.random.Generator) 
             elif roll < 0.9:
                 ids[pos] = int(rng.integers(NUM_SPECIAL_TOKENS, vocab_size))
             # else: unchanged
-    masked = PackedSequence(token_ids=ids, segment_ids=seq.segment_ids)
-    return MaskedBatch(seq=masked, labels=labels)
+    return ids, labels
 
 
 def hinge_loss(p_pos: float, p_neg: float) -> float:
@@ -124,23 +117,24 @@ def mlm_loss_and_grad(logits: np.ndarray, labels: Sequence[tuple[int, int]]) -> 
 
 
 def mlm_forward_backward(
-    packed: PackedSequence,
+    packed: tuple[np.ndarray, np.ndarray],
     params: dict[str, np.ndarray],
     enc_config: EncoderConfig,
     rng: np.random.Generator,
     grads: dict[str, np.ndarray],
     scale: float,
 ) -> float | None:
-    """Mask `packed` from rng, run the masked graph for the masked rows
-    only, and accumulate scale times the gradient of its MLM loss into
-    grads.  Returns that (unscaled) loss, or None when nothing was
-    masked."""
-    masked = mask_tokens(packed, enc_config.vocab_size, rng)
-    if not masked.labels:
+    """Mask the packing `packed` from rng, run the masked graph for the
+    masked rows only, and accumulate scale times the gradient of its MLM
+    loss into grads.  Returns that (unscaled) loss, or None when nothing
+    was masked."""
+    token_ids, segment_ids = packed
+    masked_ids, labels = mask_tokens(token_ids, enc_config.vocab_size, rng)
+    if not labels:
         return None
-    positions = [p for p, _ in masked.labels]
-    graph = EncoderGraph(params, enc_config, masked.seq.token_ids, masked.seq.segment_ids, outputs=positions)
-    loss, d_logits = mlm_loss_and_grad(graph.mlm_logits(positions), masked.labels)
+    positions = [p for p, _ in labels]
+    graph = EncoderGraph(params, enc_config, masked_ids, segment_ids, outputs=positions)
+    loss, d_logits = mlm_loss_and_grad(graph.mlm_logits(positions), labels)
     if scale != 0.0:
         graph.backward(grads, d_mlm_logits=d_logits * scale)
     return loss
@@ -188,6 +182,12 @@ class TrainConfig(Schedule):
         unknown = sorted(set(self.task_weights) - set(default_task_weights()))
         if unknown:
             raise ValueError(f"unknown task_weights keys {unknown} (expected among {', '.join(default_task_weights())})")
+        for task, weight in self.task_weights.items():
+            # 0 is valid (warm-up turns the pairwise tasks off with it); NaN
+            # would reach every gradient, and a negative weight trains the
+            # hinge backwards
+            if not (isinstance(weight, (int, float)) and math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"task_weights.{task} must be a finite number >= 0, got {weight}")
         self.task_weights = {**default_task_weights(), **self.task_weights}
 
 
@@ -206,10 +206,10 @@ def summary_lookup(corpus: HyperlinkCorpus, max_tokens: int) -> Callable[[str], 
 
 def pack_pair(
     pair: PretrainPair, vocab: Vocabulary, doc_tokens: Callable[[str], list[str]], max_len: int
-) -> tuple[PackedSequence, PackedSequence]:
-    """The positive and negative packings of a pair: an rqp negative swaps
-    in the negative query against the same document, every other task the
-    negative document against the same query."""
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The positive and negative pack_input packings of a pair: an rqp
+    negative swaps in the negative query against the same document, every
+    other task the negative document against the same query."""
     pos_doc = doc_tokens(pair.pos_doc_id)
     pos = pack_input(pair.query_tokens, pos_doc, vocab, max_len)
     if pair.task == "rqp":
@@ -251,9 +251,9 @@ def joint_step(
     w_mlm = weights.get("mlm", 1.0)
     for pair in pairs:
         pos_packed, neg_packed = pack_pair(pair, vocab, doc_tokens, config.max_len)
-        g_pos = EncoderGraph(params, enc_config, pos_packed.token_ids, pos_packed.segment_ids, outputs=[0])
+        g_pos = EncoderGraph(params, enc_config, *pos_packed, outputs=[0])
         s_pos = g_pos.cls_score()
-        g_neg = EncoderGraph(params, enc_config, neg_packed.token_ids, neg_packed.segment_ids, outputs=[0])
+        g_neg = EncoderGraph(params, enc_config, *neg_packed, outputs=[0])
         s_neg = g_neg.cls_score()
         hinge = hinge_loss(s_pos, s_neg)
         task_sums[pair.task] += hinge
@@ -411,10 +411,7 @@ def pairwise_accuracy(
     if not pairs:
         raise ValueError("no pairs to evaluate")
     doc_tokens = summary_lookup(corpus, config.summary_max_tokens)
-    packings = []
-    for pair in pairs:
-        for packed in pack_pair(pair, vocab, doc_tokens, config.max_len):
-            packings.append((packed.token_ids, packed.segment_ids))
+    packings = [packed for pair in pairs for packed in pack_pair(pair, vocab, doc_tokens, config.max_len)]
     scores = cls_scores(params, enc_config, packings)
     wins = sum(s_pos > s_neg for s_pos, s_neg in zip(scores[0::2], scores[1::2]))
     return wins / len(pairs)

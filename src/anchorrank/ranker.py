@@ -62,7 +62,7 @@ class FinetuneConfig(Schedule):
     def __post_init__(self) -> None:
         super().__post_init__()
         if not 0.0 <= self.warmup < 1.0:
-            raise ValueError("warmup portion must be in [0, 1)")
+            raise ValueError(f"warmup must be in [0, 1), got {self.warmup}")
 
 
 @dataclass
@@ -96,7 +96,7 @@ def score_tokens(model: RankerModel, query_tokens: Sequence[str], doc_tokens: Se
     """Relevance probability in (0, 1): logistic over the CLS score of the
     packed (query, document) sequence, bitwise what rerank gives it."""
     packed = pack_input(query_tokens, doc_tokens, model.vocab, model.config.max_len)
-    return _sigmoid(cls_scores(model.params, model.config, [(packed.token_ids, packed.segment_ids)])[0])
+    return _sigmoid(cls_scores(model.params, model.config, [packed])[0])
 
 
 def score(model: RankerModel, query_text: str, doc: DocRecord) -> float:
@@ -144,15 +144,8 @@ def finetune(
             for ex in batch
         ]
         loss = 0.0
-        for start, stop in stack_runs([len(p.token_ids) for p in packings]):
-            graph = EncoderGraph(
-                params,
-                model.config,
-                [p.token_ids for p in packings[start:stop]],
-                [p.segment_ids for p in packings[start:stop]],
-                outputs=[0],
-                workspace=workspace,
-            )
+        for start, stop in stack_runs([len(token_ids) for token_ids, _ in packings]):
+            graph = EncoderGraph(params, model.config, *zip(*packings[start:stop]), outputs=[0], workspace=workspace)
             d_scores = []
             for ex, logit in zip(batch[start:stop], graph.cls_score()):
                 s = _sigmoid(logit)
@@ -192,8 +185,7 @@ def rerank(
     for doc_id, _ in candidates:
         if doc_id not in collection:
             raise ValueError(f"candidate document {doc_id!r} missing from collection")
-        packed = pack_input(query_tokens, collection[doc_id].tokens, model.vocab, model.config.max_len)
-        packings.append((packed.token_ids, packed.segment_ids))
+        packings.append(pack_input(query_tokens, collection[doc_id].tokens, model.vocab, model.config.max_len))
     scores = [_sigmoid(s) for s in cls_scores(model.params, model.config, packings)]
     order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
     return [(candidates[i][0], scores[i]) for i in order[:k]]

@@ -18,7 +18,7 @@ from pathlib import Path
 from anchorrank.corpus import HyperlinkCorpus, parse_corpus, write_corpus
 from anchorrank.evalkit import Qrels, write_qrels, write_run
 from anchorrank.ranker import collection_from_corpus, write_collection, write_queries
-from anchorrank.taskgen import derive_rng
+from anchorrank.taskgen import _check_count, derive_rng
 
 log = logging.getLogger(__name__)
 
@@ -43,6 +43,8 @@ class SynthConfig:
             raise ValueError(f"topics must be in [1, {len(TOPIC_NAMES)}]")
         if self.pages < self.topics * 2:
             raise ValueError("need at least two pages per topic")
+        for name, minimum in (("train_queries", 0), ("eval_queries", 0), ("candidates_per_query", 1)):
+            _check_count(name, getattr(self, name), minimum)
         if self.train_queries + self.eval_queries > self.pages:
             raise ValueError("more queries than pages to target")
 

@@ -299,6 +299,7 @@ class TestCriterion5LossIdentities:
         )
 
 
+@pytest.mark.slow
 class TestCriterion6EndToEnd:
     def test_toy_experiment(self, world, pretrained):
         t0 = time.monotonic()
@@ -337,6 +338,7 @@ class TestCriterion6EndToEnd:
         )
 
 
+@pytest.mark.slow
 class TestCriterion7AblationHarness:
     def run_variant(self, world, weights, seed):
         """One reduced-budget pipeline leg: pretrain with the given task

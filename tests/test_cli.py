@@ -122,6 +122,40 @@ class TestPipeline:
         assert (tmp_path / "out.ckpt").exists()
         assert json.loads(metrics.read_text().splitlines()[-1])["step"] == 2
 
+    @pytest.mark.parametrize("command", ["build-pairs", "pretrain-init"])
+    def test_06_checkpoint_on_another_vocabulary_is_one_error(self, command, config_path, workdir, tmp_path, capsys):
+        # the same terms at swapped ids: the size still matches, the
+        # embeddings do not
+        copy = tmp_path / "w"
+        copy.mkdir()
+        for name in ("clean.jsonl", "vocab.txt", "sampler.ckpt", "pairs.jsonl", "pretrained.ckpt"):
+            (copy / name).write_bytes((workdir / name).read_bytes())
+        terms = (copy / "vocab.txt").read_text().splitlines()
+        terms[10], terms[11] = terms[11], terms[10]
+        (copy / "vocab.txt").write_text("\n".join(terms) + "\n")
+        out = tmp_path / "out"
+        argv = ["--config", config_path, "--workdir", str(copy), "--out", str(out)]
+        if command == "build-pairs":
+            argv, ckpt = ["build-pairs", *argv], copy / "sampler.ckpt"
+        else:
+            argv, ckpt = ["pretrain", *argv, "--init", str(copy / "pretrained.ckpt")], copy / "pretrained.ckpt"
+        assert main(argv) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert f"checkpoint {ckpt} was trained on another vocabulary than {copy / 'vocab.txt'}" in errors[0]
+        assert not out.exists() and not (copy / "pretrain_metrics.jsonl").exists()
+
+    def test_06_negative_task_weight_is_one_error(self, config_path, tmp_path, capsys):
+        cfg = json.loads(Path(config_path).read_text())
+        cfg["pretrain"]["task_weights"] = {"rqp": -1}
+        cfg["paths"] = {"pretrain_metrics": str(tmp_path / "metrics.jsonl")}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "out.ckpt")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: task_weights.rqp must be a finite number >= 0, got -1"]
+        assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "metrics.jsonl").exists()
+
     def test_07_finetune(self, config_path, workdir):
         assert main(["finetune", "--config", config_path]) == 0
         assert (workdir / "finetuned.ckpt").exists()

@@ -30,7 +30,7 @@ from anchorrank.encoder import (
 from anchorrank.encoder import layers as layers_module
 from anchorrank.encoder import model as model_module
 from anchorrank.encoder.layers import gelu, gelu_backward, layer_norm, softmax
-from anchorrank.pretrain import PackedSequence, mlm_forward_backward, mlm_loss_and_grad
+from anchorrank.pretrain import mlm_forward_backward, mlm_loss_and_grad
 from util import (
     as_dtype,
     encode,
@@ -1030,8 +1030,7 @@ class TestFloat32:
 
     def test_mlm_step_grads_and_adam_moments(self, params):
         p = {k: v.copy() for k, v in params.items()}
-        ids, segs = seq(CLS_ID, 7, 8, 9, 10, 11, SEP_ID, 12, 13, SEP_ID), seq(0, 0, 0, 0, 0, 0, 0, 1, 1, 1)
-        packed = PackedSequence(token_ids=ids, segment_ids=segs)
+        packed = seq(CLS_ID, 7, 8, 9, 10, 11, SEP_ID, 12, 13, SEP_ID), seq(0, 0, 0, 0, 0, 0, 0, 1, 1, 1)
         grads = zero_grads(p)
         loss = mlm_forward_backward(packed, p, CFG, np.random.default_rng(0), grads, 0.5)
         assert loss is not None and np.any(grads["mlm_w"] != 0.0)

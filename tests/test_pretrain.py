@@ -9,9 +9,8 @@ import pytest
 
 from anchorrank import pretrain
 from anchorrank.corpus import CLS_ID, MASK_ID, NUM_SPECIAL_TOKENS, SEP_ID, Vocabulary, build_vocab, parse_corpus
-from anchorrank.encoder import EncoderConfig, init_params, param_shapes, zero_grads
+from anchorrank.encoder import EncoderConfig, EncoderGraph, cls_scores, init_params, param_shapes, zero_grads
 from anchorrank.pretrain import (
-    MaskedBatch,
     PackError,
     TrainConfig,
     TrainError,
@@ -37,46 +36,53 @@ def small_vocab(n_terms=30):
     return Vocabulary.from_terms([f"t{i}" for i in range(n_terms)])
 
 
+def assert_packed_equal(got, want):
+    """Two (token_ids, segment_ids) packings hold the same arrays."""
+    assert len(got) == len(want) == 2
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestPack:
     def test_basic_layout(self):
         vocab = small_vocab()
-        seq = pack_input([f"t{i}" for i in range(3)], [f"t{i}" for i in range(10)], vocab, 512)
-        assert seq.token_ids.size == 16  # 1 + 3 + 1 + 10 + 1
-        assert seq.token_ids[0] == CLS_ID
-        assert seq.token_ids[4] == SEP_ID
-        assert seq.token_ids[-1] == SEP_ID
-        assert list(seq.segment_ids[:5]) == [0] * 5
-        assert list(seq.segment_ids[5:]) == [1] * 11
+        ids, segs = pack_input([f"t{i}" for i in range(3)], [f"t{i}" for i in range(10)], vocab, 512)
+        assert ids.dtype == segs.dtype == np.int64
+        assert ids.size == 16  # 1 + 3 + 1 + 10 + 1
+        assert ids[0] == CLS_ID
+        assert ids[4] == SEP_ID
+        assert ids[-1] == SEP_ID
+        assert list(segs[:5]) == [0] * 5
+        assert list(segs[5:]) == [1] * 11
 
     def test_doc_truncated_from_tail(self):
         vocab = small_vocab()
         doc = [f"t{i % 30}" for i in range(600)]
-        seq = pack_input(["t0", "t1", "t2"], doc, vocab, 512)
-        assert seq.token_ids.size == 512
-        assert (seq.segment_ids == 1).sum() == 507  # 506 doc tokens + final [SEP]
+        ids, segs = pack_input(["t0", "t1", "t2"], doc, vocab, 512)
+        assert ids.size == 512
+        assert (segs == 1).sum() == 507  # 506 doc tokens + final [SEP]
 
     def test_multiword_elements_flattened(self):
         vocab = small_vocab()
-        seq = pack_input(["t0 t1", "t2"], ["t3"], vocab, 64)
-        assert seq.token_ids.size == 1 + 3 + 1 + 1 + 1
+        ids, _ = pack_input(["t0 t1", "t2"], ["t3"], vocab, 64)
+        assert ids.size == 1 + 3 + 1 + 1 + 1
 
     def test_overlong_query_keeps_half_the_window(self):
         vocab = small_vocab()
         query = [f"t{i % 30}" for i in range(62)]
         doc = [f"t{i % 7}" for i in range(100)]
-        seq = pack_input(query, doc, vocab, 64)
-        assert seq.token_ids.size == 64
-        assert list(seq.token_ids[1:33]) == vocab.encode(query[:32])
-        assert seq.token_ids[33] == SEP_ID
-        assert list(seq.token_ids[34:63]) == vocab.encode(doc[:29])
-        assert (seq.segment_ids == 0).sum() == 34
+        ids, segs = pack_input(query, doc, vocab, 64)
+        assert ids.size == 64
+        assert list(ids[1:33]) == vocab.encode(query[:32])
+        assert ids[33] == SEP_ID
+        assert list(ids[34:63]) == vocab.encode(doc[:29])
+        assert (segs == 0).sum() == 34
 
     @pytest.mark.parametrize("max_len", [4, 5, 6, 7])
     def test_smallest_windows_fit(self, max_len):
         vocab = small_vocab()
-        seq = pack_input(["t1 t2", "t3"], ["t4", "t5"], vocab, max_len)
-        assert seq.token_ids.size == max_len
-        assert (seq.segment_ids == 0).sum() == 2 + min(max_len // 2, max_len - 3)
+        ids, segs = pack_input(["t1 t2", "t3"], ["t4", "t5"], vocab, max_len)
+        assert ids.size == max_len
+        assert (segs == 0).sum() == 2 + min(max_len // 2, max_len - 3)
 
     def test_window_without_room_rejected(self):
         with pytest.raises(PackError, match="max_len 3"):
@@ -87,55 +93,72 @@ class TestPack:
             pack_input([], ["t0"], small_vocab(), 64)
 
 
+class TestPackedForm:
+    CFG = EncoderConfig(layers=1, heads=2, hidden=16, ffn_dim=32, vocab_size=40, max_len=32)
+
+    def test_one_packing_scores_to_the_bit_on_every_path(self):
+        # what pack_input returns goes to cls_scores, to a graph and into a
+        # stack as it is; b has a's length but another segment split
+        vocab = small_vocab()
+        params = init_params(self.CFG, seed=0)
+        a = pack_input(["t1", "t2"], ["t3", "t4", "t5"], vocab, 32)
+        b = pack_input(["t6", "t7", "t8"], ["t9", "t10"], vocab, 32)
+        assert len(a[0]) == len(b[0]) and not np.array_equal(a[1], b[1])
+        single = EncoderGraph(params, self.CFG, *a, outputs=[0]).cls_score()
+        stacked = EncoderGraph(params, self.CFG, *zip(a, b), outputs=[0]).cls_score()
+        assert struct.pack("<d", single) == struct.pack("<d", cls_scores(params, self.CFG, [a])[0])
+        assert struct.pack("<d", single) == struct.pack("<d", stacked[0])
+        assert struct.pack("<d", stacked[1]) == struct.pack("<d", cls_scores(params, self.CFG, [b])[0])
+
+
 class TestMask:
     def packed(self, n_doc=17, vocab=None):
         vocab = vocab or small_vocab()
         return pack_input(["t0", "t1", "t2"], [f"t{(i % 25) + 3}" for i in range(n_doc)], vocab, 512)
 
     def test_exact_count_at_twenty_maskable(self):
-        seq = self.packed(n_doc=17)  # 3 query + 17 doc = 20 maskable
-        batch = mask_tokens(seq, 30 + NUM_SPECIAL_TOKENS, np.random.default_rng(0))
-        assert len(batch.labels) == 3
+        ids, _ = self.packed(n_doc=17)  # 3 query + 17 doc = 20 maskable
+        _, labels = mask_tokens(ids, 30 + NUM_SPECIAL_TOKENS, np.random.default_rng(0))
+        assert len(labels) == 3
 
     def test_minimum_one_when_tiny(self):
         vocab = small_vocab()
-        seq = pack_input(["t0"], ["t1"], vocab, 64)  # 2 maskable
-        batch = mask_tokens(seq, 35, np.random.default_rng(0))
-        assert len(batch.labels) == 1
+        ids, _ = pack_input(["t0"], ["t1"], vocab, 64)  # 2 maskable
+        _, labels = mask_tokens(ids, 35, np.random.default_rng(0))
+        assert len(labels) == 1
 
     def test_specials_never_masked(self):
-        seq = self.packed()
-        special_positions = set(np.flatnonzero(seq.token_ids < NUM_SPECIAL_TOKENS).tolist())
+        ids, _ = self.packed()
+        special_positions = set(np.flatnonzero(ids < NUM_SPECIAL_TOKENS).tolist())
         for trial in range(10_000):
-            batch = mask_tokens(seq, 35, np.random.default_rng(trial))
-            assert not special_positions & {p for p, _ in batch.labels}
+            _, labels = mask_tokens(ids, 35, np.random.default_rng(trial))
+            assert not special_positions & {p for p, _ in labels}
 
     def test_category_frequencies(self):
         vocab = Vocabulary.from_terms([f"t{i}" for i in range(3000)])
         doc = [f"t{i}" for i in range(300)]
-        seq = pack_input(["t0", "t1", "t2"], doc, vocab, 512)
+        ids, _ = pack_input(["t0", "t1", "t2"], doc, vocab, 512)
         rng = np.random.default_rng(12)
         n_mask = n_rand = n_keep = 0
         total = 0
         while total < 100_000:
-            batch = mask_tokens(seq, len(vocab), rng)
-            for pos, orig in batch.labels:
-                got = batch.seq.token_ids[pos]
+            masked_ids, labels = mask_tokens(ids, len(vocab), rng)
+            for pos, orig in labels:
+                got = masked_ids[pos]
                 if got == MASK_ID:
                     n_mask += 1
                 elif got == orig:
                     n_keep += 1
                 else:
                     n_rand += 1
-            total += len(batch.labels)
+            total += len(labels)
         assert n_mask / total == pytest.approx(0.8, abs=0.01)
         assert n_rand / total == pytest.approx(0.1, abs=0.01)
         assert n_keep / total == pytest.approx(0.1, abs=0.01)
 
     def test_unmask_restores_sequence(self):
-        seq = self.packed()
-        batch = mask_tokens(seq, 35, np.random.default_rng(5))
-        assert np.array_equal(unmask(batch), seq.token_ids)
+        ids, _ = self.packed()
+        assert np.array_equal(unmask(*mask_tokens(ids, 35, np.random.default_rng(5))), ids)
 
 
 class TestLosses:
@@ -199,11 +222,11 @@ class TestPackPair:
 
     def test_negative_swaps_document_or_query(self):
         pos, neg = pack_pair(make_pair("qdm", ["t1"], "A", "B"), self.vocab, self.docs, 32)
-        assert np.array_equal(pos.token_ids, pack_input(["t1"], ["t3", "t4"], self.vocab, 32).token_ids)
-        assert np.array_equal(neg.token_ids, pack_input(["t1"], ["t7"], self.vocab, 32).token_ids)
+        assert_packed_equal(pos, pack_input(["t1"], ["t3", "t4"], self.vocab, 32))
+        assert_packed_equal(neg, pack_input(["t1"], ["t7"], self.vocab, 32))
         pos, neg = pack_pair(make_pair("rqp", ["t1"], "A", None, neg_query=["t2"]), self.vocab, self.docs, 32)
-        assert np.array_equal(pos.token_ids, pack_input(["t1"], ["t3", "t4"], self.vocab, 32).token_ids)
-        assert np.array_equal(neg.token_ids, pack_input(["t2"], ["t3", "t4"], self.vocab, 32).token_ids)
+        assert_packed_equal(pos, pack_input(["t1"], ["t3", "t4"], self.vocab, 32))
+        assert_packed_equal(neg, pack_input(["t2"], ["t3", "t4"], self.vocab, 32))
 
     def test_rqp_without_negative_query_errors(self):
         pair = make_pair("rqp", ["t1"], "A", None, seed_path="rqp/7")
@@ -227,16 +250,14 @@ class TestJointStep:
     def test_satisfied_margin_no_mlm_is_noop(self):
         # all-OOV tokens encode to [UNK] (special, never masked); the output
         # weights are solved so the score gap sits beyond the margin
-        from anchorrank.encoder import EncoderGraph
-
         docs = {"A": ["zzz"] * 5, "B": ["yyy"] * 2}
         pair = make_pair("qdm", ["www"], "A", "B")
         params = init_params(self.CFG, seed=0)
         pos = pack_input(pair.query_tokens, docs["A"], self.vocab, 32)
         neg = pack_input(pair.query_tokens, docs["B"], self.vocab, 32)
         acts = []
-        for seq in (pos, neg):
-            hidden = EncoderGraph(params, self.CFG, seq.token_ids, seq.segment_ids).hidden[0]
+        for packed in (pos, neg):
+            hidden = EncoderGraph(params, self.CFG, *packed).hidden[0]
             acts.append(np.tanh(hidden @ params["cls_w1"] + params["cls_b1"]))
         delta = acts[0] - acts[1]
         params["cls_w2"] = 2.0 * delta / (delta @ delta)
@@ -353,6 +374,16 @@ class TestTrainLoop:
     def test_unknown_task_weight_rejected(self):
         with pytest.raises(ValueError, match="task_weights keys \\['rqq'\\]"):
             TrainConfig(task_weights={"rqp": 1.0, "rqq": 0.5})
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf"), float("-inf")])
+    def test_bad_task_weight_rejected_naming_rule_and_value(self, value):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(task_weights={"rqp": value})
+        assert str(info.value) == f"task_weights.rqp must be a finite number >= 0, got {value}"
+
+    def test_zero_task_weight_accepted(self):
+        # warm-up turns the pairwise tasks off with it
+        assert TrainConfig(task_weights={"rqp": 0.0, "mlm": 0}).task_weights["rqp"] == 0.0
 
     def test_missing_task_weights_fill_a_new_dict(self):
         weights = {"rqp": 0.0}

@@ -209,6 +209,12 @@ class TestFinetune:
         tuned = finetune(model, examples, collection, FinetuneConfig(lr=1e-3, epochs=1, batch_size=2, warmup=0.5))
         assert any(not np.array_equal(tuned.params[k], model.params[k]) for k in model.params)
 
+    @pytest.mark.parametrize("value", [1.0, -0.1, float("nan")])
+    def test_bad_warmup_rejected_naming_rule_and_value(self, value):
+        with pytest.raises(ValueError) as info:
+            FinetuneConfig(warmup=value)
+        assert str(info.value) == f"warmup must be in [0, 1), got {value}"
+
 
 class TestRerank:
     def test_single_candidate(self, corpus):
@@ -303,7 +309,7 @@ class TestStackedRerank:
         model = make_model(corpus, seed=5)
         collection = stack_collection(corpus)
         candidates = [(doc_id, 1.0) for doc_id in ["long0", "long1", "long2", "long3", "short", *[f"long{i}" for i in range(4, 10)]]]
-        lengths = {len(pack_input(tokenize(self.QUERY), collection[d].tokens, model.vocab, 48).token_ids) for d, _ in candidates}
+        lengths = {len(pack_input(tokenize(self.QUERY), collection[d].tokens, model.vocab, 48)[0]) for d, _ in candidates}
         assert lengths == {7, 48}
         for k in (3, len(candidates)):
             assert rerank(model, self.QUERY, candidates, k=k, collection=collection) == self.per_candidate(model, candidates, collection, k)
@@ -341,7 +347,7 @@ def per_example_finetune(model, examples, collection, config):
         loss = 0.0
         for ex in [examples[i] for i in indices]:
             packed = pack_input(tokenize(ex.query_text), collection[ex.doc_id].tokens, model.vocab, config.max_len)
-            graph = EncoderGraph(params, model.config, packed.token_ids, packed.segment_ids, outputs=[0])
+            graph = EncoderGraph(params, model.config, *packed, outputs=[0])
             s = ranker._sigmoid(graph.cls_score())
             loss += -(ex.label * math.log(s + 1e-12) + (1 - ex.label) * math.log(1.0 - s + 1e-12))
             graph.backward(grads, d_score=(s - ex.label) / len(indices))
@@ -511,6 +517,18 @@ class TestDataFiles:
         for split, name in ((train, "train_candidates"), (eval_split, "eval_candidates")):
             assert list(read_run(paths[name]).items()) == list(split["candidates"].items())
         assert ranker.read_candidates is read_run  # the name bench/run.py's train set-up reads them by
+
+    @pytest.mark.parametrize("field, value, minimum", [
+        ("train_queries", -5, 0),
+        ("eval_queries", -1, 0),
+        ("candidates_per_query", 0, 1),
+        ("train_queries", 2.0, 0),
+        ("candidates_per_query", True, 1),
+    ], ids=["train-negative", "eval-negative", "candidates-zero", "train-float", "candidates-bool"])
+    def test_bad_synth_count_rejected_naming_rule_and_value(self, field, value, minimum):
+        with pytest.raises(ValueError) as info:
+            SynthConfig(**{field: value})
+        assert str(info.value) == f"{field} must be an integer >= {minimum}, got {value!r}"
 
     def test_queries_round_trip(self, tmp_path):
         queries = {"q1": "laptop hardware", "q2": "orchard fruit"}

@@ -27,10 +27,11 @@ def mlm_logits(params, config, token_ids, segment_ids, positions) -> np.ndarray:
     return EncoderGraph(params, config, token_ids, segment_ids).mlm_logits(positions)
 
 
-def unmask(batch) -> np.ndarray:
-    """Restore the original token ids of a MaskedBatch from its labels."""
-    ids = batch.seq.token_ids.copy()
-    for pos, original in batch.labels:
+def unmask(masked_ids, labels) -> np.ndarray:
+    """Restore the original token ids of mask_tokens' masked copy from its
+    (position, original token id) labels."""
+    ids = masked_ids.copy()
+    for pos, original in labels:
         ids[pos] = original
     return ids
 
@@ -59,8 +60,8 @@ def mlm_nll(logits, label_ids):
 
 
 def mlm_loss(logits, labels) -> float:
-    """mlm_nll over (position, original token id) labels, as MaskedBatch
-    carries them; 0 when nothing was masked."""
+    """mlm_nll over (position, original token id) labels, as mask_tokens
+    returns them; 0 when nothing was masked."""
     return mlm_nll(logits, [t for _, t in labels])
 
 
