@@ -238,10 +238,12 @@ def _page_from_record(rec: dict, line_no: int) -> Page:
     anchors: list[AnchorSpan] = []
     for j, a in enumerate(raw_anchors):
         try:
-            start, end = int(a["start"]), int(a["end"])
-            surface, target = a["surface"], a["target_id"]
-        except (KeyError, TypeError, ValueError, OverflowError):
+            start, end, surface, target = a["start"], a["end"], a["surface"], a["target_id"]
+        except (KeyError, TypeError):
             raise CorpusError(f"line {line_no}: anchor {j}: missing or malformed fields") from None
+        for key, offset in (("start", start), ("end", end)):
+            if type(offset) is not int:
+                raise CorpusError(f"line {line_no}: anchor {j}: {key} must be an integer, got {offset!r}")
         if not (0 <= start < end <= len(text)):
             raise CorpusError(
                 f"line {line_no}: anchor {j}: span [{start},{end}) out of range for text of length {len(text)}"

@@ -8,7 +8,7 @@ float64 where the gradient checks pass float64 params.
 from anchorrank.encoder.adam import AdamState, adam_step
 from anchorrank.encoder.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from anchorrank.encoder.config import EncoderConfig
-from anchorrank.encoder.model import EncoderGraph, Workspace, cls_scores, stack_runs
+from anchorrank.encoder.model import EncoderGraph, cls_scores, stack_runs
 from anchorrank.encoder.params import init_params, param_shapes, zero_grads
 
 __all__ = [
@@ -24,6 +24,5 @@ __all__ = [
     "param_shapes",
     "save_checkpoint",
     "stack_runs",
-    "Workspace",
     "zero_grads",
 ]

@@ -1,20 +1,11 @@
 """Forward/backward primitives. Each forward returns (out, cache); the
 matching backward consumes the upstream gradient and the cache.
 
-Every primitive can take the arrays it computes into from allocators
-called as np.empty(shape, dtype): `new` for the arrays it returns, and,
-in a backward, `tmp` for a scratch array that the caller may hand out
-again once the call has returned.  A model.Workspace gives a training
-step the same memory as the step before.  Without one (None, the
-default), numpy allocates as for an operator: `out=new and new(...)`
-asks the allocator only when there is one.  None stays the default
-rather than np.empty: pre-training's per-sequence graphs use no
-Workspace, and an np.empty plus an out= argument on each of their calls
-cost the `train` benchmark 3.8% (items_per_kref 1106.5 -> 1064.4,
-medians of 4 alternating pairs at seed 42).  Each primitive writes only
-into those arrays, never into its arguments, which callers cache for
-the backward; callers in model.py in turn write only into arrays they
-have just made (a residual add).
+Each primitive writes only into arrays it makes, never into its
+arguments, which callers cache for the backward; callers in model.py in
+turn write only into arrays they have just made (a residual add).  The
+operations run in place in a fixed order: that order keeps the bits and
+the few temporaries each primitive makes.
 
 The backward primitives take a sequence (rows, features) or a stack
 (B, rows, features): a weight, bias or layer-norm gradient of a stack
@@ -38,14 +29,14 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def layer_norm(x, g, b, new=None):
+def layer_norm(x, g, b):
     # sum / d is what ndarray.mean computes, bit for bit, without the
     # Python-level dispatch that dominates the cost at one or a few rows.
     # ((x - mu) * inv) * g + b, written into x - mu and the output
     d = x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) / d
-    xhat = np.subtract(x, mu, out=new and new(x.shape, x.dtype))
-    out = np.multiply(xhat, xhat, out=new and new(x.shape, x.dtype))
+    xhat = np.subtract(x, mu)
+    out = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + LN_EPS)
     xhat *= inv
     np.multiply(xhat, g, out=out)
@@ -53,14 +44,14 @@ def layer_norm(x, g, b, new=None):
     return out, (xhat, inv, g)
 
 
-def layer_norm_backward(dout, cache, new=None, tmp=None):
+def layer_norm_backward(dout, cache):
     # inv * (dxhat - sum(dxhat) / d - xhat * sum(dxhat * xhat) / d), each
     # operation in that order, written into dxhat and one scratch array
     xhat, inv, g = cache
-    t = np.multiply(dout, xhat, out=tmp and tmp(dout.shape, dout.dtype))
+    t = np.multiply(dout, xhat)
     dg = t.sum(axis=-2)
     db = dout.sum(axis=-2)
-    dx = np.multiply(dout, g, out=new and new(dout.shape, dout.dtype))
+    dx = np.multiply(dout, g)
     d = dout.shape[-1]
     mean_dxhat = dx.sum(axis=-1, keepdims=True) / d
     np.multiply(dx, xhat, out=t)
@@ -72,44 +63,44 @@ def layer_norm_backward(dout, cache, new=None, tmp=None):
     return dx, dg, db
 
 
-def linear(x, w, b, new=None):
-    out = np.matmul(x, w, out=new and new(x.shape[:-1] + w.shape[1:], x.dtype))
+def linear(x, w, b):
+    out = np.matmul(x, w)
     out += b
     return out, (x, w)
 
 
-def linear_backward(dout, cache, new=None, tmp=None):
-    # a stack's dw (B, in, out) holds one product per member, in tmp: the
-    # caller adds it up before it hands tmp out again
+def linear_backward(dout, cache):
+    # a stack's dw (B, in, out) holds one product per member, for the
+    # caller to add up in member order
     x, w = cache
-    dx = np.matmul(dout, w.T, out=new and new(dout.shape[:-1] + w.shape[:1], dout.dtype))
-    dw = np.matmul(x.swapaxes(-1, -2), dout, out=tmp and tmp(x.shape[:-2] + w.shape, dout.dtype))
+    dx = np.matmul(dout, w.T)
+    dw = np.matmul(x.swapaxes(-1, -2), dout)
     db = dout.sum(axis=-2)
     return dx, dw, db
 
 
-def gelu(x, new=None):
+def gelu(x):
     # x * (c + c*a * x**2) in place, which saves the temporaries of the
     # textbook expression; it agrees with it to float32 rounding
-    u = np.multiply(x, x, out=new and new(x.shape, x.dtype))
+    u = np.multiply(x, x)
     u *= _GELU_C * _GELU_A
     u += _GELU_C
     u *= x
     t = np.tanh(u, out=u)
-    out = np.add(t, 1.0, out=new and new(x.shape, x.dtype))
+    out = np.add(t, 1.0)
     out *= x
     out *= 0.5
     return out, (x, t)
 
 
-def gelu_backward(dout, cache, new=None, tmp=None):
+def gelu_backward(dout, cache):
     # d/dx = 0.5 * (1 + t + x * (1 - t**2) * (c + 3*c*a * x**2))
     x, t = cache
-    dx = np.multiply(x, x, out=new and new(x.shape, x.dtype))
+    dx = np.multiply(x, x)
     dx *= 3.0 * _GELU_C * _GELU_A
     dx += _GELU_C
     dx *= x
-    sech2 = np.multiply(t, t, out=tmp and tmp(t.shape, t.dtype))
+    sech2 = np.multiply(t, t)
     np.subtract(1.0, sech2, out=sech2)
     dx *= sech2
     dx += t
@@ -119,18 +110,18 @@ def gelu_backward(dout, cache, new=None, tmp=None):
     return dx
 
 
-def softmax(x, axis=-1, new=None):
+def softmax(x, axis=-1):
     # fmax.reduce is ndarray.max on a row without NaN, and cheaper; a row
     # with a NaN comes out all NaN either way
-    e = np.subtract(x, np.fmax.reduce(x, axis=axis, keepdims=True), out=new and new(x.shape, x.dtype))
+    e = np.subtract(x, np.fmax.reduce(x, axis=axis, keepdims=True))
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
-def softmax_backward(dprobs, probs, axis=-1, new=None):
+def softmax_backward(dprobs, probs, axis=-1):
     # probs * (dprobs - sum(dprobs * probs)), in one array
-    out = np.multiply(dprobs, probs, out=new and new(probs.shape, probs.dtype))
+    out = np.multiply(dprobs, probs)
     inner = out.sum(axis=axis, keepdims=True)
     np.subtract(dprobs, inner, out=out)
     out *= probs

@@ -1,9 +1,8 @@
 """Encoder forward graph: embeddings + post-norm transformer layers, with
 attention maps, CLS scoring and MLM heads, and an exact analytic backward
-pass, over one sequence or a stack of equal-length sequences, optionally
-in a Workspace's reused buffers.  Every forward is one EncoderGraph:
-training, cls_scores (which scores packings one stack at a time) and the
-sampler's attention maps alike.
+pass, over one sequence or a stack of equal-length sequences.  Every
+forward is one EncoderGraph: training, cls_scores (which scores packings
+one stack at a time) and the sampler's attention maps alike.
 
 Every path computes in the params' dtype: float32 for the pipeline, whose
 params come from init_params or load_checkpoint, and float64 for the
@@ -11,6 +10,7 @@ gradient checks, which pass float64 params to the same functions."""
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -19,6 +19,33 @@ from anchorrank.corpus import CLS_ID
 from anchorrank.encoder import layers as lyr
 from anchorrank.encoder.config import EncoderConfig
 
+
+# glibc's malloc maps an array above M_MMAP_THRESHOLD fresh and unmaps it
+# when it is freed, and hands the free top of its heap back to the system
+# above M_TRIM_THRESHOLD.  Under its defaults a training step's stack-sized
+# arrays (an (8, 4, 48, 48) attention map, an (8, 48, 256) FFN activation)
+# went back after every step and were faulted in again by the next: a
+# second fine-tuning of four 8 x 48 steps took 5,644 minor faults, and
+# takes 0-1 with the thresholds below.  Both sit above the largest array
+# the full profile makes (a 4 MiB attention map at max_len 512), so freed
+# arrays stay in the heap and the next step reuses them.  -1 and -3 are
+# the parameters' numbers in glibc's malloc.h.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_freed_memory():
+    """Set both thresholds; mallopt's two results (1 on success), or None
+    where the C library has no mallopt, which changes only the speed."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+    return mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD), mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+MALLOPT = _keep_freed_memory()
 
 # The query-row selection of _layer for every row: a basic slice is a view,
 # so it computes exactly what a layer over the whole sequence computes.
@@ -94,18 +121,14 @@ def _output_rows(outputs, n: int):
     return rows
 
 
-def _embed(params, token_ids, segment_ids, new=None, tmp=None):
+def _embed(params, token_ids, segment_ids):
     """Layer-normed token + position + segment embeddings of (..., n) ids;
     (out (..., n, hidden), ln cache)."""
     n = token_ids.shape[-1]
-    tok_emb = params["tok_emb"]
-    shape = token_ids.shape + tok_emb.shape[1:]
-    # the ids are checked, so "clip" clips nothing; it spares np.take the
-    # buffered copy it makes for out= under the default "raise"
-    e = np.take(tok_emb, token_ids, axis=0, out=tmp and tmp(shape, tok_emb.dtype), mode="clip")
+    e = np.take(params["tok_emb"], token_ids, axis=0)
     e += params["pos_emb"][:n]
-    e += np.take(params["seg_emb"], segment_ids, axis=0, out=new and new(shape, tok_emb.dtype), mode="clip")
-    return lyr.layer_norm(e, params["emb_ln_g"], params["emb_ln_b"], new)
+    e += np.take(params["seg_emb"], segment_ids, axis=0)
+    return lyr.layer_norm(e, params["emb_ln_g"], params["emb_ln_b"])
 
 
 def _split_heads(x, heads: int):
@@ -113,17 +136,13 @@ def _split_heads(x, heads: int):
     return x.reshape(x.shape[:-1] + (heads, -1)).swapaxes(-2, -3)
 
 
-def _merge_heads(xh, new):
+def _merge_heads(xh):
     """(..., heads, m, head_dim) -> (..., m, heads * head_dim), copied."""
     heads, m, head_dim = xh.shape[-3:]
-    if new is None:
-        return xh.swapaxes(-2, -3).reshape(xh.shape[:-3] + (m, heads * head_dim))
-    out = new(xh.shape[:-3] + (m, heads * head_dim), xh.dtype)
-    np.copyto(out.reshape(xh.shape[:-3] + (m, heads, head_dim)), xh.swapaxes(-2, -3))
-    return out
+    return xh.swapaxes(-2, -3).reshape(xh.shape[:-3] + (m, heads * head_dim))
 
 
-def _layer(params, config: EncoderConfig, i: int, x, rows, new=None, tmp=None):
+def _layer(params, config: EncoderConfig, i: int, x, rows):
     """Post-norm transformer layer i over x (..., n, hidden): one sequence,
     or a leading stack axis of equal-length sequences.
 
@@ -133,29 +152,27 @@ def _layer(params, config: EncoderConfig, i: int, x, rows, new=None, tmp=None):
     runs per sequence, so a sequence's output is bitwise the same in a
     stack as alone.  Returns (out, cache); the cache holds what
     EncoderGraph.backward needs, including rows and the attention
-    probabilities (..., heads, len(rows), n).  What the cache does not
-    hold (the attention scores and context, the two residual sums) is
-    made in tmp.
+    probabilities (..., heads, len(rows), n).
     """
     pre = f"layer{i}."
     xq = x[..., rows, :]
-    q, q_cache = lyr.linear(xq, params[pre + "wq"], params[pre + "bq"], new)
-    k, k_cache = lyr.linear(x, params[pre + "wk"], params[pre + "bk"], new)
+    q, q_cache = lyr.linear(xq, params[pre + "wq"], params[pre + "bq"])
+    k, k_cache = lyr.linear(x, params[pre + "wk"], params[pre + "bk"])
     qh, kh = _split_heads(q, config.heads), _split_heads(k, config.heads)
-    scores = np.matmul(qh, kh.swapaxes(-1, -2), out=tmp and tmp(qh.shape[:-1] + kh.shape[-2:-1], qh.dtype))
+    scores = np.matmul(qh, kh.swapaxes(-1, -2))
     scores *= 1.0 / math.sqrt(config.head_dim)
-    probs = lyr.softmax(scores, -1, new)
-    v, v_cache = lyr.linear(x, params[pre + "wv"], params[pre + "bv"], new)
+    probs = lyr.softmax(scores, -1)
+    v, v_cache = lyr.linear(x, params[pre + "wv"], params[pre + "bv"])
     vh = _split_heads(v, config.heads)
-    ctx = np.matmul(probs, vh, out=tmp and tmp(probs.shape[:-1] + vh.shape[-1:], vh.dtype))
-    attn_out, o_cache = lyr.linear(_merge_heads(ctx, new), params[pre + "wo"], params[pre + "bo"], tmp)
+    ctx = np.matmul(probs, vh)
+    attn_out, o_cache = lyr.linear(_merge_heads(ctx), params[pre + "wo"], params[pre + "bo"])
     attn_out += xq
-    h1, ln1_cache = lyr.layer_norm(attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"], new)
-    f_pre, f1_cache = lyr.linear(h1, params[pre + "w1"], params[pre + "b1"], new)
-    f_act, gelu_cache = lyr.gelu(f_pre, new)
-    ffn_out, f2_cache = lyr.linear(f_act, params[pre + "w2"], params[pre + "b2"], tmp)
+    h1, ln1_cache = lyr.layer_norm(attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])
+    f_pre, f1_cache = lyr.linear(h1, params[pre + "w1"], params[pre + "b1"])
+    f_act, gelu_cache = lyr.gelu(f_pre)
+    ffn_out, f2_cache = lyr.linear(f_act, params[pre + "w2"], params[pre + "b2"])
     ffn_out += h1
-    out, ln2_cache = lyr.layer_norm(ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"], new)
+    out, ln2_cache = lyr.layer_norm(ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"])
     cache = dict(
         rows=rows,
         q_cache=q_cache,
@@ -203,51 +220,6 @@ def _cls_head(params, h_cls):
     return c_act @ params["cls_w2"] + params["cls_b2"][0], c_act
 
 
-class Workspace:
-    """The arrays of one graph at a time, kept from one graph to the next.
-
-    A training step builds, scores and back-propagates a graph and drops
-    it.  A stack's arrays are large enough that, made fresh, the allocator
-    hands their pages back to the system after each step and faults them
-    in again in the next.  A graph built with a workspace takes the k-th
-    array it keeps from the workspace's k-th buffer (`new`), grown when a
-    later graph needs it larger, and every array it is done with before
-    it makes the next such one from one scratch buffer (`tmp`).  So a
-    step with the stack shapes of the last writes into the same memory.
-
-    A graph's arrays stay valid until the next graph claims the
-    workspace; backward() on the earlier graph is then an error.  The
-    memory goes with the workspace.
-    """
-
-    def __init__(self) -> None:
-        self._buffers = [np.empty(0)]  # [0] is the scratch buffer
-        self._next = 1
-        self.claims = 0
-
-    def claim(self) -> int:
-        """Start a graph in the buffers; returns its claim number."""
-        self._next = 1
-        self.claims += 1
-        return self.claims
-
-    def _view(self, i: int, shape, dtype) -> np.ndarray:
-        size = math.prod(shape)
-        if i == len(self._buffers):
-            self._buffers.append(np.empty(size, dtype))
-        buf = self._buffers[i]
-        if buf.size < size or buf.dtype != dtype:
-            buf = self._buffers[i] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
-
-    def new(self, shape, dtype) -> np.ndarray:
-        self._next += 1
-        return self._view(self._next - 1, shape, dtype)
-
-    def tmp(self, shape, dtype) -> np.ndarray:
-        return self._view(0, shape, dtype)
-
-
 class EncoderGraph:
     """One recorded forward pass over a single sequence (n,) or a stack of
     equal-length sequences (B, n).
@@ -267,10 +239,10 @@ class EncoderGraph:
     A stack runs the code of one sequence with a leading axis, and every
     product and row reduction runs per member, so each member's states,
     score and gradient are bitwise what a graph of that member alone
-    gives.  With a `workspace`, the graph computes in its buffers.
+    gives.
     """
 
-    def __init__(self, params, config: EncoderConfig, token_ids, segment_ids=None, outputs=None, workspace=None):
+    def __init__(self, params, config: EncoderConfig, token_ids, segment_ids=None, outputs=None):
         token_ids, segment_ids = _check_inputs(config, token_ids, segment_ids)
         self.params = params
         self.config = config
@@ -278,18 +250,12 @@ class EncoderGraph:
         self.segment_ids = segment_ids
         rows = _output_rows(outputs, token_ids.shape[-1])
         self.outputs = None if outputs is None else rows
-        self._workspace = workspace
-        if workspace is None:
-            self._new = self._tmp = None
-        else:
-            self._claim = workspace.claim()
-            self._new, self._tmp = workspace.new, workspace.tmp
 
-        h, self._emb_ln_cache = _embed(params, token_ids, segment_ids, self._new, self._tmp)
+        h, self._emb_ln_cache = _embed(params, token_ids, segment_ids)
         self._layer_caches: list[dict] = []
         last = config.layers - 1
         for i in range(config.layers):
-            h, cache = _layer(params, config, i, h, rows if i == last else ALL_ROWS, self._new, self._tmp)
+            h, cache = _layer(params, config, i, h, rows if i == last else ALL_ROWS)
             self._layer_caches.append(cache)
 
         self.hidden = h
@@ -352,15 +318,12 @@ class EncoderGraph:
         member, back-propagated in turn, would give it."""
         if self._spent:
             raise RuntimeError("backward() already called on this graph")
-        if self._workspace is not None and self._workspace.claims != self._claim:
-            raise RuntimeError("a later graph has claimed this graph's workspace")
         d_scores = [d_score] if self.token_ids.ndim == 1 else d_score
         if self.token_ids.ndim == 2 and (np.ndim(d_scores) != 1 or len(d_scores) != len(self.token_ids)):
             raise ValueError("d_score needs one value per member of the stack")
         self._spent = True
-        params, new, tmp = self.params, self._new, self._tmp
-        d_hidden = (new or np.empty)(self.hidden.shape, self.hidden.dtype)
-        d_hidden.fill(0.0)
+        params = self.params
+        d_hidden = np.zeros_like(self.hidden)
 
         # member by member, with d a Python float that numpy casts to the
         # params' dtype and one matrix-vector product per member: the
@@ -397,19 +360,18 @@ class EncoderGraph:
             pre = f"layer{i}."
             dres2 = self._layer_norm_backward(grads, pre + "ln2", dout, c["ln2_cache"])
             df_act = self._linear_backward(grads, pre, "2", dres2, c["f2_cache"])
-            df_pre = lyr.gelu_backward(df_act, c["gelu_cache"], new, tmp)
+            df_pre = lyr.gelu_backward(df_act, c["gelu_cache"])
             dh1 = self._linear_backward(grads, pre, "1", df_pre, c["f1_cache"])
             dh1 += dres2
             dres1 = self._layer_norm_backward(grads, pre + "ln1", dh1, c["ln1_cache"])
             dctx = _split_heads(self._linear_backward(grads, pre, "o", dres1, c["o_cache"]), self.config.heads)
             qh, kh, vh, probs = c["qh"], c["kh"], c["vh"], c["probs"]
-            dprobs = np.matmul(dctx, vh.swapaxes(-1, -2), out=tmp and tmp(probs.shape, probs.dtype))
-            dscores = lyr.softmax_backward(dprobs, probs, -1, new)
+            dprobs = np.matmul(dctx, vh.swapaxes(-1, -2))
+            dscores = lyr.softmax_backward(dprobs, probs, -1)
             dscores *= scale
-            # each per-head gradient is made in tmp and merged right away
-            dq = _merge_heads(np.matmul(dscores, kh, out=tmp and tmp(qh.shape, qh.dtype)), new)
-            dk = _merge_heads(np.matmul(dscores.swapaxes(-1, -2), qh, out=tmp and tmp(kh.shape, kh.dtype)), new)
-            dv = _merge_heads(np.matmul(probs.swapaxes(-1, -2), dctx, out=tmp and tmp(vh.shape, vh.dtype)), new)
+            dq = _merge_heads(np.matmul(dscores, kh))
+            dk = _merge_heads(np.matmul(dscores.swapaxes(-1, -2), qh))
+            dv = _merge_heads(np.matmul(probs.swapaxes(-1, -2), dctx))
             dx_q = self._linear_backward(grads, pre, "q", dq, c["q_cache"])
             dx_k = self._linear_backward(grads, pre, "k", dk, c["k_cache"])
             dx_v = self._linear_backward(grads, pre, "v", dv, c["v_cache"])
@@ -429,7 +391,7 @@ class EncoderGraph:
     def _linear_backward(self, grads, pre: str, suffix: str, dout, cache):
         """dx of a linear; its weight and bias gradients go into
         grads[pre + "w" + suffix] and grads[pre + "b" + suffix]."""
-        dx, dw, db = lyr.linear_backward(dout, cache, self._new, self._tmp)
+        dx, dw, db = lyr.linear_backward(dout, cache)
         _add_members(grads[pre + "w" + suffix], dw)
         _add_members(grads[pre + "b" + suffix], db)
         return dx
@@ -437,7 +399,7 @@ class EncoderGraph:
     def _layer_norm_backward(self, grads, name: str, dout, cache):
         """dx of a layer norm; its gain and shift gradients go into
         grads[name + "_g"] and grads[name + "_b"]."""
-        dx, dg, db = lyr.layer_norm_backward(dout, cache, self._new, self._tmp)
+        dx, dg, db = lyr.layer_norm_backward(dout, cache)
         _add_members(grads[name + "_g"], dg)
         _add_members(grads[name + "_b"], db)
         return dx
@@ -460,7 +422,7 @@ def cls_scores(params, config, sequences) -> list[float]:
 def _stack_scores(params, config, pairs) -> list[float]:
     """The [CLS] scores of one stack of equal-length pairs.  Its graph dies
     on return, before the next stack's is built: with two graphs alive the
-    allocator maps fresh pages for every stack, and the rerank benchmark
-    took 811k page faults against 15k and ran 19% slower."""
+    rerank benchmark's peak RSS read 76.4-76.9 MB against 73.9-74.2 MB
+    (3 runs each at seed 42)."""
     token_ids, segment_ids = zip(*pairs)
     return EncoderGraph(params, config, token_ids, segment_ids, outputs=[0]).cls_score()

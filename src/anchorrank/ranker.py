@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from anchorrank.corpus import CorpusError, HyperlinkCorpus, Vocabulary, numbered_lines, tokenize
-from anchorrank.encoder import CheckpointError, EncoderConfig, EncoderGraph, Workspace, cls_scores, stack_runs
+from anchorrank.encoder import CheckpointError, EncoderConfig, EncoderGraph, cls_scores, stack_runs
 from anchorrank.encoder import load_checkpoint, save_checkpoint
 from anchorrank.encoder import adam_step, zero_grads  # noqa: F401  (bench/perlayer.py wraps these two names here)
 from anchorrank.evalkit import read_run as read_candidates  # noqa: F401  (bench/run.py:243, the train set-up, calls it by this name)
@@ -118,9 +118,7 @@ def finetune(
 
     A step packs its batch, cuts it into runs of consecutive equal-length
     packings (encoder.stack_runs), and back-propagates one stacked graph
-    per run, in batch order: the same bits as one graph per example.  The
-    graphs compute in one Workspace, so every step with the stack shapes
-    of the last reuses its memory; it is dropped on return.
+    per run, in batch order: the same bits as one graph per example.
     """
     query_tokens: dict[str, list[str]] = {}
     for ex in examples:
@@ -135,7 +133,6 @@ def finetune(
         raise TrainError("no fine-tuning examples")
 
     params = {k: v.copy() for k, v in model.params.items()}
-    workspace = Workspace()
 
     def body(indices, grads):
         batch = [examples[i] for i in indices]
@@ -145,7 +142,7 @@ def finetune(
         ]
         loss = 0.0
         for start, stop in stack_runs([len(token_ids) for token_ids, _ in packings]):
-            graph = EncoderGraph(params, model.config, *zip(*packings[start:stop]), outputs=[0], workspace=workspace)
+            graph = EncoderGraph(params, model.config, *zip(*packings[start:stop]), outputs=[0])
             d_scores = []
             for ex, logit in zip(batch[start:stop], graph.cls_score()):
                 s = _sigmoid(logit)

@@ -39,12 +39,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.topics <= len(TOPIC_NAMES):
+        counts = (("pages", 2), ("topics", 1), ("train_queries", 0), ("eval_queries", 0), ("candidates_per_query", 1))
+        for name, minimum in counts:
+            _check_count(name, getattr(self, name), minimum)
+        if self.topics > len(TOPIC_NAMES):
             raise ValueError(f"topics must be in [1, {len(TOPIC_NAMES)}]")
         if self.pages < self.topics * 2:
             raise ValueError("need at least two pages per topic")
-        for name, minimum in (("train_queries", 0), ("eval_queries", 0), ("candidates_per_query", 1)):
-            _check_count(name, getattr(self, name), minimum)
         if self.train_queries + self.eval_queries > self.pages:
             raise ValueError("more queries than pages to target")
 

@@ -67,8 +67,21 @@ class TestParse:
 
     def test_anchor_offset_not_finite(self):
         rec = record("p1", "short", [{"start": float("inf"), "end": 3, "surface": "sho", "target_id": "p2"}])
-        with pytest.raises(CorpusError, match="line 1: anchor 0: missing or malformed fields"):
+        with pytest.raises(CorpusError, match="line 1: anchor 0: start must be an integer, got inf"):
             parse_corpus(lines(rec))
+
+    @pytest.mark.parametrize("key, offset", [
+        ("start", "0"),
+        ("start", 0.9),
+        ("end", 3.0),
+        ("end", True),
+    ], ids=["string", "fraction", "integral-float", "bool"])
+    def test_anchor_offset_not_an_integer(self, key, offset):
+        # int() would read "0" and 0.9 as 0, and 3.0 and True as numbers
+        bad = {"start": 0, "end": 3, "surface": "sho", "target_id": "p2", key: offset}
+        with pytest.raises(CorpusError) as info:
+            parse_corpus(lines(record("p0", "a"), record("p1", "short", [bad])))
+        assert str(info.value) == f"line 2: anchor 0: {key} must be an integer, got {offset!r}"
 
     def test_surface_mismatch(self):
         rec = record("p1", "some body", [{"start": 0, "end": 4, "surface": "nope", "target_id": "p2"}])

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anchorrank.cli import main
+from anchorrank.cli import FULL_PROFILE, main
 from anchorrank.corpus import CLS_ID, SEP_ID
 from anchorrank.encoder import (
     AdamState,
@@ -18,7 +19,6 @@ from anchorrank.encoder import (
     CheckpointError,
     EncoderConfig,
     EncoderGraph,
-    Workspace,
     adam_step,
     cls_scores,
     init_params,
@@ -613,6 +613,17 @@ assert np.any(grads["layer0.w1"] != 0.0)
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_allocator_thresholds_taken_on_glibc():
+    # mallopt returns 1 for a value glibc takes and 0 for one it refuses;
+    # both thresholds must exceed the full profile's largest array, a
+    # float32 attention map (heads, max_len, max_len)
+    assert model_module.MALLOPT == (1, 1)
+    full = FULL_PROFILE["encoder"]
+    attention_bytes = full["heads"] * full["max_len"] ** 2 * 4
+    assert attention_bytes < model_module.MMAP_THRESHOLD <= model_module.TRIM_THRESHOLD
+
+
 class TestBackward:
     def test_gradient_check_small_model(self):
         cfg = EncoderConfig(layers=1, heads=2, hidden=16, ffn_dim=32, vocab_size=23, max_len=12)
@@ -697,7 +708,6 @@ class TestStackedGraph:
         # gradients that start away from zero, so the order in which the
         # members' contributions are added shows in the bits
         start = as_dtype({k: rng.normal(0.0, 1.0, v.shape) for k, v in p.items()}, dtype)
-        workspace = Workspace()
         for outputs in ([0], None):
             for b in (1, 2, 8):
                 for n in (2, 48):
@@ -713,13 +723,12 @@ class TestStackedGraph:
                         g = EncoderGraph(p, cfg, ids[i], segs[i], outputs=outputs)
                         want_scores.append(g.cls_score())
                         g.backward(want, d_score=d_scores[i])
-                    for ws in (None, workspace):
-                        got = {k: v.copy() for k, v in start.items()}
-                        g = EncoderGraph(p, cfg, ids, segs, outputs=outputs, workspace=ws)
-                        assert g.cls_score() == want_scores, (outputs, b, n)
-                        g.backward(got, d_score=d_scores)
-                        for k in want:
-                            _assert_bitwise(got[k], want[k])
+                    got = {k: v.copy() for k, v in start.items()}
+                    g = EncoderGraph(p, cfg, ids, segs, outputs=outputs)
+                    assert g.cls_score() == want_scores, (outputs, b, n)
+                    g.backward(got, d_score=d_scores)
+                    for k in want:
+                        _assert_bitwise(got[k], want[k])
 
     def test_states_and_attention_are_the_members(self, params):
         rng = np.random.default_rng(3)
@@ -755,16 +764,6 @@ class TestStackedGraph:
             g.backward(zero_grads(params), **kwargs)
         # the rejected call left the graph able to back-propagate
         g.backward(zero_grads(params), d_score=[0.1, 0.2, 0.3])
-
-    def test_workspace_serves_one_graph_at_a_time(self, params):
-        rng = np.random.default_rng(6)
-        workspace = Workspace()
-        first = EncoderGraph(params, CFG, *self.case(CFG, rng, 2, 5), outputs=[0], workspace=workspace)
-        first.cls_score()
-        second = EncoderGraph(params, CFG, *self.case(CFG, rng, 2, 5), outputs=[0], workspace=workspace)
-        assert np.shares_memory(first.hidden, second.hidden)
-        with pytest.raises(RuntimeError, match="later graph"):
-            first.backward(zero_grads(params), d_score=[0.1, 0.2])
 
 
 class TestAdam:

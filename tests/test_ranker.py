@@ -1,8 +1,8 @@
 import logging
 import math
 import re
+import resource
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ import pytest
 from anchorrank import ranker
 from anchorrank.corpus import SPECIAL_TOKENS, build_vocab, tokenize
 from anchorrank.encoder import CheckpointError, EncoderConfig, EncoderGraph, init_params, load_checkpoint, save_checkpoint
-from anchorrank.encoder import layers as layers_module
 from anchorrank.encoder import model as model_module
 from anchorrank.evalkit import read_run
 from anchorrank.pretrain import TrainError, pack_input, run_steps
@@ -392,58 +391,21 @@ class TestStackedFinetune:
         assert len(shapes) > 9  # more stacks than the 9 steps
         assert all(b * n <= stack_tokens or b == 1 for b, n in shapes)
 
-    def test_consecutive_steps_compute_in_the_same_buffers(self, corpus, monkeypatch):
-        # every stack-sized array a layer primitive returns in the second
-        # step lies in the memory of its counterpart in the first
-        model = make_model(corpus, layers=2)
+    @pytest.mark.skipif(model_module.MALLOPT is None, reason="the C library has no mallopt")
+    def test_a_second_finetune_takes_almost_no_page_faults(self, corpus):
+        # the toy profile's encoder, whose 8 x 48 stacks make arrays that
+        # glibc's default thresholds map fresh and return after every step:
+        # about 1,400 minor faults per step without the encoder's setting
+        vocab = build_vocab(corpus, max_size=300)
+        cfg = EncoderConfig(layers=2, heads=4, hidden=64, ffn_dim=256, vocab_size=len(vocab), max_len=48)
+        model = RankerModel(params=init_params(cfg, seed=0), config=cfg, vocab=vocab)
         collection = stack_collection(corpus)
         examples = [RankingExample("q", "technology company", f"long{i}", i % 2) for i in range(8)]
-        stack_size = 4 * 48 * model.config.hidden
-        steps = []
-
-        def arrays(tree):
-            if isinstance(tree, np.ndarray):
-                yield tree
-            elif isinstance(tree, tuple):
-                for t in tree:
-                    yield from arrays(t)
-
-        def recording(f):
-            def wrapped(*args):
-                out = f(*args)
-                steps[-1].extend(a for a in arrays(out) if a.shape[0] == 4 and a.size >= stack_size)
-                return out
-
-            return wrapped
-
-        for name in ("linear", "layer_norm", "gelu", "softmax"):
-            for fn in (name, name + "_backward"):
-                monkeypatch.setattr(layers_module, fn, recording(getattr(layers_module, fn)))
-
-        class StepGraph(EncoderGraph):
-            def __init__(self, *args, **kwargs):
-                steps.append([])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(ranker, "EncoderGraph", StepGraph)
-        finetune(model, examples, collection, FinetuneConfig(lr=1e-3, epochs=1, batch_size=4, max_len=48))
-        first, second = steps
-        assert len(first) == len(second) > 20
-        assert all(np.shares_memory(a, b) for a, b in zip(first, second))
-
-    def test_buffers_released_on_return(self, corpus, monkeypatch):
-        made = []
-
-        class Recording(ranker.Workspace):
-            def __init__(self):
-                super().__init__()
-                made.append(weakref.ref(self))
-
-        monkeypatch.setattr(ranker, "Workspace", Recording)
-        collection = stack_collection(corpus)
-        examples = [RankingExample("q", "technology company", f"long{i}", i % 2) for i in range(4)]
-        finetune(make_model(corpus), examples, collection, FinetuneConfig(lr=1e-3, epochs=1, batch_size=4, max_len=48))
-        assert len(made) == 1 and made[0]() is None
+        config = FinetuneConfig(lr=1e-3, epochs=4, batch_size=8, max_len=48)
+        finetune(model, examples, collection, config)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        finetune(model, examples, collection, config)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 class TestModelIO:
@@ -524,7 +486,9 @@ class TestDataFiles:
         ("candidates_per_query", 0, 1),
         ("train_queries", 2.0, 0),
         ("candidates_per_query", True, 1),
-    ], ids=["train-negative", "eval-negative", "candidates-zero", "train-float", "candidates-bool"])
+        ("pages", 40.5, 2),
+        ("topics", 4.0, 1),
+    ], ids=["train-negative", "eval-negative", "candidates-zero", "train-float", "candidates-bool", "pages-float", "topics-float"])
     def test_bad_synth_count_rejected_naming_rule_and_value(self, field, value, minimum):
         with pytest.raises(ValueError) as info:
             SynthConfig(**{field: value})
