@@ -391,21 +391,51 @@ class TestStackedFinetune:
         assert len(shapes) > 9  # more stacks than the 9 steps
         assert all(b * n <= stack_tokens or b == 1 for b, n in shapes)
 
-    @pytest.mark.skipif(model_module.MALLOPT is None, reason="the C library has no mallopt")
-    def test_a_second_finetune_takes_almost_no_page_faults(self, corpus):
+    @staticmethod
+    def toy_finetune(corpus):
         # the toy profile's encoder, whose 8 x 48 stacks make arrays that
-        # glibc's default thresholds map fresh and return after every step:
-        # about 1,400 minor faults per step without the encoder's setting
+        # glibc's default thresholds map fresh and return after every step
         vocab = build_vocab(corpus, max_size=300)
         cfg = EncoderConfig(layers=2, heads=4, hidden=64, ffn_dim=256, vocab_size=len(vocab), max_len=48)
         model = RankerModel(params=init_params(cfg, seed=0), config=cfg, vocab=vocab)
-        collection = stack_collection(corpus)
         examples = [RankingExample("q", "technology company", f"long{i}", i % 2) for i in range(8)]
-        config = FinetuneConfig(lr=1e-3, epochs=4, batch_size=8, max_len=48)
-        finetune(model, examples, collection, config)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        finetune(model, examples, collection, config)
-        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+        return model, examples, stack_collection(corpus), FinetuneConfig(lr=1e-3, epochs=4, batch_size=8, max_len=48)
+
+    @pytest.mark.skipif(model_module.MALLOPT is None, reason="the C library has no mallopt")
+    def test_consecutive_steps_compute_in_the_same_buffers(self, corpus, monkeypatch):
+        # after the first step, each step's arrays reuse the heap memory the
+        # one before freed: about 1,400 minor faults per step without the
+        # encoder's allocator setting, almost none with it
+        faults = []
+
+        def counting_run_steps(n, config, stage, params, body, *rest):
+            def counted(indices, grads):
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+                return body(indices, grads)
+
+            out = run_steps(n, config, stage, params, counted, *rest)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            return out
+
+        monkeypatch.setattr(ranker, "run_steps", counting_run_steps)
+        finetune(*self.toy_finetune(corpus))
+        assert len(faults) == 5  # four steps and the end
+        assert faults[-1] - faults[1] < 100
+
+    def test_buffers_released_on_return(self, corpus):
+        # finetune keeps no array of its steps once it returns: what stays
+        # traced is the returned model's parameters and no more
+        model, examples, collection, config = self.toy_finetune(corpus)
+        finetune(model, examples, collection, config)  # warm the token caches
+        tracemalloc.start()
+        try:
+            tuned = finetune(model, examples, collection, config)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        params_bytes = sum(p.nbytes for p in tuned.params.values())
+        assert peak > kept + params_bytes  # the steps did make arrays
+        assert kept < params_bytes + 64 * 1024
 
 
 class TestModelIO:
