@@ -3,15 +3,9 @@
 Layout: 8-byte magic, u32 header length, JSON header (version, encoder
 config, dtype, free-form extra such as the vocabulary and provenance),
 u32 tensor count, then named tensors as (u16 name length, name, u8 ndim,
-u64 dims, raw little-endian float64 row-major payload).  Only the
+u64 dims, raw little-endian float32 row-major payload).  Only the
 parameters are stored: every training stage starts a fresh optimizer, so
 none is saved.  A tensor that is not a parameter is skipped on load.
-
-The payload is float64 holding float32 values: tensors are PARAM_DTYPE
-(float32) in memory and are widened on save, which is exact, and cast back
-on load, which restores them bitwise.  A file written from float64 tensors
-still loads; its values are rounded to float32, and a finite value beyond
-float32's range is a CheckpointError.
 """
 
 from __future__ import annotations
@@ -29,8 +23,8 @@ from anchorrank.encoder.config import EncoderConfig
 from anchorrank.encoder.params import PARAM_DTYPE, param_shapes
 
 MAGIC = b"ANCRCKPT"
-VERSION = 1
-DTYPE = "<f8"
+VERSION = 2
+DTYPE = "<f4"
 
 
 class CheckpointError(ValueError):
@@ -74,14 +68,9 @@ def _read_tensor(f) -> tuple[str, np.ndarray]:
     shape = tuple(struct.unpack("<Q", _read_exact(f, 8))[0] for _ in range(ndim))
     raw = _read_exact(f, math.prod(shape) * np.dtype(DTYPE).itemsize)
     try:
-        wide = np.frombuffer(raw, dtype=DTYPE).reshape(shape)
+        return name, np.frombuffer(raw, DTYPE).reshape(shape).astype(PARAM_DTYPE)
     except ValueError:  # an empty payload under a dim numpy cannot hold
         raise CheckpointError(f"tensor {name!r} has unusable shape {shape}") from None
-    try:
-        with np.errstate(over="raise"):
-            return name, wide.astype(PARAM_DTYPE)
-    except FloatingPointError:
-        raise CheckpointError(f"tensor {name!r} holds a value beyond the float32 range") from None
 
 
 def save_checkpoint(
@@ -90,6 +79,11 @@ def save_checkpoint(
     config: EncoderConfig,
     extra: dict | None = None,
 ) -> None:
+    """Write params, each a PARAM_DTYPE tensor stored as it is.  Another dtype
+    is a CheckpointError before the file is opened: no value is rounded."""
+    for name, arr in params.items():
+        if arr.dtype != PARAM_DTYPE:
+            raise CheckpointError(f"tensor {name!r} is {arr.dtype}, not {np.dtype(PARAM_DTYPE)}")
     header = {
         "version": VERSION,
         "config": config.to_dict(),
@@ -119,9 +113,8 @@ def _read_header(f) -> tuple[dict, EncoderConfig]:
         raise CheckpointError("header is not a JSON object")
     if header.get("version") != VERSION:
         raise CheckpointError(f"unsupported version {header.get('version')}")
-    dtype = header.get("dtype", DTYPE)
-    if dtype != DTYPE:
-        raise CheckpointError(f"unsupported payload dtype {dtype!r}")
+    if header.get("dtype") != DTYPE:
+        raise CheckpointError(f"unsupported payload dtype {header.get('dtype')!r}")
     if "config" not in header:
         raise CheckpointError("header carries no encoder config")
     try:

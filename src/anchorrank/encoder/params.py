@@ -5,8 +5,7 @@ import numpy as np
 from anchorrank.encoder.config import EncoderConfig
 
 INIT_STD = 0.02
-# The dtype the encoder trains and scores in; checkpoints store it widened
-# to float64, which is exact.
+# The dtype the encoder trains, scores and stores checkpoints in.
 PARAM_DTYPE = np.float32
 
 

@@ -136,6 +136,8 @@ def ndcg_at_k(run: RankedRun, qrels: Qrels, k: int) -> float:
 
 
 def evaluate(run: RankedRun, qrels: Qrels, ks=(10, 100)) -> dict[str, float]:
+    if not ks:
+        raise ValueError("ks must name at least one cutoff")
     report: dict[str, float] = {}
     for k in ks:
         report[f"MRR@{k}"] = mrr_at_k(run, qrels, k)

@@ -48,6 +48,12 @@ class SynthConfig:
             raise ValueError("need at least two pages per topic")
         if self.train_queries + self.eval_queries > self.pages:
             raise ValueError("more queries than pages to target")
+        # a query's candidates are its page, up to 4 from its topic and the
+        # pages of other topics; the largest topic leaves the fewest
+        largest = -(-self.pages // self.topics)
+        limit = 1 + min(4, largest - 1) + self.pages - largest
+        if self.candidates_per_query > limit:
+            raise ValueError(f"candidates_per_query must be at most {limit} for these pages and topics, got {self.candidates_per_query}")
 
 
 class _SentenceBuilder:

@@ -77,8 +77,7 @@ def _distinct_anchors(sentence: Sentence, corpus: HyperlinkCorpus) -> dict[str, 
             continue
         key = a.normalized_surface()
         if key not in groups:
-            groups[key] = {"target": a.target_id, "first_pos": a.token_start, "occurrences": []}
-        groups[key]["occurrences"].append(a)
+            groups[key] = {"target": a.target_id, "first_pos": a.token_start}
     return groups
 
 

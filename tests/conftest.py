@@ -1,4 +1,10 @@
 import json
+import os
+
+# One BLAS thread, as the benchmark runs its workloads: set before numpy is
+# first imported, and only where the caller has not chosen a count.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

@@ -315,6 +315,12 @@ class TestEvalCommand:
         assert errors == ["error: k must be >= 1, got -1"]
         assert not (tmp_path / "m.json").exists()
 
+    def test_empty_cutoff_list_is_one_error(self, tmp_path, capsys):
+        assert main(["eval", "--config", self.config(tmp_path, eval={"ks": []})]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: ks must name at least one cutoff"]
+        assert not (tmp_path / "m.json").exists()
+
     def test_seed_mandatory(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"workdir": str(tmp_path)}))

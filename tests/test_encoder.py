@@ -43,7 +43,6 @@ from util import (
     mlm_nll,
 )
 
-DATA = Path(__file__).parent / "data"
 CFG = EncoderConfig(layers=2, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24)
 
 # Paths that share their arithmetic are checked bitwise in both dtypes; paths
@@ -815,8 +814,8 @@ class TestCheckpoint:
             assert np.array_equal(ck.params[k], params[k])
 
     def test_float32_params_round_trip_bitwise(self, params, tmp_path):
-        # float32 values are stored widened to float64, which is exact, so
-        # the cast back on load gives the same bits
+        # the float32 bytes are stored as they are, so loading gives the
+        # same bits
         p = {k: v.copy() for k, v in params.items()}
         state = AdamState.zeros(p)
         g = EncoderGraph(p, CFG, seq(CLS_ID, 7, 8, 9, SEP_ID))
@@ -828,47 +827,11 @@ class TestCheckpoint:
         save_checkpoint(path, p, CFG)
         raw = path.read_bytes()
         (header_len,) = struct.unpack("<I", raw[8:12])
-        assert json.loads(raw[12 : 12 + header_len])["dtype"] == "<f8"
+        assert json.loads(raw[12 : 12 + header_len])["dtype"] == "<f4"
         ck = load_checkpoint(path)
         for k in p:
             assert p[k].dtype == ck.params[k].dtype == np.float32
             assert ck.params[k].tobytes() == p[k].tobytes(), k
-
-    def test_checkpoint_with_adam_moments_loads_its_params(self, params, tmp_path):
-        # the earlier layout also stored the optimizer: an "adam_step" header
-        # key and adam.m.*/adam.v.* tensors after the parameters.  Loading
-        # such a file ignores them and restores the parameters bitwise
-        names = sorted(params)
-        tensors = [(n, params[n]) for n in names]
-        tensors += [(f"adam.{mv}.{n}", np.full_like(params[n], 0.25)) for mv in "mv" for n in names]
-        header = {"version": 1, "config": CFG.to_dict(), "dtype": "<f8", "extra": {"stage": "pretrain"}, "adam_step": 7}
-        encoded = json.dumps(header, sort_keys=True).encode("utf-8")
-        raw = b"ANCRCKPT" + struct.pack("<I", len(encoded)) + encoded + struct.pack("<I", len(tensors))
-        for name, arr in tensors:
-            raw += struct.pack("<H", len(name)) + name.encode("utf-8") + struct.pack("<B", arr.ndim)
-            raw += b"".join(struct.pack("<Q", dim) for dim in arr.shape)
-            raw += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        path = tmp_path / "model.ckpt"
-        path.write_bytes(raw)
-        ck = load_checkpoint(path, expected_config=CFG)
-        assert ck.extra == {"stage": "pretrain"}
-        assert sorted(ck.params) == names
-        for k in names:
-            assert ck.params[k].tobytes() == params[k].tobytes(), k
-
-    def test_float64_checkpoint_loads_as_float32(self):
-        # written by the float64 encoder that preceded float32 params:
-        # init_params(TINY, seed=3) in float64, saved with no Adam moments.
-        # Loading rounds each value to float32, which is what init_params
-        # now does to the same draws
-        tiny = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, vocab_size=12, max_len=8)
-        ck = load_checkpoint(DATA / "float64_init_seed3.ckpt", expected_config=tiny)
-        expected = init_params(tiny, seed=3)
-        assert ck.extra == {"stage": "test"}
-        assert sorted(ck.params) == sorted(expected)
-        for k in expected:
-            assert ck.params[k].dtype == np.float32
-            assert np.array_equal(ck.params[k], expected[k]), k
 
     def test_vocab_size_mismatch_rejected(self, params, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -898,7 +861,7 @@ class TestCheckpoint:
             (lambda h: b"{not json", "unreadable header"),
             (lambda h: b"\xff\xfe", "unreadable header"),
             (lambda h: {**h, "extra": "vocab"}, "extra"),
-            (lambda h: {**h, "dtype": "<f4"}, "payload dtype"),
+            (lambda h: {**h, "dtype": "<f8"}, "payload dtype"),
         ],
         ids=[
             "no-config",
@@ -934,14 +897,43 @@ class TestCheckpoint:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and str(path) in errors[0]
 
-    def test_value_beyond_float32_range_rejected(self, params, tmp_path):
+    def test_file_size_is_the_layout_at_four_bytes_per_value(self, params, tmp_path):
         path = tmp_path / "model.ckpt"
-        wide = as_dtype(params, np.float64)
-        wide["mlm_b"][3] = 1e39
-        save_checkpoint(path, wide, CFG)
-        with pytest.raises(CheckpointError, match="'mlm_b' holds a value beyond the float32 range") as info:
-            load_checkpoint(path)
+        save_checkpoint(path, params, CFG, extra={"stage": "test"})
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        tensors = sum(2 + len(k.encode("utf-8")) + 1 + 8 * v.ndim + 4 * v.size for k, v in params.items())
+        assert len(raw) == 8 + 4 + header_len + 4 + tensors
+
+    def test_float64_tensor_refused_by_name(self, params, tmp_path):
+        path = tmp_path / "model.ckpt"
+        wide = {**params, "mlm_b": params["mlm_b"].astype(np.float64)}
+        with pytest.raises(CheckpointError, match="'mlm_b' is float64"):
+            save_checkpoint(path, wide, CFG)
+        assert not path.exists()
+
+    def test_version_one_float64_file_refused_naming_it(self, params, tmp_path, capsys):
+        # the layout before float32 payloads: version 1, every value widened
+        # to <f8.  It is refused, not converted; rerunning the stage that
+        # wrote it rewrites it
+        header = {"version": 1, "config": CFG.to_dict(), "dtype": "<f8", "extra": {"vocab": ["t"] * CFG.vocab_size}}
+        encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+        raw = b"ANCRCKPT" + struct.pack("<I", len(encoded)) + encoded + struct.pack("<I", len(params))
+        for name in sorted(params):
+            arr = params[name]
+            raw += struct.pack("<H", len(name)) + name.encode("utf-8") + struct.pack("<B", arr.ndim)
+            raw += b"".join(struct.pack("<Q", dim) for dim in arr.shape)
+            raw += arr.astype("<f8").tobytes()
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(raw)
+
+        with pytest.raises(CheckpointError, match="unsupported version 1") as info:
+            load_checkpoint(path, expected_config=CFG)
         assert str(path) in str(info.value)
+        capsys.readouterr()
+        assert main(["rerank", "--seed", "1", "--workdir", str(tmp_path), "--init", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(path) in errors[0]
 
     def test_truncated_file_names_path(self, params, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -524,6 +524,20 @@ class TestDataFiles:
             SynthConfig(**{field: value})
         assert str(info.value) == f"{field} must be an integer >= {minimum}, got {value!r}"
 
+    @pytest.mark.parametrize("pages, topics, limit", [(200, 8, 180), (16, 2, 13), (40, 4, 35), (9, 4, 9)])
+    def test_candidates_per_query_limit_filled_and_one_more_rejected(self, pages, topics, limit):
+        # a query draws its page, up to 4 pages of its own topic and the
+        # pages of other topics; the largest topic leaves the fewest
+        small = {"pages": pages, "topics": topics, "train_queries": 2, "eval_queries": 2}
+        cfg = SynthConfig(**small, candidates_per_query=limit)
+        for split in build_retrieval_split(cfg, build_synthetic_corpus(cfg)[1]):
+            assert {len(c) for c in split["candidates"].values()} == {limit}
+        with pytest.raises(ValueError) as info:
+            SynthConfig(**small, candidates_per_query=limit + 1)
+        assert str(info.value) == (
+            f"candidates_per_query must be at most {limit} for these pages and topics, got {limit + 1}"
+        )
+
     def test_queries_round_trip(self, tmp_path):
         queries = {"q1": "laptop hardware", "q2": "orchard fruit"}
         path = tmp_path / "queries.tsv"
