@@ -32,12 +32,12 @@ from anchorrank.ranker import (
     rerank,
 )
 from anchorrank.sampler import AttentionSampler, default_stopwords, load_stopwords
-from anchorrank.synth import SynthConfig, synth_dataset
+from anchorrank.synth import FILES, SynthConfig, synth_dataset
 from anchorrank.taskgen import PairGenerator, TaskGenConfig, read_pairs, write_pairs
 
 # artifact key -> (default file name under the workdir, command that writes it)
 ARTIFACTS = {
-    "corpus": ("corpus.jsonl", "synth"),
+    **{key: (name, "synth") for key, name in FILES.items()},
     "corpus_clean": ("clean.jsonl", "ingest"),
     "vocab": ("vocab.txt", "ingest"),
     "sampler_ckpt": ("sampler.ckpt", "warm-sampler"),
@@ -45,13 +45,6 @@ ARTIFACTS = {
     "pretrain_ckpt": ("pretrained.ckpt", "pretrain"),
     "pretrain_metrics": ("pretrain_metrics.jsonl", "pretrain"),
     "finetune_ckpt": ("finetuned.ckpt", "finetune"),
-    "collection": ("collection.jsonl", "synth"),
-    "train_queries": ("train_queries.tsv", "synth"),
-    "train_qrels": ("train_qrels.txt", "synth"),
-    "train_candidates": ("train_candidates.txt", "synth"),
-    "eval_queries": ("eval_queries.tsv", "synth"),
-    "eval_qrels": ("eval_qrels.txt", "synth"),
-    "eval_candidates": ("eval_candidates.txt", "synth"),
     "run": ("rerank.run", "rerank"),
     "metrics": ("metrics.json", "eval"),
 }
@@ -240,7 +233,12 @@ def train_config(section: dict, cfg: dict, task_weights=None) -> TrainConfig:
 
 
 def cmd_synth(args, cfg: dict) -> int:
+    """A paths entry for a file synth writes must name the place synth writes it."""
     out_dir = Path(args.out) if args.out else Path(cfg["workdir"])
+    for key, name in FILES.items():
+        path = cfg["paths"].get(key)
+        if path is not None and Path(path).resolve() != (out_dir / name).resolve():
+            raise CommandError(f"paths.{key} is {path}, but synth writes {key} to {out_dir / name}")
     paths = synth_dataset(out_dir, SynthConfig(**cfg["synth"], seed=cfg["seed"]))
     write_sidecar(paths["corpus"], "synth", cfg)
     print(f"wrote synthetic dataset under {out_dir}")

@@ -43,19 +43,14 @@ def tokenize(text: str) -> list[str]:
     return [m.group().lower() for m in _TOKEN_RE.finditer(text)]
 
 
-def tokenize_with_spans(text: str) -> list[tuple[str, int, int]]:
-    """Like tokenize() but keeps (token, start, end) character spans."""
-    return [(m.group().lower(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
-
-
 @dataclass(frozen=True)
 class AnchorSpan:
     """A hyperlink occurrence: character span, surface string, destination page.
 
-    Offsets are half-open character offsets into the owning text (page text
-    at parse level, sentence text once assigned to a sentence).  token_start
-    and token_end give the contiguous token range covering the span; the
-    multi-word surface is treated as one unit by all consumers.
+    Offsets are half-open character offsets into the page text, also for
+    the anchors a sentence holds.  A sentence's anchors carry token_start
+    and token_end, the contiguous range of its tokens covering the span;
+    the multi-word surface is treated as one unit by all consumers.
     """
 
     start: int
@@ -83,13 +78,19 @@ class Sentence:
 
 @dataclass
 class Page:
+    """A page record; its sentences and summary derive from its text and anchors."""
+
     id: str
     title: str
     url: str
     text: str
     anchors: list[AnchorSpan] = field(default_factory=list)
-    sentences: list[Sentence] = field(default_factory=list)
-    first_section: list[str] = field(default_factory=list)
+    sentences: list[Sentence] = field(init=False)
+    first_section: list[str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.sentences = split_sentences(self)
+        self.first_section = first_section_tokens(self)
 
     def body_word_count(self) -> int:
         """Whitespace-delimited word count of the raw body."""
@@ -171,12 +172,8 @@ def split_sentences(page: Page) -> list[Sentence]:
         sent_text = text[s_start:s_end]
         if not sent_text:
             continue
-        local = [
-            replace(a, start=a.start - s_start, end=a.end - s_start)
-            for a in anchors
-            if s_start <= a.start and a.end <= s_end
-        ]
-        sentences.append(_finish_sentence(page.id, len(sentences), sent_text, local))
+        inside = [a for a in anchors if s_start <= a.start and a.end <= s_end]
+        sentences.append(_finish_sentence(page.id, len(sentences), sent_text, s_start, inside))
 
     dropped = len(anchors) - sum(len(s.anchors) for s in sentences)
     if dropped:
@@ -184,13 +181,14 @@ def split_sentences(page: Page) -> list[Sentence]:
     return sentences
 
 
-def _finish_sentence(page_id: str, index: int, text: str, raw_anchors: list[AnchorSpan]) -> Sentence:
-    """Tokenize one sentence and map anchors to contiguous token ranges.
+def _finish_sentence(page_id: str, index: int, text: str, start: int, raw_anchors: list[AnchorSpan]) -> Sentence:
+    """Tokenize one sentence, which starts at page offset `start`, and map
+    anchors to contiguous token ranges.
 
     Anchors whose span does not reproduce its surface after tokenization,
     or whose token range overlaps an earlier anchor, are dropped.
     """
-    spans = tokenize_with_spans(text)
+    spans = [(m.group().lower(), start + m.start(), start + m.end()) for m in _TOKEN_RE.finditer(text)]
     tokens = tuple(t for t, _, _ in spans)
 
     kept: list[AnchorSpan] = []
@@ -254,10 +252,7 @@ def _page_from_record(rec: dict, line_no: int) -> Page:
             raise CorpusError(f"line {line_no}: anchor {j}: empty target_id")
         anchors.append(AnchorSpan(start=start, end=end, surface=surface, target_id=target))
 
-    page = Page(id=rec["id"], title=rec["title"], url=rec["url"], text=text, anchors=anchors)
-    page.sentences = split_sentences(page)
-    page.first_section = first_section_tokens(page)
-    return page
+    return Page(id=rec["id"], title=rec["title"], url=rec["url"], text=text, anchors=anchors)
 
 
 def parse_corpus(lines: Iterable[str]) -> HyperlinkCorpus:
@@ -290,8 +285,10 @@ def clean_corpus(corpus: HyperlinkCorpus, min_words: int = 100) -> HyperlinkCorp
     """Drop short pages and unresolvable anchors.
 
     Pages with fewer than min_words whitespace-delimited body words, or an
-    empty summary, are removed.  Anchors pointing at removed or unknown
-    pages are dropped from sentences (segmentation is left untouched).
+    empty summary, are removed.  A page that had an anchor pointing at a
+    removed or unknown page is rebuilt without it, and so split again
+    exactly as reading its record back splits it; other pages are kept as
+    they are.
     """
     kept = {
         pid: p
@@ -301,12 +298,8 @@ def clean_corpus(corpus: HyperlinkCorpus, min_words: int = 100) -> HyperlinkCorp
     out: dict[str, Page] = {}
     for pid in sorted(kept):
         page = kept[pid]
-        sentences = [
-            replace(s, anchors=tuple(a for a in s.anchors if a.target_id in kept))
-            for s in page.sentences
-        ]
-        page_anchors = [a for a in page.anchors if a.target_id in kept]
-        out[pid] = replace(page, anchors=page_anchors, sentences=sentences)
+        anchors = [a for a in page.anchors if a.target_id in kept]
+        out[pid] = page if len(anchors) == len(page.anchors) else replace(page, anchors=anchors)
     cleaned = HyperlinkCorpus(out)
     log.info("cleaned corpus (min_words=%d): %s", min_words, cleaned.counts())
     return cleaned

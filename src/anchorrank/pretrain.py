@@ -22,7 +22,7 @@ from anchorrank.corpus import (
     page_summary,
 )
 from anchorrank.encoder import AdamState, EncoderConfig, EncoderGraph, adam_step, cls_scores, init_params, save_checkpoint, zero_grads
-from anchorrank.taskgen import TASKS, PretrainPair, derive_rng
+from anchorrank.taskgen import TASKS, PretrainPair, check_count, derive_rng
 
 log = logging.getLogger(__name__)
 
@@ -157,14 +157,12 @@ class Schedule:
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
-        # each check is `not <rule>`, so that NaN fails it too
-        if not self.lr > 0:
+        if not self.lr > 0:  # NaN fails too
             raise ValueError(f"lr must be positive, got {self.lr}")
         for name, minimum in (("epochs", 0), ("batch_size", 1), ("max_len", 4), ("log_every", 1)):
-            if not getattr(self, name) >= minimum:
-                raise ValueError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
-        if self.max_steps is not None and not self.max_steps >= 0:
-            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+            check_count(name, getattr(self, name), minimum)
+        if self.max_steps is not None:
+            check_count("max_steps", self.max_steps, 0)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -177,8 +175,7 @@ class TrainConfig(Schedule):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if type(self.summary_max_tokens) is not int or self.summary_max_tokens < 1:
-            raise ValueError(f"summary_max_tokens must be an integer >= 1, got {self.summary_max_tokens!r}")
+        check_count("summary_max_tokens", self.summary_max_tokens, 1)
         unknown = sorted(set(self.task_weights) - set(default_task_weights()))
         if unknown:
             raise ValueError(f"unknown task_weights keys {unknown} (expected among {', '.join(default_task_weights())})")
@@ -192,16 +189,15 @@ class TrainConfig(Schedule):
 
 
 def summary_lookup(corpus: HyperlinkCorpus, max_tokens: int) -> Callable[[str], list[str]]:
-    cache: dict[str, list[str]] = {}
+    return lambda page_id: page_summary(corpus.pages[page_id], max_tokens)
 
-    def lookup(page_id: str) -> list[str]:
-        if page_id not in cache:
+
+def _check_pair_pages(pairs: Sequence[PretrainPair], corpus: HyperlinkCorpus) -> None:
+    """A TrainError naming the first pair whose document page the corpus lacks."""
+    for pair in pairs:
+        for page_id in (pair.pos_doc_id, pair.neg_doc_id):
             if page_id not in corpus.pages:
-                raise TrainError(f"pair references unknown page {page_id!r}")
-            cache[page_id] = page_summary(corpus.pages[page_id], max_tokens)
-        return cache[page_id]
-
-    return lookup
+                raise TrainError(f"pair {pair.seed_path!r} references unknown page {page_id!r}")
 
 
 def pack_pair(
@@ -341,6 +337,7 @@ def train(
     and a JSONL metrics log.  Deterministic for a fixed config and seed."""
     if not pairs and config.epochs > 0:
         raise TrainError("no training pairs")
+    _check_pair_pages(pairs, corpus)
     params = {k: v.copy() for k, v in init.items()} if init is not None else init_params(enc_config, config.seed)
     doc_tokens = summary_lookup(corpus, config.summary_max_tokens)
     mask_rng = derive_rng(config.seed, "pretrain", "mask")
@@ -410,6 +407,7 @@ def pairwise_accuracy(
     every packing is scored in stacks of equal length."""
     if not pairs:
         raise ValueError("no pairs to evaluate")
+    _check_pair_pages(pairs, corpus)
     doc_tokens = summary_lookup(corpus, config.summary_max_tokens)
     packings = [packed for pair in pairs for packed in pack_pair(pair, vocab, doc_tokens, config.max_len)]
     scores = cls_scores(params, enc_config, packings)

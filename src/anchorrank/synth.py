@@ -18,7 +18,7 @@ from pathlib import Path
 from anchorrank.corpus import HyperlinkCorpus, parse_corpus, write_corpus
 from anchorrank.evalkit import Qrels, write_qrels, write_run
 from anchorrank.ranker import collection_from_corpus, write_collection, write_queries
-from anchorrank.taskgen import _check_count, derive_rng
+from anchorrank.taskgen import check_count, derive_rng
 
 log = logging.getLogger(__name__)
 
@@ -27,6 +27,18 @@ AMBIGUOUS_SURFACES = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "the
 FILLERS = ("the", "a", "of", "and", "with", "near", "some", "from", "quite", "very")
 WORDS_PER_TOPIC = 40
 MIN_BODY_WORDS = 115
+
+# artifact key -> the file synth_dataset writes it to under its out_dir
+FILES = {
+    "corpus": "corpus.jsonl",
+    "collection": "collection.jsonl",
+    "train_queries": "train_queries.tsv",
+    "train_qrels": "train_qrels.txt",
+    "train_candidates": "train_candidates.txt",
+    "eval_queries": "eval_queries.tsv",
+    "eval_qrels": "eval_qrels.txt",
+    "eval_candidates": "eval_candidates.txt",
+}
 
 
 @dataclass
@@ -41,7 +53,7 @@ class SynthConfig:
     def __post_init__(self) -> None:
         counts = (("pages", 2), ("topics", 1), ("train_queries", 0), ("eval_queries", 0), ("candidates_per_query", 1))
         for name, minimum in counts:
-            _check_count(name, getattr(self, name), minimum)
+            check_count(name, getattr(self, name), minimum)
         if self.topics > len(TOPIC_NAMES):
             raise ValueError(f"topics must be in [1, {len(TOPIC_NAMES)}]")
         if self.pages < self.topics * 2:
@@ -260,16 +272,7 @@ def synth_dataset(out_dir: str | Path, cfg: SynthConfig) -> dict[str, Path]:
     corpus, metas = build_synthetic_corpus(cfg)
     train, eval_split = build_retrieval_split(cfg, metas)
 
-    paths = {
-        "corpus": out / "corpus.jsonl",
-        "collection": out / "collection.jsonl",
-        "train_queries": out / "train_queries.tsv",
-        "train_qrels": out / "train_qrels.txt",
-        "train_candidates": out / "train_candidates.txt",
-        "eval_queries": out / "eval_queries.tsv",
-        "eval_qrels": out / "eval_qrels.txt",
-        "eval_candidates": out / "eval_candidates.txt",
-    }
+    paths = {key: out / name for key, name in FILES.items()}
     write_corpus(corpus, paths["corpus"])
     write_collection(collection_from_corpus(corpus), paths["collection"])
     write_queries(train["queries"], paths["train_queries"])

@@ -295,7 +295,8 @@ def mix_tasks(streams: dict[str, Iterable[PretrainPair]], rng: np.random.Generat
             pending[task] = nxt
 
 
-def _check_count(name: str, value, minimum: int) -> None:
+def check_count(name: str, value, minimum: int) -> None:
+    """A count must be an int, not a bool or a float, of at least minimum."""
     if type(value) is not int or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
@@ -320,12 +321,12 @@ class TaskGenConfig:
             if unknown:
                 raise ValueError(f"unknown per_task_cap keys {unknown} (expected among {', '.join(TASKS)})")
             for task, cap in self.per_task_cap.items():
-                _check_count(f"per_task_cap.{task}", cap, 0)
+                check_count(f"per_task_cap.{task}", cap, 0)
         elif self.per_task_cap is not None:
-            _check_count("per_task_cap", self.per_task_cap, 0)
+            check_count("per_task_cap", self.per_task_cap, 0)
         if self.pair_budget is not None:
-            _check_count("pair_budget", self.pair_budget, 1)
-        _check_count("summary_max_tokens", self.summary_max_tokens, 1)
+            check_count("pair_budget", self.pair_budget, 1)
+        check_count("summary_max_tokens", self.summary_max_tokens, 1)
 
     def cap_for(self, task: str) -> int | None:
         if isinstance(self.per_task_cap, dict):
@@ -407,6 +408,8 @@ def _tokens(rec: dict, key: str) -> list[str]:
     value = rec[key]
     if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
         raise ValueError(f"{key} is not a list of strings")
+    if not any(t.split() for t in value):
+        raise ValueError(f"{key} holds no word")
     return list(value)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -180,6 +181,22 @@ class TestPipeline:
         assert len(errors) == 1 and message in errors[0]
         assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "metrics.jsonl").exists()
 
+    def test_07_pair_with_unknown_page_is_one_error_before_any_step(self, config_path, workdir, tmp_path, capsys, caplog):
+        lines = (workdir / "pairs.jsonl").read_text().splitlines()
+        bad = {**json.loads(lines[-1]), "pos_doc_id": "nope"}
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("\n".join([*lines[:-1], json.dumps(bad)]) + "\n")
+        cfg = json.loads(Path(config_path).read_text())
+        cfg["paths"] = {"pairs": str(pairs), "pretrain_metrics": str(tmp_path / "metrics.jsonl")}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        caplog.set_level(logging.INFO, logger="anchorrank.pretrain")
+        assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "out.ckpt")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: pair {bad['seed_path']!r} references unknown page 'nope'"]
+        assert not [r for r in caplog.records if r.name == "anchorrank.pretrain"]
+        assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "metrics.jsonl").exists()
+
     def test_08_rerank(self, config_path, workdir):
         assert main(["rerank", "--config", config_path]) == 0
         run_lines = (workdir / "rerank.run").read_text().splitlines()
@@ -330,6 +347,32 @@ class TestEvalCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1, "profile": "huge", "workdir": str(tmp_path)}))
         assert main(["synth", "--config", cfg.as_posix()]) == 2
+
+
+class TestSynthPaths:
+    def config(self, tmp_path, collection):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "seed": 1,
+            "workdir": str(tmp_path / "w"),
+            "synth": {"pages": 16, "topics": 2, "train_queries": 4, "eval_queries": 4, "candidates_per_query": 4},
+            "paths": {"collection": str(collection)},
+        }))
+        return str(path)
+
+    def test_entry_elsewhere_is_one_error_before_any_write(self, tmp_path, capsys):
+        # a later stage would read the collection from the paths entry
+        elsewhere = tmp_path / "elsewhere" / "coll.jsonl"
+        assert main(["synth", "--config", self.config(tmp_path, elsewhere)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        own = tmp_path / "w" / "collection.jsonl"
+        assert errors == [f"error: paths.collection is {elsewhere}, but synth writes collection to {own}"]
+        assert not (tmp_path / "w").exists() and not (tmp_path / "elsewhere").exists()
+
+    def test_entry_naming_synths_own_file_passes(self, tmp_path):
+        own = tmp_path / "w" / ".." / "w" / "collection.jsonl"
+        assert main(["synth", "--config", self.config(tmp_path, own)]) == 0
+        assert (tmp_path / "w" / "collection.jsonl").exists()
 
 
 class TestProfiles:

@@ -18,6 +18,7 @@ from anchorrank.corpus import (
     tokenize,
     write_corpus,
 )
+from anchorrank.synth import SynthConfig, build_synthetic_corpus
 
 
 def record(pid, text, anchors=(), title=None, url=None):
@@ -166,6 +167,39 @@ class TestClean:
                 assert a.target_id in cleaned.pages
 
 
+def assert_reads_back_as_is(corpus, tmp_path):
+    """write_corpus then read_corpus gives every page the same sentences
+    (text, tokens and anchors) and the same summary."""
+    path = tmp_path / "clean.jsonl"
+    write_corpus(corpus, path)
+    reread = read_corpus(path)
+    assert reread.page_ids() == corpus.page_ids()
+    for pid, page in corpus.pages.items():
+        assert reread.pages[pid].sentences == page.sentences, pid
+        assert reread.pages[pid].first_section == page.first_section, pid
+
+
+class TestCleanReadsBack:
+    def test_dropped_anchor_no_longer_suppresses_a_boundary(self, tmp_path):
+        # the "Dr. Smith" anchor kept "Dr." from ending a sentence; once its
+        # target is dropped, the page splits as its record reads back
+        text = "We met Dr. Smith at noon today. He left early."
+        recs = [record("a", text, [anchor_in(text, "Dr. Smith", "smith")]), record("smith", "Short.")]
+        cleaned = clean_corpus(parse_corpus(lines(*recs)), min_words=5)
+        assert cleaned.page_ids() == ["a"]
+        assert [s.text for s in cleaned.pages["a"].sentences] == ["We met Dr.", "Smith at noon today.", "He left early."]
+        assert_reads_back_as_is(cleaned, tmp_path)
+
+    def test_synth_corpus_that_loses_pages_reads_back(self, tmp_path):
+        corpus, _ = build_synthetic_corpus(
+            SynthConfig(pages=40, topics=4, train_queries=8, eval_queries=6, candidates_per_query=5, seed=3)
+        )
+        cleaned = clean_corpus(corpus, min_words=120)
+        assert 0 < len(cleaned) < len(corpus)
+        assert any(len(page.anchors) < len(corpus.pages[pid].anchors) for pid, page in cleaned.pages.items())
+        assert_reads_back_as_is(cleaned, tmp_path)
+
+
 class TestVocabulary:
     def test_frequency_and_ties(self):
         text = "b b b a a c"
@@ -285,6 +319,14 @@ class TestRoundTrip:
         reread = read_corpus(path)
         assert reread.to_records() == corpus.to_records()
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+    def test_sentence_anchors_keep_page_offsets(self):
+        t = "Alpha beta. Then GAMMA delta here. And epsilon zeta."
+        anchors = [anchor_in(t, "beta", "q"), anchor_in(t, "GAMMA delta", "q"), anchor_in(t, "epsilon", "q")]
+        page = parse_corpus(lines(record("p", t, anchors), record("q", "q"))).pages["p"]
+        held = [a for sent in page.sentences for a in sent.anchors]
+        assert [a.surface for a in held] == ["beta", "GAMMA delta", "epsilon"]
+        assert all(page.text[a.start : a.end] == a.surface for a in held)
 
     def test_anchor_surface_reconstruction(self):
         t = "Alpha beta GAMMA delta. Epsilon zeta."

@@ -355,12 +355,23 @@ class TestTrainLoop:
     @pytest.mark.parametrize("field, value, rule", [
         ("lr", 0.0, "positive"),
         ("lr", float("nan"), "positive"),
-        ("epochs", -1, ">= 0"),
-        ("batch_size", 0, ">= 1"),
-        ("max_len", 3, ">= 4"),
-        ("log_every", 0, ">= 1"),
-        ("max_steps", -1, ">= 0"),
-    ], ids=["lr-zero", "lr-nan", "epochs", "batch_size", "max_len", "log_every", "max_steps"])
+        ("epochs", -1, "an integer >= 0"),
+        ("batch_size", 0, "an integer >= 1"),
+        ("max_len", 3, "an integer >= 4"),
+        ("log_every", 0, "an integer >= 1"),
+        ("max_steps", -1, "an integer >= 0"),
+        # range() would raise TypeError on a float at the first step, and
+        # a bool is not a count
+        ("epochs", 2.5, "an integer >= 0"),
+        ("batch_size", 2.5, "an integer >= 1"),
+        ("batch_size", True, "an integer >= 1"),
+        ("max_len", 48.0, "an integer >= 4"),
+        ("log_every", 2.5, "an integer >= 1"),
+        ("max_steps", 2.5, "an integer >= 0"),
+    ], ids=[
+        "lr-zero", "lr-nan", "epochs", "batch_size", "max_len", "log_every", "max_steps",
+        "epochs-float", "batch_size-float", "batch_size-bool", "max_len-float", "log_every-float", "max_steps-float",
+    ])
     def test_bad_schedule_field_rejected_naming_rule_and_value(self, field, value, rule):
         with pytest.raises(ValueError) as info:
             pretrain.Schedule(**{field: value})
@@ -466,6 +477,21 @@ class TestTrainLoop:
         params = init_params(enc, 0)
         acc = pairwise_accuracy(pairs, params, enc, vocab, corpus, tcfg)
         assert 0.0 <= acc <= 1.0
+
+    @pytest.mark.parametrize("side", ["pos_doc_id", "neg_doc_id"])
+    def test_unknown_page_is_one_error_before_the_first_step(self, corpus, side, tmp_path, caplog):
+        vocab, pairs, enc = self.make_setup(corpus)
+        bad = dataclasses.replace(pairs[-1], **{side: "nope"})
+        pairs = [*pairs[:-1], bad]
+        tcfg = TrainConfig(lr=1e-3, epochs=1, batch_size=4, max_len=48, seed=5, summary_max_tokens=24, log_every=1)
+        message = f"^pair {bad.seed_path!r} references unknown page 'nope'$"
+        caplog.set_level(logging.INFO, logger="anchorrank.pretrain")
+        with pytest.raises(TrainError, match=message):
+            train(pairs, corpus, enc, tcfg, vocab, checkpoint_path=tmp_path / "m.ckpt", metrics_path=tmp_path / "m.jsonl")
+        assert not [r for r in caplog.records if r.name == "anchorrank.pretrain"]
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(TrainError, match=message):
+            pairwise_accuracy(pairs, init_params(enc, 0), enc, vocab, corpus, tcfg)
 
 
 class TestBatchSchedule:

@@ -358,6 +358,10 @@ class TestReadPairsRejects:
             ({"neg_query": "c"}, "neg_query is not a list of strings"),
             ({"neg_query": None}, "rqp record has no neg_query"),
             ({"pos_doc_id": ["d1"]}, "must be strings"),
+            # a query with no word would stop pre-training partway
+            ({"query": []}, "query holds no word"),
+            ({"query": [""]}, "query holds no word"),
+            ({"neg_query": []}, "neg_query holds no word"),
         ],
     )
     def test_bad_record_names_file_and_line(self, tmp_path, change, match):
