@@ -33,7 +33,7 @@ from anchorrank.ranker import (
 )
 from anchorrank.sampler import AttentionSampler, default_stopwords, load_stopwords
 from anchorrank.synth import FILES, SynthConfig, synth_dataset
-from anchorrank.taskgen import PairGenerator, TaskGenConfig, read_pairs, write_pairs
+from anchorrank.taskgen import PairGenerator, TaskGenConfig, check_count, read_pairs, write_pairs
 
 # artifact key -> (default file name under the workdir, command that writes it)
 ARTIFACTS = {
@@ -196,8 +196,8 @@ def input_path(cfg: dict, key: str, override: str | None = None) -> Path:
     return path
 
 
-def output_path(cfg: dict, key: str, override: str | None = None) -> Path:
-    path = resolve_path(cfg, key, override)
+def output_path(cfg: dict, key: str) -> Path:
+    path = resolve_path(cfg, key)
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -234,7 +234,7 @@ def train_config(section: dict, cfg: dict, task_weights=None) -> TrainConfig:
 
 def cmd_synth(args, cfg: dict) -> int:
     """A paths entry for a file synth writes must name the place synth writes it."""
-    out_dir = Path(args.out) if args.out else Path(cfg["workdir"])
+    out_dir = Path(cfg["workdir"])
     for key, name in FILES.items():
         path = cfg["paths"].get(key)
         if path is not None and Path(path).resolve() != (out_dir / name).resolve():
@@ -246,12 +246,14 @@ def cmd_synth(args, cfg: dict) -> int:
 
 
 def cmd_ingest(args, cfg: dict) -> int:
+    check_count("corpus.vocab_size", cfg["corpus"]["vocab_size"], 1)
+    check_count("corpus.min_words", cfg["corpus"]["min_words"], 0)
     corpus = read_corpus(input_path(cfg, "corpus", args.corpus))
     cleaned = clean_corpus(corpus, min_words=cfg["corpus"]["min_words"])
     if len(cleaned) == 0:
         raise CommandError("cleaning removed every page; lower corpus.min_words")
     vocab = build_vocab(cleaned, max_size=cfg["corpus"]["vocab_size"])
-    clean_path = output_path(cfg, "corpus_clean", args.out)
+    clean_path = output_path(cfg, "corpus_clean")
     write_corpus(cleaned, clean_path)
     vocab_path = output_path(cfg, "vocab")
     vocab.save(vocab_path)
@@ -279,7 +281,7 @@ def cmd_warm_sampler(args, cfg: dict) -> int:
     corpus, vocab = _load_clean_corpus_and_vocab(cfg)
     enc = encoder_config(cfg, len(vocab))
     tcfg = train_config(cfg["warmup"], cfg, task_weights={"rqp": 0.0, "qdm": 0.0, "rdp": 0.0, "acm": 0.0, "mlm": 1.0})
-    out = output_path(cfg, "sampler_ckpt", args.out)
+    out = output_path(cfg, "sampler_ckpt")
     mlm_warmup(corpus, enc, tcfg, vocab, checkpoint_path=out)
     print(f"sampler checkpoint -> {out}")
     return 0
@@ -294,7 +296,7 @@ def cmd_build_pairs(args, cfg: dict) -> int:
     pairs = generator.generate()
     if not pairs:
         raise CommandError("no pairs were generated; corpus has too few usable anchors")
-    out = output_path(cfg, "pairs", args.out)
+    out = output_path(cfg, "pairs")
     count = write_pairs(pairs, out)
     write_sidecar(out, "build-pairs", cfg, yields=generator.yields)
     print(f"{count} pairs -> {out}")
@@ -309,7 +311,7 @@ def cmd_pretrain(args, cfg: dict) -> int:
     enc = encoder_config(cfg, len(vocab))
     tcfg = train_config(cfg["pretrain"], cfg)
     init = _load_model_on_vocab(Path(args.init), cfg, vocab).params if args.init else None
-    out = output_path(cfg, "pretrain_ckpt", args.out)
+    out = output_path(cfg, "pretrain_ckpt")
     metrics_path = output_path(cfg, "pretrain_metrics")
     meta = {"seed": cfg["seed"], "command": "pretrain"}
     train(pairs, corpus, enc, tcfg, vocab, init=init, checkpoint_path=out, metrics_path=metrics_path, extra_meta=meta)
@@ -344,19 +346,20 @@ def cmd_finetune(args, cfg: dict) -> int:
     if not examples:
         raise CommandError("no fine-tuning examples; check the train queries/candidates/qrels files")
     fcfg = FinetuneConfig(**cfg["finetune"], seed=cfg["seed"], max_len=cfg["encoder"]["max_len"])
-    out = output_path(cfg, "finetune_ckpt", args.out)
+    out = output_path(cfg, "finetune_ckpt")
     finetune(model, examples, collection, fcfg, checkpoint_path=out)
     print(f"fine-tuned checkpoint ({len(examples)} examples) -> {out}")
     return 0
 
 
 def cmd_rerank(args, cfg: dict) -> int:
+    check_count("rerank.k", cfg["rerank"]["k"], 1)
     model = load_model(input_path(cfg, "finetune_ckpt", args.init))
     collection, queries, candidates = _ranking_inputs(cfg, "eval")
     run: evalkit.RankedRun = {}
     for qid in sorted(candidates):
         run[qid] = rerank(model, queries[qid], candidates[qid], k=cfg["rerank"]["k"], collection=collection)
-    out = output_path(cfg, "run", args.out)
+    out = output_path(cfg, "run")
     evalkit.write_run(run, out, tag=f"anchorrank-seed{cfg['seed']}")
     write_sidecar(out, "rerank", cfg)
     print(f"run over {len(run)} queries -> {out}")
@@ -368,29 +371,26 @@ def cmd_eval(args, cfg: dict) -> int:
     qrels = evalkit.read_qrels(input_path(cfg, "eval_qrels"))
     report = evalkit.evaluate(run, qrels, ks=tuple(cfg["eval"]["ks"]))
     print(evalkit.format_report(report))
-    out = output_path(cfg, "metrics", args.out)
+    out = output_path(cfg, "metrics")
     record = {"command": "eval", "seed": cfg["seed"], "metrics": report, "config": cfg}
     out.write_text(json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
     print(f"metrics record -> {out}")
     return 0
 
 
-# command -> (handler, help, --out help, *extra (flag, help) options)
+# command -> (handler, help, *(flag, help) options that name an input)
 COMMANDS = {
-    "synth": (cmd_synth, "generate the bundled synthetic topic corpus and retrieval splits",
-              "output directory (default workdir)"),
-    "ingest": (cmd_ingest, "parse + clean the corpus and build the vocabulary", "cleaned corpus path",
-               ("--corpus", "raw corpus JSONL path")),
-    "warm-sampler": (cmd_warm_sampler, "MLM-only warm-up producing the fixed sampling checkpoint",
-                     "sampler checkpoint path"),
-    "build-pairs": (cmd_build_pairs, "construct the four-task pre-training pairs file", "pairs file path"),
-    "pretrain": (cmd_pretrain, "joint pairwise + MLM pre-training", "checkpoint path",
+    "synth": (cmd_synth, "generate the bundled synthetic topic corpus and retrieval splits"),
+    "ingest": (cmd_ingest, "parse + clean the corpus and build the vocabulary", ("--corpus", "raw corpus JSONL path")),
+    "warm-sampler": (cmd_warm_sampler, "MLM-only warm-up producing the fixed sampling checkpoint"),
+    "build-pairs": (cmd_build_pairs, "construct the four-task pre-training pairs file"),
+    "pretrain": (cmd_pretrain, "joint pairwise + MLM pre-training",
                  ("--init", "optional checkpoint to initialize from")),
-    "finetune": (cmd_finetune, "pointwise cross-entropy fine-tuning on the train split", "checkpoint path",
+    "finetune": (cmd_finetune, "pointwise cross-entropy fine-tuning on the train split",
                  ("--init", "checkpoint to initialize from (default: pretrain output)")),
-    "rerank": (cmd_rerank, "rerank the eval candidate lists", "run file path",
+    "rerank": (cmd_rerank, "rerank the eval candidate lists",
                ("--init", "checkpoint to rerank with (default: finetune output)")),
-    "eval": (cmd_eval, "score a run against qrels (MRR@k, nDCG@k)", "metrics record path"),
+    "eval": (cmd_eval, "score a run against qrels (MRR@k, nDCG@k)"),
 }
 
 
@@ -400,13 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hyperlink-derived pre-training and document reranking pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, out_help, *options) in COMMANDS.items():
+    for name, (func, help_text, *options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="random seed (mandatory here or in the config)")
         p.add_argument("--profile", choices=["toy", "full"], help="preset profile")
         p.add_argument("--workdir", help="artifact directory (default ./work)")
-        p.add_argument("--out", help=out_help)
         for flag, flag_help in options:
             p.add_argument(flag, help=flag_help)
         p.set_defaults(func=func)

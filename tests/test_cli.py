@@ -4,10 +4,13 @@ import logging
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from anchorrank.cli import main
+from anchorrank.cli import ARTIFACTS, COMMANDS, main
 from anchorrank.evalkit import read_run
+
+GOLDEN = Path(__file__).parent / "data" / "cli_seed5_digests.json"
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +47,17 @@ def config_path(workdir):
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def outputs_in(directory, command):
+    """A paths entry for every artifact command writes, each a fresh file
+    under directory."""
+    return {key: str(directory / name) for key, (name, writer) in ARTIFACTS.items() if writer == command}
+
+
+def environment():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
 class TestPipeline:
@@ -116,14 +130,14 @@ class TestPipeline:
         cfg = json.loads(Path(config_path).read_text())
         metrics = tmp_path / "w" / "new" / "metrics.jsonl"
         cfg["pretrain"]["max_steps"] = 2
-        cfg["paths"] = {"pretrain_metrics": str(metrics)}
+        cfg["paths"] = {"pretrain_metrics": str(metrics), "pretrain_ckpt": str(tmp_path / "out.ckpt")}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
-        assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "out.ckpt")]) == 0
+        assert main(["pretrain", "--config", str(path)]) == 0
         assert (tmp_path / "out.ckpt").exists()
         assert json.loads(metrics.read_text().splitlines()[-1])["step"] == 2
 
-    @pytest.mark.parametrize("command", ["build-pairs", "pretrain-init"])
+    @pytest.mark.parametrize("command", ["build-pairs", "pretrain"], ids=["build-pairs", "pretrain-init"])
     def test_06_checkpoint_on_another_vocabulary_is_one_error(self, command, config_path, workdir, tmp_path, capsys):
         # the same terms at swapped ids: the size still matches, the
         # embeddings do not
@@ -134,8 +148,14 @@ class TestPipeline:
         terms = (copy / "vocab.txt").read_text().splitlines()
         terms[10], terms[11] = terms[11], terms[10]
         (copy / "vocab.txt").write_text("\n".join(terms) + "\n")
+        # the copy already holds pairs.jsonl and pretrained.ckpt, so the
+        # outputs go to a directory of their own
         out = tmp_path / "out"
-        argv = ["--config", config_path, "--workdir", str(copy), "--out", str(out)]
+        cfg = json.loads(Path(config_path).read_text())
+        cfg["paths"] = outputs_in(out, command)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["--config", str(path), "--workdir", str(copy)]
         if command == "build-pairs":
             argv, ckpt = ["build-pairs", *argv], copy / "sampler.ckpt"
         else:
@@ -144,42 +164,46 @@ class TestPipeline:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1
         assert f"checkpoint {ckpt} was trained on another vocabulary than {copy / 'vocab.txt'}" in errors[0]
-        assert not out.exists() and not (copy / "pretrain_metrics.jsonl").exists()
+        assert not out.exists()
 
     def test_06_negative_task_weight_is_one_error(self, config_path, tmp_path, capsys):
         cfg = json.loads(Path(config_path).read_text())
         cfg["pretrain"]["task_weights"] = {"rqp": -1}
-        cfg["paths"] = {"pretrain_metrics": str(tmp_path / "metrics.jsonl")}
+        cfg["paths"] = outputs_in(tmp_path, "pretrain")
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
-        assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "out.ckpt")]) == 2
+        assert main(["pretrain", "--config", str(path)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == ["error: task_weights.rqp must be a finite number >= 0, got -1"]
-        assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "metrics.jsonl").exists()
+        assert not any(Path(out).exists() for out in cfg["paths"].values())
 
     def test_07_finetune(self, config_path, workdir):
         assert main(["finetune", "--config", config_path]) == 0
         assert (workdir / "finetuned.ckpt").exists()
 
-    @pytest.mark.parametrize("command, section, key, message", [
-        ("warm-sampler", "warmup", "log_every", "log_every"),
-        ("pretrain", "pretrain", "log_every", "log_every"),
-        ("finetune", "finetune", "log_every", "log_every"),
-        ("pretrain", "paths", "pairs", "no training pairs"),
-    ], ids=["warmup-log_every", "pretrain-log_every", "finetune-log_every", "empty-pairs"])
+    @pytest.mark.parametrize("command, section, key, value, message", [
+        ("warm-sampler", "warmup", "log_every", 0, "log_every"),
+        ("pretrain", "pretrain", "log_every", 0, "log_every"),
+        ("finetune", "finetune", "log_every", 0, "log_every"),
+        ("pretrain", "paths", "pairs", "empty.jsonl", "no training pairs"),
+        ("ingest", "corpus", "vocab_size", 0, "corpus.vocab_size must be an integer >= 1, got 0"),
+        ("ingest", "corpus", "min_words", -5, "corpus.min_words must be an integer >= 0, got -5"),
+        ("rerank", "rerank", "k", 0, "rerank.k must be an integer >= 1, got 0"),
+    ], ids=["warmup-log_every", "pretrain-log_every", "finetune-log_every", "empty-pairs",
+            "corpus-vocab_size", "corpus-min_words", "rerank-k"])
     def test_07_bad_training_input_is_one_error_before_any_step(
-        self, command, section, key, message, config_path, tmp_path, capsys
+        self, command, section, key, value, message, config_path, tmp_path, capsys
     ):
         cfg = json.loads(Path(config_path).read_text())
-        cfg["paths"] = {"pretrain_metrics": str(tmp_path / "metrics.jsonl")}
-        (tmp_path / "pairs.jsonl").write_text("")
-        cfg[section][key] = 0 if key == "log_every" else str(tmp_path / "pairs.jsonl")
+        cfg["paths"] = outputs_in(tmp_path / "out", command)
+        (tmp_path / "empty.jsonl").write_text("")
+        cfg[section][key] = str(tmp_path / value) if section == "paths" else value
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "out.ckpt")]) == 2
+        assert main([command, "--config", str(path)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and message in errors[0]
-        assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "metrics.jsonl").exists()
+        assert not any((tmp_path / "out").glob("*"))
 
     def test_07_pair_with_unknown_page_is_one_error_before_any_step(self, config_path, workdir, tmp_path, capsys, caplog):
         lines = (workdir / "pairs.jsonl").read_text().splitlines()
@@ -187,15 +211,15 @@ class TestPipeline:
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text("\n".join([*lines[:-1], json.dumps(bad)]) + "\n")
         cfg = json.loads(Path(config_path).read_text())
-        cfg["paths"] = {"pairs": str(pairs), "pretrain_metrics": str(tmp_path / "metrics.jsonl")}
+        cfg["paths"] = {"pairs": str(pairs), **outputs_in(tmp_path / "out", "pretrain")}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         caplog.set_level(logging.INFO, logger="anchorrank.pretrain")
-        assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "out.ckpt")]) == 2
+        assert main(["pretrain", "--config", str(path)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: pair {bad['seed_path']!r} references unknown page 'nope'"]
         assert not [r for r in caplog.records if r.name == "anchorrank.pretrain"]
-        assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "metrics.jsonl").exists()
+        assert not any((tmp_path / "out").glob("*"))
 
     def test_08_rerank(self, config_path, workdir):
         assert main(["rerank", "--config", config_path]) == 0
@@ -231,10 +255,10 @@ class TestPipeline:
         candidates.write_text("\n".join([lines[0], f"{qid} {doc_id} {rank} {score}", *lines[2:]]) + "\n")
         out = tmp_path / "out"
         cfg = json.loads(Path(config_path).read_text())
-        cfg["paths"] = {f"{split}_candidates": str(candidates)}
+        cfg["paths"] = {f"{split}_candidates": str(candidates), **outputs_in(out, command)}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
-        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert main([command, "--config", str(path)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: {candidates}: line 2: expected 6 fields 'qid Q0 docid rank score tag'"]
         assert not out.exists()
@@ -256,10 +280,10 @@ class TestPipeline:
         candidates.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         cfg = json.loads(Path(config_path).read_text())
-        cfg["paths"] = {f"{split}_candidates": str(candidates)}
+        cfg["paths"] = {f"{split}_candidates": str(candidates), **outputs_in(out, command)}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
-        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert main([command, "--config", str(path)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: {candidates}: {message}"]
         assert not out.exists()
@@ -301,6 +325,26 @@ class TestPipeline:
         assert set(record["metrics"]) == {"MRR@10", "MRR@100", "nDCG@10", "nDCG@100"}
         for value in record["metrics"].values():
             assert 0.0 <= value <= 1.0
+
+    def test_10_artifacts_keep_their_recorded_digests(self, config_path, workdir, capsys):
+        # metrics.json and the .meta.json sidecars embed the workdir, so the
+        # metric values stand in for their bytes; build-pairs runs again
+        # (to the same bits) for its two report lines
+        assert main(["build-pairs", "--config", config_path]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("kept/tried:", "sampler:"))]
+        names = [p.name for p in sorted(workdir.iterdir()) if p.suffix != ".json"]
+        actual = {
+            "artifacts": {name: sha256(workdir / name) for name in names},
+            "build-pairs": lines,
+            "metrics": json.loads((workdir / "metrics.json").read_text())["metrics"],
+        }
+        golden = json.loads(GOLDEN.read_text())
+        recorded = golden.pop("environment")
+        table = json.dumps({"environment": environment(), **actual}, indent=2)
+        assert actual == golden, (
+            f"seed-5 artifacts differ from {GOLDEN.name}, recorded under {recorded}; this run: {environment()}. "
+            f"A change meant to move them records this table:\n{table}"
+        )
 
 
 class TestEvalCommand:
@@ -375,6 +419,41 @@ class TestSynthPaths:
         assert (tmp_path / "w" / "collection.jsonl").exists()
 
 
+# the flags each command takes besides --config, --seed, --profile and
+# --workdir; every one names an input
+INPUT_FLAGS = {
+    "synth": set(),
+    "ingest": {"--corpus"},
+    "warm-sampler": set(),
+    "build-pairs": set(),
+    "pretrain": {"--init"},
+    "finetune": {"--init"},
+    "rerank": {"--init"},
+    "eval": set(),
+}
+
+
+class TestOptions:
+    def test_each_command_takes_exactly_its_flags(self, capsys):
+        assert set(COMMANDS) == set(INPUT_FLAGS)
+        for command, inputs in INPUT_FLAGS.items():
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            usage = capsys.readouterr().out.split("\n\n")[0]
+            assert set(re.findall(r"\[(--[\w-]+)", usage)) == {"--config", "--seed", "--profile", "--workdir", *inputs}
+
+    @pytest.mark.parametrize("command", sorted(INPUT_FLAGS))
+    def test_out_is_refused(self, command, tmp_path, capsys):
+        # an output goes where its paths entry or the workdir puts it, which
+        # is where the next stage reads it
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1", "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 class TestProfiles:
     def test_full_profile_training_constants(self):
         import argparse
@@ -447,14 +526,17 @@ class TestConfigFile:
 
     def test_bad_build_pairs_limit_is_one_error_before_any_input(self, tmp_path, capsys):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(
-            {"seed": 1, "profile": "full", "taskgen": {"per_task_cap": {"rdp": -1}, "pair_budget": -3}}
-        ))
-        out = tmp_path / "pairs.jsonl"
-        assert main(["build-pairs", "--config", str(path), "--workdir", str(tmp_path), "--out", str(out)]) == 2
+        out = tmp_path / "out" / "pairs.jsonl"
+        path.write_text(json.dumps({
+            "seed": 1,
+            "profile": "full",
+            "taskgen": {"per_task_cap": {"rdp": -1}, "pair_budget": -3},
+            "paths": {"pairs": str(out)},
+        }))
+        assert main(["build-pairs", "--config", str(path), "--workdir", str(tmp_path)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == ["error: per_task_cap.rdp must be an integer >= 0, got -1"]
-        assert not out.exists()
+        assert not out.exists() and not (tmp_path / "pairs.jsonl").exists()
 
     def test_int_for_float_and_null_for_a_limit_are_accepted(self, tmp_path):
         import argparse
