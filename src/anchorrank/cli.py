@@ -181,18 +181,29 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def resolve_path(cfg: dict, key: str, override: str | None = None) -> Path:
-    if override:
-        return Path(override)
+def resolve_path(cfg: dict, key: str) -> Path:
     if key in cfg["paths"]:
         return Path(cfg["paths"][key])
     return Path(cfg["workdir"]) / ARTIFACTS[key][0]
 
 
-def input_path(cfg: dict, key: str, override: str | None = None) -> Path:
-    path = resolve_path(cfg, key, override)
+def input_path(cfg: dict, key: str) -> Path:
+    path = resolve_path(cfg, key)
     if not path.exists():
         raise CommandError(f"missing input {path} ({key}); produce it with `anchorrank {ARTIFACTS[key][1]}`")
+    return path
+
+
+def given_input(args, option: str) -> Path | None:
+    """The path passed as --option, or None when it was not.  A missing
+    file is an error that names the option: the user chose the path, so no
+    stage's output is to blame."""
+    value = getattr(args, option)
+    if not value:
+        return None
+    path = Path(value)
+    if not path.exists():
+        raise CommandError(f"missing input {path} (--{option})")
     return path
 
 
@@ -248,7 +259,7 @@ def cmd_synth(args, cfg: dict) -> int:
 def cmd_ingest(args, cfg: dict) -> int:
     check_count("corpus.vocab_size", cfg["corpus"]["vocab_size"], 1)
     check_count("corpus.min_words", cfg["corpus"]["min_words"], 0)
-    corpus = read_corpus(input_path(cfg, "corpus", args.corpus))
+    corpus = read_corpus(given_input(args, "corpus") or input_path(cfg, "corpus"))
     cleaned = clean_corpus(corpus, min_words=cfg["corpus"]["min_words"])
     if len(cleaned) == 0:
         raise CommandError("cleaning removed every page; lower corpus.min_words")
@@ -306,11 +317,12 @@ def cmd_build_pairs(args, cfg: dict) -> int:
 
 
 def cmd_pretrain(args, cfg: dict) -> int:
+    init_path = given_input(args, "init")
     corpus, vocab = _load_clean_corpus_and_vocab(cfg)
     pairs = read_pairs(input_path(cfg, "pairs"))
     enc = encoder_config(cfg, len(vocab))
     tcfg = train_config(cfg["pretrain"], cfg)
-    init = _load_model_on_vocab(Path(args.init), cfg, vocab).params if args.init else None
+    init = _load_model_on_vocab(init_path, cfg, vocab).params if init_path else None
     out = output_path(cfg, "pretrain_ckpt")
     metrics_path = output_path(cfg, "pretrain_metrics")
     meta = {"seed": cfg["seed"], "command": "pretrain"}
@@ -339,7 +351,7 @@ def _ranking_inputs(cfg: dict, split: str):
 
 
 def cmd_finetune(args, cfg: dict) -> int:
-    model = load_model(input_path(cfg, "pretrain_ckpt", args.init))
+    model = load_model(given_input(args, "init") or input_path(cfg, "pretrain_ckpt"))
     collection, queries, candidates = _ranking_inputs(cfg, "train")
     qrels = evalkit.read_qrels(input_path(cfg, "train_qrels"))
     examples = examples_from_candidates(queries, candidates, qrels)
@@ -354,7 +366,7 @@ def cmd_finetune(args, cfg: dict) -> int:
 
 def cmd_rerank(args, cfg: dict) -> int:
     check_count("rerank.k", cfg["rerank"]["k"], 1)
-    model = load_model(input_path(cfg, "finetune_ckpt", args.init))
+    model = load_model(given_input(args, "init") or input_path(cfg, "finetune_ckpt"))
     collection, queries, candidates = _ranking_inputs(cfg, "eval")
     run: evalkit.RankedRun = {}
     for qid in sorted(candidates):

@@ -235,6 +235,12 @@ def joint_step(
     let the margin be satisfied by detecting [MASK] tokens, so the scored
     packings are never masked.  Logged components are sums over the batch
     divided by batch size, so the total is literally their weighted sum.
+
+    Packings of one length are scored as one (2, n) stack, positive then
+    negative; other pairs as two (n,) graphs.  A stack adds its members'
+    gradients into each tensor in member order, so grads gets the bits of
+    the two graphs back-propagated in turn.  The masked positive is always
+    its own (n,) graph, since mlm_logits reads a single sequence.
     """
     if not pairs:
         raise TrainError("empty batch")
@@ -247,18 +253,24 @@ def joint_step(
     w_mlm = weights.get("mlm", 1.0)
     for pair in pairs:
         pos_packed, neg_packed = pack_pair(pair, vocab, doc_tokens, config.max_len)
-        g_pos = EncoderGraph(params, enc_config, *pos_packed, outputs=[0])
-        s_pos = g_pos.cls_score()
-        g_neg = EncoderGraph(params, enc_config, *neg_packed, outputs=[0])
-        s_neg = g_neg.cls_score()
+        if len(pos_packed[0]) == len(neg_packed[0]):
+            graphs = [EncoderGraph(params, enc_config, *zip(pos_packed, neg_packed), outputs=[0])]
+            s_pos, s_neg = graphs[0].cls_score()
+        else:
+            graphs = [EncoderGraph(params, enc_config, *packed, outputs=[0]) for packed in (pos_packed, neg_packed)]
+            s_pos, s_neg = (g.cls_score() for g in graphs)
         hinge = hinge_loss(s_pos, s_neg)
         task_sums[pair.task] += hinge
         task_counts[pair.task] += 1
 
         w_task = weights.get(pair.task, 1.0)
         if hinge > 0.0 and w_task != 0.0:
-            g_pos.backward(grads, d_score=-(w_task / n))
-            g_neg.backward(grads, d_score=w_task / n)
+            d_scores = [-(w_task / n), w_task / n]
+            if len(graphs) == 1:
+                graphs[0].backward(grads, d_score=d_scores)
+            else:
+                for g, d in zip(graphs, d_scores):
+                    g.backward(grads, d_score=d)
 
         pair_mlm = mlm_forward_backward(pos_packed, params, enc_config, rng, grads, w_mlm / n)
         if pair_mlm is not None:

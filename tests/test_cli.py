@@ -453,6 +453,18 @@ class TestOptions:
         assert "unrecognized arguments: --out" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "rerank"])
+    def test_missing_init_is_one_error_naming_it(self, command, tmp_path, capsys):
+        # the workdir is empty, so an input read before --init is checked
+        # would fail first, naming another file
+        work = tmp_path / "w"
+        work.mkdir()
+        missing = tmp_path / "nope.ckpt"
+        assert main([command, "--seed", "1", "--workdir", str(work), "--init", str(missing)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: missing input {missing} (--init)"]
+        assert list(tmp_path.iterdir()) == [work] and not any(work.iterdir())
+
 
 class TestProfiles:
     def test_full_profile_training_constants(self):

@@ -234,8 +234,56 @@ class TestPackPair:
             pack_pair(pair, self.vocab, self.docs, 32)
 
 
+def two_graph_step(pairs, params, enc_config, vocab, doc_tokens, config, grads, rng):
+    """joint_step as it was before equal-length pairs were stacked: the
+    positive and the negative each score as a graph of its own, back-
+    propagated positive first.  The bitwise reference for the stacked step."""
+    weights = config.task_weights
+    n = len(pairs)
+    task_sums = {t: 0.0 for t in pretrain.TASKS}
+    task_counts = {t: 0 for t in pretrain.TASKS}
+    mlm_sum = 0.0
+    w_mlm = weights.get("mlm", 1.0)
+    for pair in pairs:
+        pos_packed, neg_packed = pack_pair(pair, vocab, doc_tokens, config.max_len)
+        g_pos = EncoderGraph(params, enc_config, *pos_packed, outputs=[0])
+        s_pos = g_pos.cls_score()
+        g_neg = EncoderGraph(params, enc_config, *neg_packed, outputs=[0])
+        s_neg = g_neg.cls_score()
+        hinge = hinge_loss(s_pos, s_neg)
+        task_sums[pair.task] += hinge
+        task_counts[pair.task] += 1
+        w_task = weights.get(pair.task, 1.0)
+        if hinge > 0.0 and w_task != 0.0:
+            g_pos.backward(grads, d_score=-(w_task / n))
+            g_neg.backward(grads, d_score=w_task / n)
+        pair_mlm = pretrain.mlm_forward_backward(pos_packed, params, enc_config, rng, grads, w_mlm / n)
+        if pair_mlm is not None:
+            mlm_sum += pair_mlm
+    components = {t: task_sums[t] / n for t in pretrain.TASKS}
+    components["mlm"] = mlm_sum / n
+    total = sum(weights.get(k, 1.0) * v for k, v in components.items())
+    return {"total": total, "components": components, "task_counts": task_counts, "pairs": n}
+
+
+@pytest.fixture
+def graph_shapes(monkeypatch):
+    """Substitutes a recording EncoderGraph in pretrain; the list it returns
+    gets the token_ids shape of each graph built, in build order."""
+    shapes = []
+
+    class Recording(EncoderGraph):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            shapes.append(self.token_ids.shape)
+
+    monkeypatch.setattr(pretrain, "EncoderGraph", Recording)
+    return shapes
+
+
 class TestJointStep:
     CFG = EncoderConfig(layers=1, heads=2, hidden=16, ffn_dim=32, vocab_size=40, max_len=32)
+    CLS_HEAD = ("cls_w1", "cls_b1", "cls_w2", "cls_b2")
 
     def setup_method(self):
         self.vocab = small_vocab()
@@ -243,9 +291,85 @@ class TestJointStep:
             "A": ["t3", "t4", "t5", "t6"],
             "B": ["t7", "t8"],
             "C": ["t9", "t10", "t11"],
+            "D": ["t12", "t13", "t14"],
+            "E": ["t15", "t16", "t17", "t18"],
         }
         self.lookup = lambda pid: self.docs[pid]
         self.tcfg = TrainConfig(lr=1e-3, epochs=1, batch_size=4, max_len=32, seed=0)
+
+    def equal_length(self, pair):
+        pos, neg = pack_pair(pair, self.vocab, self.lookup, 32)
+        return len(pos[0]) == len(neg[0])
+
+    def assert_same_bits_as_two_graphs(self, pairs, params, tcfg=None):
+        """joint_step's record and every gradient tensor, byte for byte
+        those of two_graph_step; returns joint_step's (record, gradients)."""
+        tcfg = tcfg or self.tcfg
+        grads, want_grads = zero_grads(params), zero_grads(params)
+        got = joint_step(pairs, params, self.CFG, self.vocab, self.lookup, tcfg, grads, np.random.default_rng(3))
+        want = two_graph_step(pairs, params, self.CFG, self.vocab, self.lookup, tcfg, want_grads, np.random.default_rng(3))
+        assert json.dumps(got) == json.dumps(want)
+        for k in want_grads:
+            assert grads[k].tobytes() == want_grads[k].tobytes(), k
+        return got, grads
+
+    def test_equal_length_rqp_pair_keeps_the_bits(self):
+        pair = make_pair("rqp", ["t0", "t1"], "A", None, neg_query=["t5", "t6"])
+        assert self.equal_length(pair)
+        record, grads = self.assert_same_bits_as_two_graphs([pair], init_params(self.CFG, seed=4))
+        # the hinge was back-propagated (cls_b2's two additions cancel)
+        assert record["components"]["rqp"] > 0.0 and np.any(grads["cls_w2"])
+
+    def test_unequal_length_qdm_pair_keeps_the_bits(self):
+        pair = make_pair("qdm", ["t2"], "A", "B")
+        assert not self.equal_length(pair)
+        self.assert_same_bits_as_two_graphs([pair], init_params(self.CFG, seed=5))
+
+    def test_mixed_batch_keeps_the_bits(self):
+        pairs = [
+            make_pair("rqp", ["t0", "t1"], "A", None, neg_query=["t5", "t6"]),
+            make_pair("qdm", ["t2"], "B", "C"),
+            make_pair("acm", ["t3"], "C", "D"),
+            make_pair("rdp", ["t0", "t4", "t6"], "A", "B"),
+        ]
+        assert [self.equal_length(p) for p in pairs] == [True, False, True, False]
+        self.assert_same_bits_as_two_graphs(pairs, init_params(self.CFG, seed=6))
+
+    def test_equal_length_satisfied_margin_leaves_only_the_mlm_gradient(self):
+        pair = make_pair("qdm", ["t1"], "A", "E")
+        assert self.equal_length(pair)
+        params = init_params(self.CFG, seed=7)
+        acts = []
+        for packed in pack_pair(pair, self.vocab, self.lookup, 32):
+            hidden = EncoderGraph(params, self.CFG, *packed).hidden[0]
+            acts.append(np.tanh(hidden @ params["cls_w1"] + params["cls_b1"]))
+        delta = acts[0] - acts[1]
+        params["cls_w2"] = 2.0 * delta / (delta @ delta)
+        record, grads = self.assert_same_bits_as_two_graphs([pair], params)
+        assert record["components"]["qdm"] == 0.0
+        assert not any(np.any(grads[k]) for k in self.CLS_HEAD)
+        assert np.any(grads["mlm_w"])
+
+    def test_equal_length_pair_at_task_weight_zero_keeps_the_bits(self):
+        pair = make_pair("rqp", ["t0", "t1"], "A", None, neg_query=["t5", "t6"])
+        tcfg = dataclasses.replace(self.tcfg, task_weights={"rqp": 0.0})
+        record, grads = self.assert_same_bits_as_two_graphs([pair], init_params(self.CFG, seed=8), tcfg)
+        assert record["components"]["rqp"] > 0.0
+        assert not any(np.any(grads[k]) for k in self.CLS_HEAD)
+
+    def test_equal_length_pair_builds_one_stack(self, graph_shapes):
+        pair = make_pair("rqp", ["t0", "t1"], "A", None, neg_query=["t5", "t6"])
+        n = len(pack_pair(pair, self.vocab, self.lookup, 32)[0][0])
+        params = init_params(self.CFG, seed=4)
+        joint_step([pair], params, self.CFG, self.vocab, self.lookup, self.tcfg, zero_grads(params), np.random.default_rng(0))
+        assert graph_shapes == [(2, n), (n,)]
+
+    def test_unequal_length_pair_builds_three_graphs(self, graph_shapes):
+        pair = make_pair("qdm", ["t2"], "A", "B")
+        pos, neg = pack_pair(pair, self.vocab, self.lookup, 32)
+        params = init_params(self.CFG, seed=5)
+        joint_step([pair], params, self.CFG, self.vocab, self.lookup, self.tcfg, zero_grads(params), np.random.default_rng(0))
+        assert graph_shapes == [pos[0].shape, neg[0].shape, pos[0].shape]
 
     def test_satisfied_margin_no_mlm_is_noop(self):
         # all-OOV tokens encode to [UNK] (special, never masked); the output
