@@ -288,6 +288,22 @@ def _load_model_on_vocab(path: Path, cfg: dict, vocab: Vocabulary):
     return model
 
 
+def _load_ranker(path: Path, cfg: dict):
+    """The checkpoint at path as a RankerModel, refused unless its encoder
+    equals cfg["encoder"] field for field: finetune and rerank pack to the
+    checkpoint's max_len, which a config that says otherwise would
+    silently override or overrun."""
+    model = load_model(path)
+    diff = [
+        f"encoder.{name} is {getattr(model.config, name)} there and {value} in the config"
+        for name, value in cfg["encoder"].items()
+        if getattr(model.config, name) != value
+    ]
+    if diff:
+        raise CommandError(f"checkpoint {path} has another encoder: {'; '.join(diff)}")
+    return model
+
+
 def cmd_warm_sampler(args, cfg: dict) -> int:
     corpus, vocab = _load_clean_corpus_and_vocab(cfg)
     enc = encoder_config(cfg, len(vocab))
@@ -351,13 +367,13 @@ def _ranking_inputs(cfg: dict, split: str):
 
 
 def cmd_finetune(args, cfg: dict) -> int:
-    model = load_model(given_input(args, "init") or input_path(cfg, "pretrain_ckpt"))
+    model = _load_ranker(given_input(args, "init") or input_path(cfg, "pretrain_ckpt"), cfg)
     collection, queries, candidates = _ranking_inputs(cfg, "train")
     qrels = evalkit.read_qrels(input_path(cfg, "train_qrels"))
     examples = examples_from_candidates(queries, candidates, qrels)
     if not examples:
         raise CommandError("no fine-tuning examples; check the train queries/candidates/qrels files")
-    fcfg = FinetuneConfig(**cfg["finetune"], seed=cfg["seed"], max_len=cfg["encoder"]["max_len"])
+    fcfg = FinetuneConfig(**cfg["finetune"], seed=cfg["seed"], max_len=model.config.max_len)
     out = output_path(cfg, "finetune_ckpt")
     finetune(model, examples, collection, fcfg, checkpoint_path=out)
     print(f"fine-tuned checkpoint ({len(examples)} examples) -> {out}")
@@ -366,7 +382,7 @@ def cmd_finetune(args, cfg: dict) -> int:
 
 def cmd_rerank(args, cfg: dict) -> int:
     check_count("rerank.k", cfg["rerank"]["k"], 1)
-    model = load_model(given_input(args, "init") or input_path(cfg, "finetune_ckpt"))
+    model = _load_ranker(given_input(args, "init") or input_path(cfg, "finetune_ckpt"), cfg)
     collection, queries, candidates = _ranking_inputs(cfg, "eval")
     run: evalkit.RankedRun = {}
     for qid in sorted(candidates):

@@ -192,6 +192,18 @@ def _layer(params, config: EncoderConfig, i: int, x, rows):
     return out, cache
 
 
+def _add_rows(acc, ids, d_rows) -> None:
+    """np.add.at(acc, ids, d_rows) for a 2-D acc, through acc's flat view:
+    element j of row d_rows[i] goes into acc[ids[i], j], in the same order
+    as np.add.at adds it, so the same bits, for about a quarter of its cost
+    (numpy's ufunc.at has a fast path for one flat index).  The view cannot
+    be a copy that would drop the adds: an acc that has no flat view is a
+    ValueError.  A stack's ids and rows are taken in member order."""
+    width = acc.shape[-1]
+    index = ids.reshape(-1, 1) * width + np.arange(width)
+    np.add.at(acc.reshape(-1, copy=False), index.reshape(-1), d_rows.reshape(-1))
+
+
 def _add_segment_rows(acc, segment_ids, d_rows) -> None:
     """np.add.at(acc, segment_ids, d_rows) for 0/1 segment ids, as two
     masked row sums.  Each sum starts from acc's row and goes down axis 0,
@@ -351,7 +363,7 @@ class EncoderGraph:
                 raise ValueError("d_mlm_logits shape mismatch")
             grads["mlm_w"] += h_masked.T @ d_logits
             grads["mlm_b"] += d_logits.sum(axis=0)
-            np.add.at(d_hidden, rows, d_logits @ params["mlm_w"].T)
+            _add_rows(d_hidden, rows, d_logits @ params["mlm_w"].T)
 
         scale = 1.0 / math.sqrt(self.config.head_dim)
         dout = d_hidden
@@ -383,8 +395,8 @@ class EncoderGraph:
             dout = dx_k
 
         de = self._layer_norm_backward(grads, "emb_ln", dout, self._emb_ln_cache)
-        # np.add.at and _add_segment_rows take a stack's rows in member order
-        np.add.at(grads["tok_emb"], self.token_ids, de)
+        # _add_rows and _add_segment_rows take a stack's rows in member order
+        _add_rows(grads["tok_emb"], self.token_ids, de)
         _add_members(grads["pos_emb"][: self.token_ids.shape[-1]], de)
         _add_segment_rows(grads["seg_emb"], self.segment_ids, de)
 

@@ -226,6 +226,31 @@ class TestPipeline:
         run_lines = (workdir / "rerank.run").read_text().splitlines()
         assert run_lines and len(run_lines[0].split()) == 6
 
+    @pytest.mark.parametrize("encoder, differ", [
+        ({"max_len": 64}, "encoder.max_len is 48 there and 64 in the config"),
+        ({"max_len": 24}, "encoder.max_len is 48 there and 24 in the config"),
+        ({"ffn_dim": 128, "max_len": 64},
+         "encoder.ffn_dim is 256 there and 128 in the config; encoder.max_len is 48 there and 64 in the config"),
+    ], ids=["longer", "shorter", "two-fields"])
+    @pytest.mark.parametrize("command", ["finetune", "rerank"])
+    def test_08_checkpoint_on_another_encoder_is_one_error_before_any_input(
+        self, command, encoder, differ, config_path, workdir, tmp_path, capsys
+    ):
+        # a longer max_len once overran the 48-token checkpoint at the first
+        # step, and a shorter one fine-tuned on packings that rerank never
+        # makes; the collection named here does not exist, so the error
+        # must come before any other input is read
+        cfg = json.loads(Path(config_path).read_text())
+        cfg["encoder"] = encoder
+        cfg["paths"] = {"collection": str(tmp_path / "missing.jsonl"), **outputs_in(tmp_path / "out", command)}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        ckpt = workdir / ("pretrained.ckpt" if command == "finetune" else "finetuned.ckpt")
+        assert errors == [f"error: checkpoint {ckpt} has another encoder: {differ}"]
+        assert not (tmp_path / "out").exists()
+
     def test_08_first_stage_run_is_read_as_candidates(self, config_path, workdir, tmp_path):
         # candidates as a first-stage retriever writes them: its own tag and
         # negative scores, such as "train000 Q0 pg0001 1 -5.99003 bm25"

@@ -683,6 +683,59 @@ class TestBackward:
                 model_module._add_segment_rows(acc, segs, d_rows)
                 assert acc.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_one_row_weight_gradient_is_the_gemm_bitwise(self, dtype):
+        # over one row each entry is one product; the GEMM may write +0
+        # where the product is -0, and either adds into a gradient to the
+        # same bits, whether it starts at +0 or holds values
+        rng = np.random.default_rng(8)
+        for d_in, d_out in ((64, 64), (64, 256), (256, 64)):
+            w, b = rng.normal(size=(d_in, d_out)).astype(dtype), np.zeros(d_out, dtype)
+            for lead in ((), (1,), (2,), (8,)):
+                for rows in (1, 2):
+                    x = rng.normal(size=lead + (rows, d_in)).astype(dtype)
+                    dout = rng.normal(size=lead + (rows, d_out)).astype(dtype)
+                    x[..., ::5] = 0.0
+                    dout[..., ::7] = 0.0
+                    _, cache = layers_module.linear(x, w, b)
+                    _, dw, _ = layers_module.linear_backward(dout, cache)
+                    gemm = np.matmul(x.swapaxes(-1, -2), dout)
+                    assert dw.dtype == gemm.dtype and np.array_equal(dw, gemm)
+                    assert dw[gemm != 0].tobytes() == gemm[gemm != 0].tobytes()
+                    for acc in (np.zeros_like(gemm), rng.normal(size=gemm.shape).astype(dtype)):
+                        _assert_bitwise(acc + dw, acc + gemm)
+                    if rows > 1:
+                        _assert_bitwise(dw, gemm)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_row_scatter_is_add_at_bitwise(self, dtype):
+        # ids repeat within a member and across a stack's members, [CLS]
+        # once and [SEP] once or twice per member, into a non-zero acc
+        rng = np.random.default_rng(9)
+        for hidden in (8, 64):
+            for b, n in ((1, 5), (8, 48), (8, 12)):
+                ids = rng.integers(5, 12, (b, n))
+                ids[:, 0] = CLS_ID
+                ids[:, n // 2] = SEP_ID
+                ids[::2, -1] = SEP_ID
+                d_rows = rng.normal(size=(b, n, hidden)).astype(dtype)
+                for ids_, d_rows_ in ((ids, d_rows), (ids[0], d_rows[0])):
+                    acc = rng.normal(size=(12, hidden)).astype(dtype)
+                    expected = acc.copy()
+                    np.add.at(expected, ids_, d_rows_)
+                    model_module._add_rows(acc, ids_, d_rows_)
+                    _assert_bitwise(acc, expected)
+
+    @pytest.mark.parametrize("layout", ["column-slice", "fortran"])
+    def test_row_scatter_refuses_an_accumulator_without_a_flat_view(self, layout):
+        # a flat copy would take the adds and drop them
+        base = np.zeros((6, 8), np.float32)
+        acc = base[:, :4] if layout == "column-slice" else np.asfortranarray(base)
+        d_rows = np.ones((3, acc.shape[1]), np.float32)
+        with pytest.raises(ValueError):
+            model_module._add_rows(acc, np.array([1, 1, 2]), d_rows)
+        assert not acc.any()
+
     def test_mlm_uniform_logits_loss_is_log_vocab(self):
         logits = np.zeros((3, 57))
         assert abs(mlm_nll(logits, [4, 5, 6]) - np.log(57)) < 1e-9
