@@ -274,25 +274,13 @@ def cmd_ingest(args, cfg: dict) -> int:
     return 0
 
 
-def _load_clean_corpus_and_vocab(cfg: dict):
-    return read_corpus(input_path(cfg, "corpus_clean")), Vocabulary.load(input_path(cfg, "vocab"))
-
-
-def _load_model_on_vocab(path: Path, cfg: dict, vocab: Vocabulary):
-    """The checkpoint at path as a RankerModel, refused unless it holds the
-    encoder config and, term for term, the vocabulary read from vocab.txt:
-    a term at another id would feed the encoder the wrong embeddings."""
-    model = load_model(path, expected_config=encoder_config(cfg, len(vocab)))
-    if model.vocab.id_to_term != vocab.id_to_term:
-        raise CommandError(f"checkpoint {path} was trained on another vocabulary than {input_path(cfg, 'vocab')}")
-    return model
-
-
-def _load_ranker(path: Path, cfg: dict):
+def _load_checked_model(path: Path, cfg: dict, vocab: bool = False):
     """The checkpoint at path as a RankerModel, refused unless its encoder
-    equals cfg["encoder"] field for field: finetune and rerank pack to the
-    checkpoint's max_len, which a config that says otherwise would
-    silently override or overrun."""
+    equals cfg["encoder"] field for field and, with vocab, its vocabulary
+    is vocab.txt's term for term.  Every stage packs to the encoder's
+    max_len, which a config that says otherwise would silently override or
+    overrun; a term at another id would feed the encoder the wrong
+    embeddings."""
     model = load_model(path)
     diff = [
         f"encoder.{name} is {getattr(model.config, name)} there and {value} in the config"
@@ -301,11 +289,16 @@ def _load_ranker(path: Path, cfg: dict):
     ]
     if diff:
         raise CommandError(f"checkpoint {path} has another encoder: {'; '.join(diff)}")
+    if vocab:
+        vocab_path = input_path(cfg, "vocab")
+        if model.vocab.id_to_term != Vocabulary.load(vocab_path).id_to_term:
+            raise CommandError(f"checkpoint {path} was trained on another vocabulary than {vocab_path}")
     return model
 
 
 def cmd_warm_sampler(args, cfg: dict) -> int:
-    corpus, vocab = _load_clean_corpus_and_vocab(cfg)
+    corpus = read_corpus(input_path(cfg, "corpus_clean"))
+    vocab = Vocabulary.load(input_path(cfg, "vocab"))
     enc = encoder_config(cfg, len(vocab))
     tcfg = train_config(cfg["warmup"], cfg, task_weights={"rqp": 0.0, "qdm": 0.0, "rdp": 0.0, "acm": 0.0, "mlm": 1.0})
     out = output_path(cfg, "sampler_ckpt")
@@ -316,9 +309,9 @@ def cmd_warm_sampler(args, cfg: dict) -> int:
 
 def cmd_build_pairs(args, cfg: dict) -> int:
     gen_cfg = TaskGenConfig(**cfg["taskgen"], seed=cfg["seed"])
-    corpus, vocab = _load_clean_corpus_and_vocab(cfg)
-    model = _load_model_on_vocab(input_path(cfg, "sampler_ckpt"), cfg, vocab)
-    sampler = AttentionSampler(model.params, model.config, vocab, stopwords=stopword_set(cfg))
+    model = _load_checked_model(input_path(cfg, "sampler_ckpt"), cfg, vocab=True)
+    corpus = read_corpus(input_path(cfg, "corpus_clean"))
+    sampler = AttentionSampler(model.params, model.config, model.vocab, stopwords=stopword_set(cfg))
     generator = PairGenerator(corpus, sampler, gen_cfg)
     pairs = generator.generate()
     if not pairs:
@@ -334,15 +327,16 @@ def cmd_build_pairs(args, cfg: dict) -> int:
 
 def cmd_pretrain(args, cfg: dict) -> int:
     init_path = given_input(args, "init")
-    corpus, vocab = _load_clean_corpus_and_vocab(cfg)
+    init = _load_checked_model(init_path, cfg, vocab=True) if init_path else None
+    corpus = read_corpus(input_path(cfg, "corpus_clean"))
+    vocab = init.vocab if init else Vocabulary.load(input_path(cfg, "vocab"))
     pairs = read_pairs(input_path(cfg, "pairs"))
     enc = encoder_config(cfg, len(vocab))
     tcfg = train_config(cfg["pretrain"], cfg)
-    init = _load_model_on_vocab(init_path, cfg, vocab).params if init_path else None
     out = output_path(cfg, "pretrain_ckpt")
     metrics_path = output_path(cfg, "pretrain_metrics")
     meta = {"seed": cfg["seed"], "command": "pretrain"}
-    train(pairs, corpus, enc, tcfg, vocab, init=init, checkpoint_path=out, metrics_path=metrics_path, extra_meta=meta)
+    train(pairs, corpus, enc, tcfg, vocab, init=init.params if init else None, checkpoint_path=out, metrics_path=metrics_path, extra_meta=meta)
     print(f"pre-trained checkpoint -> {out}")
     print(f"metrics log -> {metrics_path}")
     return 0
@@ -367,7 +361,7 @@ def _ranking_inputs(cfg: dict, split: str):
 
 
 def cmd_finetune(args, cfg: dict) -> int:
-    model = _load_ranker(given_input(args, "init") or input_path(cfg, "pretrain_ckpt"), cfg)
+    model = _load_checked_model(given_input(args, "init") or input_path(cfg, "pretrain_ckpt"), cfg)
     collection, queries, candidates = _ranking_inputs(cfg, "train")
     qrels = evalkit.read_qrels(input_path(cfg, "train_qrels"))
     examples = examples_from_candidates(queries, candidates, qrels)
@@ -382,7 +376,7 @@ def cmd_finetune(args, cfg: dict) -> int:
 
 def cmd_rerank(args, cfg: dict) -> int:
     check_count("rerank.k", cfg["rerank"]["k"], 1)
-    model = _load_ranker(given_input(args, "init") or input_path(cfg, "finetune_ckpt"), cfg)
+    model = _load_checked_model(given_input(args, "init") or input_path(cfg, "finetune_ckpt"), cfg)
     collection, queries, candidates = _ranking_inputs(cfg, "eval")
     run: evalkit.RankedRun = {}
     for qid in sorted(candidates):

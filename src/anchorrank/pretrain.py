@@ -146,7 +146,10 @@ def default_task_weights() -> dict[str, float]:
 
 @dataclass
 class Schedule:
-    """What run_steps reads; full-profile constants are the defaults, toy profiles override them."""
+    """What run_steps reads; full-profile constants are the defaults, toy profiles override them.
+
+    No stage reads max_len: each packs to its encoder's.  It stays because
+    bench/run.py passes it and the checkpoint headers record it."""
 
     lr: float = 1e-4
     epochs: int = 10
@@ -252,7 +255,7 @@ def joint_step(
 
     w_mlm = weights.get("mlm", 1.0)
     for pair in pairs:
-        pos_packed, neg_packed = pack_pair(pair, vocab, doc_tokens, config.max_len)
+        pos_packed, neg_packed = pack_pair(pair, vocab, doc_tokens, enc_config.max_len)
         if len(pos_packed[0]) == len(neg_packed[0]):
             graphs = [EncoderGraph(params, enc_config, *zip(pos_packed, neg_packed), outputs=[0])]
             s_pos, s_neg = graphs[0].cls_score()
@@ -378,8 +381,8 @@ def mlm_warmup(
     """MLM-only warm-up used to produce the fixed sampling checkpoint: each
     example packs a sentence with its own page's summary and trains only
     the masked-token objective (all pairwise weights zero).  A sentence
-    longer than half of max_len is cut to its head, as pack_input cuts any
-    query."""
+    longer than half of the encoder's max_len is cut to its head, as
+    pack_input cuts any query."""
     examples = [sent for sent in corpus.iter_sentences() if sent.tokens]
     doc_tokens = summary_lookup(corpus, config.summary_max_tokens)
     if not examples and config.epochs > 0:
@@ -393,7 +396,7 @@ def mlm_warmup(
         contributing = 0
         scale = 1.0 / len(indices)
         for sent in [examples[i] for i in indices]:
-            packed = pack_input(list(sent.tokens), doc_tokens(sent.page_id), vocab, config.max_len)
+            packed = pack_input(list(sent.tokens), doc_tokens(sent.page_id), vocab, enc_config.max_len)
             loss = mlm_forward_backward(packed, params, enc_config, mask_rng, grads, scale)
             if loss is not None:
                 total += loss
@@ -421,7 +424,7 @@ def pairwise_accuracy(
         raise ValueError("no pairs to evaluate")
     _check_pair_pages(pairs, corpus)
     doc_tokens = summary_lookup(corpus, config.summary_max_tokens)
-    packings = [packed for pair in pairs for packed in pack_pair(pair, vocab, doc_tokens, config.max_len)]
+    packings = [packed for pair in pairs for packed in pack_pair(pair, vocab, doc_tokens, enc_config.max_len)]
     scores = cls_scores(params, enc_config, packings)
     wins = sum(s_pos > s_neg for s_pos, s_neg in zip(scores[0::2], scores[1::2]))
     return wins / len(pairs)

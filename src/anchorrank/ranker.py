@@ -137,7 +137,7 @@ def finetune(
     def body(indices, grads):
         batch = [examples[i] for i in indices]
         packings = [
-            pack_input(query_tokens[ex.query_text], collection[ex.doc_id].tokens, model.vocab, config.max_len)
+            pack_input(query_tokens[ex.query_text], collection[ex.doc_id].tokens, model.vocab, model.config.max_len)
             for ex in batch
         ]
         loss = 0.0

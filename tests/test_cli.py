@@ -61,11 +61,11 @@ def environment():
 
 
 class TestPipeline:
-    def test_01_missing_input_names_producer(self, config_path, capsys):
-        rc = main(["pretrain", "--config", config_path])
-        captured = capsys.readouterr()
-        assert rc != 0
-        assert "build-pairs" in captured.err or "corpus" in captured.err
+    def test_01_missing_input_names_producer(self, config_path, workdir, capsys):
+        # pretrain without --init reads clean.jsonl first
+        assert main(["pretrain", "--config", config_path]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: missing input {workdir / 'clean.jsonl'} (corpus_clean); produce it with `anchorrank ingest`"]
 
     def test_02_synth(self, config_path, workdir):
         assert main(["synth", "--config", config_path]) == 0
@@ -232,23 +232,31 @@ class TestPipeline:
         ({"ffn_dim": 128, "max_len": 64},
          "encoder.ffn_dim is 256 there and 128 in the config; encoder.max_len is 48 there and 64 in the config"),
     ], ids=["longer", "shorter", "two-fields"])
-    @pytest.mark.parametrize("command", ["finetune", "rerank"])
+    @pytest.mark.parametrize("command, ckpt", [
+        ("build-pairs", "sampler.ckpt"),
+        ("pretrain", "sampler.ckpt"),
+        ("finetune", "pretrained.ckpt"),
+        ("rerank", "finetuned.ckpt"),
+    ], ids=["build-pairs", "pretrain-init", "finetune", "rerank"])
     def test_08_checkpoint_on_another_encoder_is_one_error_before_any_input(
-        self, command, encoder, differ, config_path, workdir, tmp_path, capsys
+        self, command, ckpt, encoder, differ, config_path, workdir, tmp_path, capsys
     ):
         # a longer max_len once overran the 48-token checkpoint at the first
         # step, and a shorter one fine-tuned on packings that rerank never
-        # makes; the collection named here does not exist, so the error
-        # must come before any other input is read
+        # makes; the inputs named here do not exist, so the error must come
+        # before any other input is read
         cfg = json.loads(Path(config_path).read_text())
         cfg["encoder"] = encoder
-        cfg["paths"] = {"collection": str(tmp_path / "missing.jsonl"), **outputs_in(tmp_path / "out", command)}
+        missing = {key: str(tmp_path / f"missing-{key}") for key in ("corpus_clean", "vocab", "pairs", "collection")}
+        cfg["paths"] = {**missing, **outputs_in(tmp_path / "out", command)}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
-        assert main([command, "--config", str(path)]) == 2
+        argv = [command, "--config", str(path)]
+        if command == "pretrain":
+            argv += ["--init", str(workdir / ckpt)]
+        assert main(argv) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-        ckpt = workdir / ("pretrained.ckpt" if command == "finetune" else "finetuned.ckpt")
-        assert errors == [f"error: checkpoint {ckpt} has another encoder: {differ}"]
+        assert errors == [f"error: checkpoint {workdir / ckpt} has another encoder: {differ}"]
         assert not (tmp_path / "out").exists()
 
     def test_08_first_stage_run_is_read_as_candidates(self, config_path, workdir, tmp_path):

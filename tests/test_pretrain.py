@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from anchorrank import pretrain
-from anchorrank.corpus import CLS_ID, MASK_ID, NUM_SPECIAL_TOKENS, SEP_ID, Vocabulary, build_vocab, parse_corpus
+from anchorrank.corpus import CLS_ID, MASK_ID, NUM_SPECIAL_TOKENS, SEP_ID, Vocabulary, build_vocab, clean_corpus, parse_corpus
 from anchorrank.encoder import EncoderConfig, EncoderGraph, cls_scores, init_params, param_shapes, zero_grads
 from anchorrank.pretrain import (
     PackError,
@@ -28,6 +28,7 @@ from anchorrank.pretrain import (
 from anchorrank.ranker import FinetuneConfig, RankerModel, RankingExample, collection_from_corpus, finetune
 from anchorrank.taskgen import PairGenerator, PretrainPair, TaskGenConfig, derive_rng
 from anchorrank.sampler import default_stopwords
+from anchorrank.synth import SynthConfig, build_synthetic_corpus
 from conftest import TableAttentionSampler
 from util import mlm_loss, unmask
 
@@ -616,6 +617,61 @@ class TestTrainLoop:
         assert not list(tmp_path.iterdir())
         with pytest.raises(TrainError, match=message):
             pairwise_accuracy(pairs, init_params(enc, 0), enc, vocab, corpus, tcfg)
+
+
+@pytest.fixture(scope="module")
+def long_world():
+    """A 40-page synthetic corpus whose page summaries fill a 48-token
+    encoder: 16 pairs, three of whose packings run past 48 tokens in a
+    wider window."""
+    raw, _ = build_synthetic_corpus(SynthConfig(pages=40, topics=4, train_queries=20, eval_queries=10, seed=3))
+    corpus = clean_corpus(raw, min_words=100)
+    vocab = build_vocab(corpus, max_size=600)
+    sampler = TableAttentionSampler(vocab, stopwords=default_stopwords())
+    pairs = PairGenerator(corpus, sampler, TaskGenConfig(seed=3, summary_max_tokens=64, per_task_cap=4)).generate()
+    enc = EncoderConfig(layers=1, heads=2, hidden=16, ffn_dim=32, vocab_size=len(vocab), max_len=48)
+    return corpus, vocab, pairs, enc
+
+
+class TestEncoderWindow:
+    """Every stage packs to its encoder's max_len: a config window of 64
+    once overran the 48-token encoder, and one of 24 trained on shorter
+    packings."""
+
+    @staticmethod
+    def tcfg(max_len, **changes):
+        return TrainConfig(lr=1e-3, epochs=1, batch_size=4, max_len=max_len, seed=5, summary_max_tokens=64, **changes)
+
+    @pytest.mark.parametrize("window", [24, 64])
+    def test_train(self, long_world, window):
+        corpus, vocab, pairs, enc = long_world
+        want, _ = train(pairs, corpus, enc, self.tcfg(48), vocab)
+        got, _ = train(pairs, corpus, enc, self.tcfg(window), vocab)
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
+
+    @pytest.mark.parametrize("window", [24, 64])
+    def test_warmup(self, long_world, window):
+        corpus, vocab, _, enc = long_world
+        want = mlm_warmup(corpus, enc, self.tcfg(48, max_steps=6), vocab)
+        got = mlm_warmup(corpus, enc, self.tcfg(window, max_steps=6), vocab)
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
+
+    @pytest.mark.parametrize("window", [24, 64])
+    def test_pairwise_accuracy(self, long_world, window, monkeypatch):
+        corpus, vocab, pairs, enc = long_world
+        params = init_params(enc, 0)
+        scored = []
+
+        def recording_cls_scores(params, config, packings):
+            scored.append([(ids.tobytes(), segs.tobytes()) for ids, segs in packings])
+            return cls_scores(params, config, packings)
+
+        monkeypatch.setattr(pretrain, "cls_scores", recording_cls_scores)
+        want = pairwise_accuracy(pairs, params, enc, vocab, corpus, self.tcfg(48))
+        assert pairwise_accuracy(pairs, params, enc, vocab, corpus, self.tcfg(window)) == want
+        assert scored[1] == scored[0]
 
 
 class TestBatchSchedule:

@@ -391,6 +391,23 @@ class TestStackedFinetune:
         assert len(shapes) > 9  # more stacks than the 9 steps
         assert all(b * n <= stack_tokens or b == 1 for b, n in shapes)
 
+    @pytest.mark.parametrize("window", [24, 64])
+    def test_packs_to_the_encoders_window_whatever_the_config_says(self, corpus, window):
+        # the long documents fill the 48-token encoder: a config window of
+        # 64 once overran it at the first step, and one of 24 trained on
+        # shorter packings than rerank makes
+        model = make_model(corpus, seed=2)
+        collection = stack_collection(corpus)
+        examples = [RankingExample("q", "technology company", d, int(d == "short")) for d in collection]
+
+        def tuned(max_len):
+            cfg = FinetuneConfig(lr=1e-3, epochs=2, batch_size=4, max_len=max_len, seed=4)
+            return finetune(model, examples, collection, cfg).params
+
+        want, got = tuned(48), tuned(window)
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
+
     @staticmethod
     def toy_finetune(corpus):
         # the toy profile's encoder, whose 8 x 48 stacks make arrays that
