@@ -1,4 +1,4 @@
-"""Adaptive-moment optimizer with bias correction."""
+"""Adaptive-moment optimizer with bias correction, over one flat buffer."""
 
 from __future__ import annotations
 
@@ -6,20 +6,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from anchorrank.encoder.params import FlatTree, Layout
+
 
 @dataclass
 class AdamState:
+    """The step count, and the parameters and both moments laid out alike:
+    each a FlatTree, views of one contiguous buffer in sorted-key order.
+    The two scratch rows hold a step's intermediates."""
+
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    params: FlatTree
+    m: FlatTree
+    v: FlatTree
+    scratch: np.ndarray
 
     @classmethod
     def zeros(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            step=0,
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+        """Zero moments for params, after moving params into one flat
+        buffer: each value of the caller's dict is rebound, in place, to a
+        view of a copy, and the arrays it held are not written.  A tree of
+        mixed dtypes is a ValueError that leaves params alone."""
+        layout = Layout.of(params)
+        laid = FlatTree(layout, layout.gather(params))
+        params.update(laid)
+        return cls(0, laid, layout.zeros(), layout.zeros(), np.empty((2, layout.size), layout.dtype))
 
 
 def adam_step(
@@ -30,22 +41,43 @@ def adam_step(
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> None:
-    """One in-place update; keys walked in sorted order for determinism.
+    """One in-place update of every parameter, as 14 array operations over
+    the flat buffers.
 
         m_t = b1 m + (1-b1) g        v_t = b2 v + (1-b2) g^2
         theta -= lr * (m_t / (1-b1^t)) / (sqrt(v_t / (1-b2^t)) + eps)
-    """
+
+    params must be the tree AdamState.zeros laid out; grads is zero_grads'
+    tree, or any dict of the same keys, shapes and dtype, which is copied
+    flat first.  A tree that does not fit is a ValueError naming its first
+    such tensor, raised before anything is written.
+
+    Each operation is elementwise, with the Python-float scalars of
+    stepping one tensor at a time, in the same order: every element gets
+    the bits that a walk over the keys gives it."""
+    laid = state.params
+    if not laid.holds_views(params):
+        laid.layout.check(params, "params")
+        raise ValueError("params does not hold the views AdamState.zeros laid it out in")
+    g = laid.layout.flatten(grads, "grads")
+    p, m, v = laid.flat, state.m.flat, state.v.flat
+    s1, s2 = state.scratch
     b1, b2 = betas
     state.step += 1
     t = state.step
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    for key in sorted(params):
-        g = grads[key]
-        m = state.m[key]
-        v = state.v[key]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        params[key] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1.0 - b1, out=s1)
+    np.add(m, s1, out=m)
+    np.multiply(v, b2, out=v)
+    np.multiply(g, 1.0 - b2, out=s1)
+    np.multiply(s1, g, out=s1)
+    np.add(v, s1, out=v)
+    np.divide(m, bc1, out=s1)
+    np.multiply(s1, lr, out=s1)
+    np.divide(v, bc2, out=s2)
+    np.sqrt(s2, out=s2)
+    np.add(s2, eps, out=s2)
+    np.divide(s1, s2, out=s1)
+    np.subtract(p, s1, out=p)

@@ -309,14 +309,17 @@ def run_steps(
     n: int, config: Schedule, stage: str, params: dict[str, np.ndarray],
     body: Callable, logger: logging.Logger, warmup: float,
 ) -> tuple[list[dict], int]:
-    """The optimizer steps of one training stage over n examples.  Per step
-    of batch_schedule, body(indices, grads) accumulates the batch gradient
-    into fresh zero grads and returns a record with its "total" loss; a
-    non-finite total is a TrainError, else one Adam step at config.lr,
-    ramped linearly over the first `warmup` portion of the steps.  Every
-    log_every-th step and step max_steps log one line on `logger` and keep
-    {"step", "epoch", **record}.  Returns (kept records, last step run);
-    the Adam state starts at zero and is dropped at the end."""
+    """The optimizer steps of one training stage over n examples.  First
+    AdamState.zeros moves params into one flat buffer: each value of the
+    dict is rebound to a view of a copy, and the arrays it held are not
+    written.  Per step of batch_schedule, body(indices, grads) accumulates
+    the batch gradient into zero grads of that layout and returns a record
+    with its "total" loss; a non-finite total is a TrainError, else one
+    Adam step at config.lr, ramped linearly over the first `warmup`
+    portion of the steps.  Every log_every-th step and step max_steps log
+    one line on `logger` and keep {"step", "epoch", **record}.  Returns
+    (kept records, last step run); the Adam state starts at zero and is
+    dropped at the end."""
     total_steps = config.epochs * math.ceil(n / config.batch_size)
     if config.max_steps is not None:
         total_steps = min(total_steps, config.max_steps)
@@ -325,7 +328,7 @@ def run_steps(
     records: list[dict] = []
     step = 0
     for step, epoch, indices in batch_schedule(n, config, stage):
-        grads = zero_grads(params)
+        grads = zero_grads(adam.params)
         record = body(indices, grads)
         if not math.isfinite(record["total"]):
             raise TrainError(f"{stage} step {step}: non-finite loss {record}")
@@ -353,7 +356,7 @@ def train(
     if not pairs and config.epochs > 0:
         raise TrainError("no training pairs")
     _check_pair_pages(pairs, corpus)
-    params = {k: v.copy() for k, v in init.items()} if init is not None else init_params(enc_config, config.seed)
+    params = dict(init) if init is not None else init_params(enc_config, config.seed)
     doc_tokens = summary_lookup(corpus, config.summary_max_tokens)
     mask_rng = derive_rng(config.seed, "pretrain", "mask")
 

@@ -113,8 +113,8 @@ def finetune(
     """Minimize mean binary cross-entropy with linear learning-rate warmup
     over the first `warmup` portion of steps, then a constant rate.
 
-    The input model is left untouched; training happens on a copy, so the
-    loaded checkpoint stays bitwise intact until the first step.
+    The input model is left untouched: training happens on a flat copy of
+    its params (run_steps), and the returned model holds views of it.
 
     A step packs its batch, cuts it into runs of consecutive equal-length
     packings (encoder.stack_runs), and back-propagates one stacked graph
@@ -132,7 +132,7 @@ def finetune(
     if not examples and config.epochs > 0:
         raise TrainError("no fine-tuning examples")
 
-    params = {k: v.copy() for k, v in model.params.items()}
+    params = dict(model.params)
 
     def body(indices, grads):
         batch = [examples[i] for i in indices]

@@ -32,7 +32,9 @@ from anchorrank.encoder import model as model_module
 from anchorrank.encoder.layers import gelu, gelu_backward, layer_norm, softmax
 from anchorrank.pretrain import mlm_forward_backward, mlm_loss_and_grad
 from util import (
+    ReferenceAdamState,
     as_dtype,
+    assert_one_buffer,
     encode,
     finite_difference_grads,
     joint_loss,
@@ -41,6 +43,8 @@ from util import (
     max_relative_error,
     mlm_logits,
     mlm_nll,
+    reference_adam_step,
+    reference_zero_grads,
 )
 
 CFG = EncoderConfig(layers=2, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=24)
@@ -852,6 +856,136 @@ class TestAdam:
         p1, p2 = run(), run()
         for k in p1:
             assert np.array_equal(p1[k], p2[k])
+
+    def test_zeros_lays_params_out_in_one_buffer(self, params):
+        p = dict(params)
+        state = AdamState.zeros(p)
+        # each value now views the one buffer, in sorted-key order, and the
+        # gaps between are zeros; the arrays the dict held are neither kept
+        # nor written
+        assert_one_buffer(p)
+        flat = state.params.flat
+        gaps = np.ones(flat.size, dtype=bool)
+        for k, where in zip(state.params.layout.keys, state.params.layout.slices):
+            assert p[k].ctypes.data == flat[where].ctypes.data
+            gaps[where] = False
+        assert gaps.any() and not flat[gaps].any()
+        for k in params:
+            assert p[k] is not params[k]
+            assert p[k].tobytes() == params[k].tobytes()
+
+    @staticmethod
+    def noisy_grads(p, rng):
+        """A gradient tree in p's layout with exact zeros and -0.0 entries,
+        and none for mlm_w, as in fine-tuning."""
+        grads = zero_grads(p)
+        for k, g in grads.items():
+            if k != "mlm_w":
+                g[...] = rng.normal(0.0, 1e-2, g.shape)
+                g[rng.random(g.shape) < 0.2] = 0.0
+                g[rng.random(g.shape) < 0.2] = -0.0
+        return grads
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_flat_step_is_the_per_key_step_bit_for_bit(self, params, dtype):
+        # six steps with the learning rate ramped over the first three; odd
+        # steps pass a plain dict of the same gradients, which is gathered
+        p, want = as_dtype(params, dtype), as_dtype(params, dtype)
+        state, ref = AdamState.zeros(p), ReferenceAdamState.zeros(want)
+        rng = np.random.default_rng(11)
+        for step in range(1, 7):
+            grads = self.noisy_grads(p, rng)
+            assert np.any((grads.flat == 0.0) & np.signbit(grads.flat))
+            lr = 1e-3 * min(1.0, step / 3)
+            adam_step(p, grads if step % 2 == 0 else {k: g.copy() for k, g in grads.items()}, state, lr=lr)
+            reference_adam_step(want, grads, ref, lr=lr)
+        assert state.step == ref.step == 6
+        for name, got, exp in (("params", p, want), ("m", state.m, ref.m), ("v", state.v, ref.v)):
+            for k in exp:
+                assert got[k].dtype == dtype
+                assert got[k].tobytes() == exp[k].tobytes(), (name, k)
+        assert not state.m["mlm_w"].any() and p["mlm_w"].tobytes() == as_dtype(params, dtype)["mlm_w"].tobytes()
+        # the gaps between the tensors are still zeros
+        for tree in (state.params, state.m, state.v):
+            assert np.count_nonzero(tree.flat) == sum(np.count_nonzero(a) for a in tree.values())
+
+    @staticmethod
+    def stepped_once(params):
+        """Laid-out params and their state after one step, so that the
+        moments are not zero."""
+        p = {k: v.copy() for k, v in params.items()}
+        state = AdamState.zeros(p)
+        adam_step(p, TestAdam.noisy_grads(p, np.random.default_rng(5)), state, lr=1e-3)
+        return p, state
+
+    @staticmethod
+    def assert_nothing_written(p, state, before):
+        held, params_bytes, m_bytes, v_bytes, step = before
+        assert all(p[k] is held[k] for k in held) and len(p) == len(held)
+        assert (state.params.flat.tobytes(), state.m.flat.tobytes(), state.v.flat.tobytes()) == (params_bytes, m_bytes, v_bytes)
+        assert state.step == step
+
+    @staticmethod
+    def snapshot(p, state):
+        return dict(p), state.params.flat.tobytes(), state.m.flat.tobytes(), state.v.flat.tobytes(), state.step
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda g: g.pop("mlm_w"), r"^grads\['mlm_w'\]: nothing, where the layout has float32 \(32, 40\)$"),
+            (lambda g: g.update(extra=np.zeros(2, np.float32)), r"^grads\['extra'\]: float32 \(2,\), where the layout has nothing$"),
+            (lambda g: g.update(mlm_b=g["mlm_b"][:-1]), r"^grads\['mlm_b'\]: float32 \(39,\), where the layout has float32 \(40,\)$"),
+            (lambda g: g.update(cls_b2=g["cls_b2"].astype(np.float64)), r"^grads\['cls_b2'\]: float64 \(1,\), where the layout has float32 \(1,\)$"),
+        ],
+        ids=["missing", "extra", "shape", "dtype"],
+    )
+    def test_grads_that_do_not_fit_are_refused_before_any_write(self, params, change, message):
+        p, state = self.stepped_once(params)
+        grads = self.noisy_grads(p, np.random.default_rng(6))
+        change(grads)
+        before = self.snapshot(p, state)
+        with pytest.raises(ValueError, match=message):
+            adam_step(p, grads, state, lr=1e-3)
+        self.assert_nothing_written(p, state, before)
+
+    def test_params_of_mixed_dtypes_are_refused(self, params):
+        mixed = {k: v.copy() for k, v in params.items()}
+        mixed["cls_b2"] = mixed["cls_b2"].astype(np.float64)
+        held = dict(mixed)
+        with pytest.raises(ValueError, match="^'cls_b2' is float64 but 'cls_b1' is float32: a tree of mixed dtypes"):
+            AdamState.zeros(mixed)
+        assert all(mixed[k] is held[k] for k in held) and len(mixed) == len(held)
+        # a laid-out tree, one of whose tensors is swapped for another dtype
+        p, state = self.stepped_once(params)
+        p["cls_b2"] = p["cls_b2"].astype(np.float64)
+        before = self.snapshot(p, state)
+        with pytest.raises(ValueError, match=r"^params\['cls_b2'\]: float64 \(1,\), where the layout has float32 \(1,\)$"):
+            adam_step(p, zero_grads(state.params), state, lr=1e-3)
+        self.assert_nothing_written(p, state, before)
+
+    def test_params_that_are_not_the_laid_out_views_are_refused(self, params):
+        # an array of the right shape and dtype that is not the state's view
+        # would never see the step
+        p, state = self.stepped_once(params)
+        p["cls_b2"] = p["cls_b2"].copy()
+        before = self.snapshot(p, state)
+        with pytest.raises(ValueError, match="does not hold the views"):
+            adam_step(p, zero_grads(state.params), state, lr=1e-3)
+        self.assert_nothing_written(p, state, before)
+
+    def test_backward_into_the_flat_layout(self, params):
+        # tok_emb's gradient is scattered through its flat view (_add_rows),
+        # which a view of the flat buffer has without a copy
+        grads, want = zero_grads(params), reference_zero_grads(params)
+        assert np.shares_memory(grads["tok_emb"].reshape(-1, copy=False), grads.flat)
+        for tree in (grads, want):
+            g = EncoderGraph(params, CFG, seq(CLS_ID, 7, 8, 7, SEP_ID, 9, SEP_ID), seq(0, 0, 0, 0, 0, 1, 1))
+            g.cls_score()
+            g.backward(tree, d_score=1.0)
+        assert_one_buffer(grads)
+        assert grads["tok_emb"].any()
+        for k in want:
+            assert grads[k].tobytes() == want[k].tobytes(), k
 
 
 class TestCheckpoint:

@@ -30,7 +30,7 @@ from anchorrank.taskgen import PairGenerator, PretrainPair, TaskGenConfig, deriv
 from anchorrank.sampler import default_stopwords
 from anchorrank.synth import SynthConfig, build_synthetic_corpus
 from conftest import TableAttentionSampler
-from util import mlm_loss, unmask
+from util import ReferenceAdamState, assert_one_buffer, mlm_loss, reference_adam_step, reference_zero_grads, unmask
 
 
 def small_vocab(n_terms=30):
@@ -709,17 +709,35 @@ class TestRunSteps:
 
     def run(self, monkeypatch, n, warmup, **changes):
         lrs = []
-        monkeypatch.setattr(pretrain, "adam_step", lambda params, grads, adam, lr: lrs.append(lr))
+        calls = []
+
+        def recorded_adam_step(params, grads, adam, lr):
+            calls.append(("adam_step", grads))
+            lrs.append(lr)
+
+        def counted_zero_grads(params):
+            grads = zero_grads(params)
+            calls.append(("zero_grads", grads))
+            return grads
+
+        monkeypatch.setattr(pretrain, "adam_step", recorded_adam_step)
+        monkeypatch.setattr(pretrain, "zero_grads", counted_zero_grads)
         seen = []
 
         def body(indices, grads):
-            assert not grads["w"].any()  # fresh zero grads every step
+            assert not grads["w"].any()  # zero grads at the start of every step
             grads["w"] += 1.0
+            calls.append(("body", grads))
             seen.append(indices.tolist())
             return {"total": 0.5}
 
         cfg = dataclasses.replace(TrainConfig(lr=0.3, epochs=2, batch_size=2, seed=4, log_every=10), **changes)
         out = run_steps(n, cfg, "pretrain", {"w": np.zeros(2)}, body, logging.getLogger("test"), warmup)
+        # the benchmark's optimizer time is these two calls: exactly one of
+        # each per step, around the body, on the tree the body filled
+        assert [name for name, _ in calls] == ["zero_grads", "body", "adam_step"] * len(lrs)
+        for i in range(0, len(calls), 3):
+            assert calls[i][1] is calls[i + 1][1] is calls[i + 2][1]
         return out, lrs, seen
 
     def test_steps_follow_the_batch_schedule(self, monkeypatch):
@@ -758,28 +776,52 @@ class TestStagesShareTheDriver:
     STEPS = 3
 
     def run_stage(self, stage, corpus, monkeypatch, checkpoint_path, poison=None):
+        """(trained params, the tree the stage started from, {key: (array,
+        bytes)} of that tree's arrays before the stage ran).  Finetune
+        starts from model.params and pretrain from init=; warm-up's tree
+        is the one init_params returns, which the stage trains."""
         vocab = build_vocab(corpus, max_size=300)
         enc = EncoderConfig(layers=1, heads=2, hidden=32, ffn_dim=64, vocab_size=len(vocab), max_len=48)
         params = init_params(enc, seed=2)
         if poison is not None:
             params[poison][:] = np.nan
+        originals = {k: (v, v.tobytes()) for k, v in params.items()}
         if stage == "finetune":
             model = RankerModel(params=params, config=enc, vocab=vocab)
             pages = ["river", "mac", "fruit", "company", "news"]
             examples = [RankingExample(f"q{i}", "water stream", pid, int(pid == "river")) for i, pid in enumerate(pages)]
             cfg = FinetuneConfig(lr=1e-3, epochs=5, batch_size=2, max_len=48, log_every=1, max_steps=self.STEPS)
-            finetune(model, examples, collection_from_corpus(corpus), cfg, checkpoint_path=checkpoint_path)
-            return
+            trained = finetune(model, examples, collection_from_corpus(corpus), cfg, checkpoint_path=checkpoint_path).params
+            return trained, params, originals
         cfg = TrainConfig(
             lr=1e-3, epochs=5, batch_size=2, max_len=48, seed=2, summary_max_tokens=24, log_every=1, max_steps=self.STEPS
         )
         if stage == "warmup":
             monkeypatch.setattr(pretrain, "init_params", lambda enc_config, seed: params)
-            mlm_warmup(corpus, enc, cfg, vocab, checkpoint_path=checkpoint_path)
+            trained = mlm_warmup(corpus, enc, cfg, vocab, checkpoint_path=checkpoint_path)
         else:
             sampler = TableAttentionSampler(vocab, stopwords=default_stopwords())
             pairs = PairGenerator(corpus, sampler, TaskGenConfig(seed=3, summary_max_tokens=24)).generate()
-            train(pairs, corpus, enc, cfg, vocab, init=params, checkpoint_path=checkpoint_path)
+            trained, _ = train(pairs, corpus, enc, cfg, vocab, init=params, checkpoint_path=checkpoint_path)
+        return trained, params, originals
+
+    @pytest.mark.parametrize("stage", [s[0] for s in STAGES])
+    def test_trains_the_per_key_bits_on_one_buffer(self, stage, corpus, monkeypatch):
+        trained, given, originals = self.run_stage(stage, corpus, monkeypatch, None)
+        # the arrays the stage started from are not written, and train's
+        # init= and finetune's model.params are not rebound either
+        for k, (array, raw) in originals.items():
+            assert array.tobytes() == raw, k
+            assert stage == "warmup" or given[k] is array, k
+        assert_one_buffer(trained)
+        with monkeypatch.context() as m:
+            m.setattr(pretrain, "AdamState", ReferenceAdamState)
+            m.setattr(pretrain, "adam_step", reference_adam_step)
+            m.setattr(pretrain, "zero_grads", reference_zero_grads)
+            want, _, _ = self.run_stage(stage, corpus, m, None)
+        assert any(want[k].tobytes() != raw for k, (_, raw) in originals.items())
+        for k in want:
+            assert trained[k].tobytes() == want[k].tobytes(), k
 
     @pytest.mark.parametrize("stage, logger, _", STAGES, ids=[s[0] for s in STAGES])
     def test_one_log_record_per_step(self, stage, logger, _, corpus, monkeypatch, tmp_path, caplog):

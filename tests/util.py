@@ -1,12 +1,14 @@
 """Shared oracles for the test suite: finite differences, independent NLL,
-the joint hinge+MLM loss used for gradient checking, and small helpers
-that only tests need."""
+the joint hinge+MLM loss used for gradient checking, the per-key Adam step,
+and small helpers that only tests need."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from anchorrank.encoder import EncoderGraph, zero_grads
+from anchorrank.encoder.params import ALIGN
 
 
 def as_dtype(params, dtype):
@@ -132,3 +134,54 @@ def max_relative_error(analytic, numeric, floor=1e-6):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float((np.abs(a - n) / denom).max()))
     return worst
+
+
+@dataclass
+class ReferenceAdamState:
+    """Adam's state as one array per key, for reference_adam_step.  params
+    is the caller's tree, kept as it is: run_steps reads the attribute."""
+
+    step: int
+    params: dict
+    m: dict
+    v: dict
+
+    @classmethod
+    def zeros(cls, params):
+        return cls(0, params, reference_zero_grads(params), reference_zero_grads(params))
+
+
+def assert_one_buffer(tree):
+    """tree's arrays view one buffer, in sorted-key order, each starting on
+    an ALIGN-byte boundary."""
+    owner = tree[min(tree)].base
+    assert owner is not None and all(tree[k].base is owner for k in tree)
+    starts = [tree[k].ctypes.data for k in sorted(tree)]
+    assert starts == sorted(starts) and all(a % ALIGN == 0 for a in starts)
+    ends = [tree[k].ctypes.data + tree[k].nbytes for k in sorted(tree)]
+    assert all(end <= start for end, start in zip(ends, starts[1:]))
+
+
+def reference_zero_grads(params):
+    """One fresh zero array per key."""
+    return {k: np.zeros_like(v) for k, v in params.items()}
+
+
+def reference_adam_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
+    """adam_step as it was before the flat layout: each tensor stepped in
+    turn, keys walked in sorted order.  The bitwise reference for the
+    flat step."""
+    b1, b2 = betas
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for key in sorted(params):
+        g = grads[key]
+        m = state.m[key]
+        v = state.v[key]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        params[key] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
