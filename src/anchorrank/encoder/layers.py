@@ -30,14 +30,15 @@ _GELU_A = 0.044715
 
 
 def layer_norm(x, g, b):
-    # sum / d is what ndarray.mean computes, bit for bit, without the
-    # Python-level dispatch that dominates the cost at one or a few rows.
+    # sum / d is what ndarray.mean computes, and np.add.reduce what
+    # ndarray.sum runs, bit for bit, without the Python-level dispatch that
+    # dominates the cost at one or a few rows.
     # ((x - mu) * inv) * g + b, written into x - mu and the output
     d = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) / d
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xhat = np.subtract(x, mu)
     out = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + LN_EPS)
+    inv = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / d + LN_EPS)
     xhat *= inv
     np.multiply(xhat, g, out=out)
     out += b
@@ -49,13 +50,13 @@ def layer_norm_backward(dout, cache):
     # operation in that order, written into dxhat and one scratch array
     xhat, inv, g = cache
     t = np.multiply(dout, xhat)
-    dg = t.sum(axis=-2)
-    db = dout.sum(axis=-2)
+    dg = np.add.reduce(t, axis=-2)
+    db = np.add.reduce(dout, axis=-2)
     dx = np.multiply(dout, g)
     d = dout.shape[-1]
-    mean_dxhat = dx.sum(axis=-1, keepdims=True) / d
+    mean_dxhat = np.add.reduce(dx, axis=-1, keepdims=True) / d
     np.multiply(dx, xhat, out=t)
-    np.multiply(xhat, t.sum(axis=-1, keepdims=True), out=t)
+    np.multiply(xhat, np.add.reduce(t, axis=-1, keepdims=True), out=t)
     t /= d
     dx -= mean_dxhat
     dx -= t
@@ -81,7 +82,7 @@ def linear_backward(dout, cache):
     dx = np.matmul(dout, w.T)
     xt = x.swapaxes(-1, -2)
     dw = np.multiply(xt, dout) if x.shape[-2] == 1 else np.matmul(xt, dout)
-    db = dout.sum(axis=-2)
+    db = np.add.reduce(dout, axis=-2)
     return dx, dw, db
 
 
@@ -121,14 +122,14 @@ def softmax(x, axis=-1):
     # with a NaN comes out all NaN either way
     e = np.subtract(x, np.fmax.reduce(x, axis=axis, keepdims=True))
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e
 
 
 def softmax_backward(dprobs, probs, axis=-1):
     # probs * (dprobs - sum(dprobs * probs)), in one array
     out = np.multiply(dprobs, probs)
-    inner = out.sum(axis=axis, keepdims=True)
+    inner = np.add.reduce(out, axis=axis, keepdims=True)
     np.subtract(dprobs, inner, out=out)
     out *= probs
     return out

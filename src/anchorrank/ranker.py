@@ -18,9 +18,12 @@ from anchorrank.encoder import CheckpointError, EncoderConfig, EncoderGraph, cls
 from anchorrank.encoder import load_checkpoint, save_checkpoint
 from anchorrank.encoder import adam_step, zero_grads  # noqa: F401  (bench/perlayer.py wraps these two names here)
 from anchorrank.evalkit import read_run as read_candidates  # noqa: F401  (bench/run.py:243, the train set-up, calls it by this name)
-from anchorrank.pretrain import Schedule, TrainError, pack_input, run_steps
+from anchorrank.pretrain import PackError, Schedule, TrainError, pack_input, run_steps
 
 log = logging.getLogger(__name__)
+
+# The MLM head's tensors, which the relevance loss never reaches.
+MLM_HEAD = ("mlm_w", "mlm_b")
 
 
 @dataclass(frozen=True)
@@ -113,14 +116,22 @@ def finetune(
     """Minimize mean binary cross-entropy with linear learning-rate warmup
     over the first `warmup` portion of steps, then a constant rate.
 
-    The input model is left untouched: training happens on a flat copy of
-    its params (run_steps), and the returned model holds views of it.
+    Every example is checked and packed once, before the first step: an
+    example that cannot be packed is a ValueError naming its query and
+    document ids, and nothing is trained or written.
 
-    A step packs its batch, cuts it into runs of consecutive equal-length
+    The input model is left untouched.  Training happens on a flat copy of
+    every tensor but the MLM head (run_steps), which the relevance loss
+    never reaches: Adam would step it by lr * 0 / (0 + eps) = 0.  The
+    returned model holds views of that copy, and the input's own MLM-head
+    arrays, which the checkpoint stores too.
+
+    A step cuts its batch's packings into runs of consecutive equal-length
     packings (encoder.stack_runs), and back-propagates one stacked graph
     per run, in batch order: the same bits as one graph per example.
     """
     query_tokens: dict[str, list[str]] = {}
+    packings = []
     for ex in examples:
         if ex.label not in (0, 1):
             raise ValueError(f"fine-tuning labels must be binary, got {ex.label!r} for {ex.query_id}/{ex.doc_id}")
@@ -128,21 +139,22 @@ def finetune(
             raise ValueError(f"example references unknown document {ex.doc_id!r}")
         if ex.query_text not in query_tokens:
             query_tokens[ex.query_text] = tokenize(ex.query_text)
+        try:
+            packings.append(pack_input(query_tokens[ex.query_text], collection[ex.doc_id].tokens, model.vocab, model.config.max_len))
+        except PackError as exc:
+            raise ValueError(f"example {ex.query_id}/{ex.doc_id} cannot be packed: {exc}") from None
 
     if not examples and config.epochs > 0:
         raise TrainError("no fine-tuning examples")
 
-    params = dict(model.params)
+    trained = {k: v for k, v in model.params.items() if k not in MLM_HEAD}
 
     def body(indices, grads):
         batch = [examples[i] for i in indices]
-        packings = [
-            pack_input(query_tokens[ex.query_text], collection[ex.doc_id].tokens, model.vocab, model.config.max_len)
-            for ex in batch
-        ]
+        packed = [packings[i] for i in indices]
         loss = 0.0
-        for start, stop in stack_runs([len(token_ids) for token_ids, _ in packings]):
-            graph = EncoderGraph(params, model.config, *zip(*packings[start:stop]), outputs=[0])
+        for start, stop in stack_runs([len(token_ids) for token_ids, _ in packed]):
+            graph = EncoderGraph(trained, model.config, *zip(*packed[start:stop]), outputs=[0])
             d_scores = []
             for ex, logit in zip(batch[start:stop], graph.cls_score()):
                 s = _sigmoid(logit)
@@ -152,7 +164,8 @@ def finetune(
             graph.backward(grads, d_score=d_scores)
         return {"total": loss / len(indices)}
 
-    _, step = run_steps(len(examples), config, "finetune", params, body, log, config.warmup)
+    _, step = run_steps(len(examples), config, "finetune", trained, body, log, config.warmup)
+    params = {**model.params, **trained}
     if checkpoint_path is not None:
         meta = {"stage": "finetune", "finetune_config": config.to_dict(), "vocab": model.vocab.id_to_term, "steps": step}
         save_checkpoint(checkpoint_path, params, model.config, extra=meta)

@@ -3,7 +3,9 @@ prints one [acceptance] PASS/FAIL line.  Run with `pytest
 tests/test_acceptance.py -v -s` to watch the lines stream."""
 
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -338,27 +340,60 @@ class TestCriterion6EndToEnd:
         )
 
 
+def run_leg(world, weights, seed, pretrain_steps=500, finetune_epochs=12):
+    """One reduced-budget pipeline leg: pretrain with the given task
+    weights, fine-tune on the 50 toy queries, rerank their candidates."""
+    tcfg = TrainConfig(
+        lr=1e-3, epochs=10, batch_size=8, seed=seed, max_len=48, summary_max_tokens=32,
+        max_steps=pretrain_steps, log_every=10**9, task_weights=dict(weights),
+    )
+    params, _ = train(world["pairs"], world["corpus"], world["enc"], tcfg, world["vocab"])
+    split = world["eval_split"]
+    collection = collection_from_corpus(world["corpus"])
+    examples = examples_from_candidates(split["queries"], split["candidates"], split["qrels"])
+    model = RankerModel(params=params, config=world["enc"], vocab=world["vocab"])
+    fcfg = FinetuneConfig(
+        lr=5e-4, epochs=finetune_epochs, warmup=0.1, batch_size=8, seed=seed, max_len=48, log_every=10**9
+    )
+    tuned = finetune(model, examples, collection, fcfg)
+    run = {
+        qid: rerank(tuned, split["queries"][qid], split["candidates"][qid], 10, collection)
+        for qid in sorted(split["candidates"])
+    }
+    return mrr_at_k(run, split["qrels"], 10)
+
+
+_leg_world = None  # set only in a leg_pool worker, by its initializer
+
+
+def _adopt_world(world):
+    global _leg_world
+    _leg_world = world
+
+
+def _worker_leg(weights, seed, *budget):
+    return run_leg(_leg_world, weights, seed, *budget)
+
+
+def leg_pool(world):
+    """Two worker processes forked from this one, so that each holds
+    `world` without pickling it.  The legs are independent and each runs
+    on one BLAS thread, so two of them use both cores of a 2-core host.
+    With fork the executor starts both workers before its own manager
+    thread, and one BLAS thread starts no pool, so no lock is held across
+    the fork."""
+    return ProcessPoolExecutor(
+        max_workers=2, mp_context=multiprocessing.get_context("fork"), initializer=_adopt_world, initargs=(world,)
+    )
+
+
 @pytest.mark.slow
 class TestCriterion7AblationHarness:
-    def run_variant(self, world, weights, seed):
-        """One reduced-budget pipeline leg: pretrain with the given task
-        weights, fine-tune on the 50 toy queries, rerank their candidates."""
-        tcfg = TrainConfig(
-            lr=1e-3, epochs=10, batch_size=8, seed=seed, max_len=48, summary_max_tokens=32,
-            max_steps=500, log_every=10**9, task_weights=dict(weights),
-        )
-        params, _ = train(world["pairs"], world["corpus"], world["enc"], tcfg, world["vocab"])
-        split = world["eval_split"]
-        collection = collection_from_corpus(world["corpus"])
-        examples = examples_from_candidates(split["queries"], split["candidates"], split["qrels"])
-        model = RankerModel(params=params, config=world["enc"], vocab=world["vocab"])
-        fcfg = FinetuneConfig(lr=5e-4, epochs=12, warmup=0.1, batch_size=8, seed=seed, max_len=48, log_every=10**9)
-        tuned = finetune(model, examples, collection, fcfg)
-        run = {
-            qid: rerank(tuned, split["queries"][qid], split["candidates"][qid], 10, collection)
-            for qid in sorted(split["candidates"])
-        }
-        return mrr_at_k(run, split["qrels"], 10)
+    def test_a_leg_gives_the_same_mrr_in_a_worker(self, world):
+        weights = {"rqp": 1.0, "qdm": 1.0, "rdp": 1.0, "acm": 0.0, "mlm": 1.0}
+        with leg_pool(world) as pool:
+            forked = pool.submit(_worker_leg, weights, 8, 20, 1).result()
+        assert forked == run_leg(world, weights, 8, 20, 1)
 
     def test_single_component_disabling_runs(self, world):
         base = {"rqp": 1.0, "qdm": 1.0, "rdp": 1.0, "acm": 1.0, "mlm": 1.0}
@@ -380,8 +415,10 @@ class TestCriterion7AblationHarness:
         full_weights = {"rqp": 1.0, "qdm": 1.0, "rdp": 1.0, "acm": 1.0, "mlm": 1.0}
         no_rqp = dict(full_weights, rqp=0.0)
         seeds = (8, 9, 10)
-        full = [self.run_variant(world, full_weights, s) for s in seeds]
-        ablated = [self.run_variant(world, no_rqp, s) for s in seeds]
+        legs = [(weights, s) for weights in (full_weights, no_rqp) for s in seeds]
+        with leg_pool(world) as pool:
+            mrrs = list(pool.map(_worker_leg, *zip(*legs)))
+        full, ablated = mrrs[:3], mrrs[3:]
         gain = float(np.mean(ablated) - np.mean(full))
         ok = gain <= 0.02
         report(

@@ -170,6 +170,38 @@ class TestFinetune:
         for k in before:
             assert np.array_equal(model.params[k], before[k])
 
+    def test_input_arrays_untouched_and_the_mlm_head_shared(self, corpus, tmp_path):
+        # the input's arrays are neither written nor rebound; the returned
+        # model and the checkpoint carry its own MLM head, and every other
+        # tensor is trained apart from the input
+        collection, examples = self.setup_examples(corpus)
+        model = make_model(corpus)
+        given = dict(model.params)
+        raw = {k: v.tobytes() for k, v in given.items()}
+        cfg = FinetuneConfig(lr=1e-3, epochs=2, batch_size=3)
+        tuned = finetune(model, examples, collection, cfg, checkpoint_path=tmp_path / "f.ckpt")
+        for k, array in given.items():
+            assert model.params[k] is array and array.tobytes() == raw[k], k
+        for k in ranker.MLM_HEAD:
+            assert tuned.params[k] is given[k], k
+        rest = [k for k in given if k not in ranker.MLM_HEAD]
+        assert not any(np.shares_memory(tuned.params[k], given[k]) for k in rest)
+        assert any(tuned.params[k].tobytes() != raw[k] for k in rest)
+        saved = load_checkpoint(tmp_path / "f.ckpt").params
+        assert all(saved[k].tobytes() == tuned.params[k].tobytes() for k in given)
+
+    def test_unpackable_example_fails_before_the_first_step(self, corpus, tmp_path, caplog):
+        # a query with no word token packs to nothing: the error names the
+        # example, and no step runs and no checkpoint is written
+        collection, examples = self.setup_examples(corpus)
+        bad = examples + [RankingExample("q9", "?? --", "fruit", 1)]
+        caplog.set_level(logging.INFO, logger="anchorrank.ranker")
+        cfg = FinetuneConfig(lr=1e-3, epochs=2, batch_size=2, log_every=1)
+        with pytest.raises(ValueError, match=r"^example q9/fruit cannot be packed: query must be non-empty$"):
+            finetune(make_model(corpus), bad, collection, cfg, checkpoint_path=tmp_path / "f.ckpt")
+        assert not [r for r in caplog.records if r.name == "anchorrank.ranker"]
+        assert not (tmp_path / "f.ckpt").exists()
+
     def test_each_query_tokenized_once(self, corpus, monkeypatch):
         collection, examples = self.setup_examples(corpus)
         model = make_model(corpus)
