@@ -234,16 +234,20 @@ def joint_step(
 
     Per pair: the clean positive and negative packings are scored (the
     hinge is attributed to the pair's task), and the MLM objective runs on
-    a masked forward of the positive packing.  Scoring masked inputs would
+    a masked copy of the positive packing.  Scoring masked inputs would
     let the margin be satisfied by detecting [MASK] tokens, so the scored
     packings are never masked.  Logged components are sums over the batch
     divided by batch size, so the total is literally their weighted sum.
 
-    Packings of one length are scored as one (2, n) stack, positive then
-    negative; other pairs as two (n,) graphs.  A stack adds its members'
-    gradients into each tensor in member order, so grads gets the bits of
-    the two graphs back-propagated in turn.  The masked positive is always
-    its own (n,) graph, since mlm_logits reads a single sequence.
+    The positive is masked first, before anything is scored; rng feeds
+    nothing else.  A pair is then one graph: a stack of the positive, the
+    negative when it packs to the same length, and the masked positive,
+    whose last layer runs for the masked rows only.  A negative of another
+    length is a graph of its own.  An equal-length pair with an active
+    hinge and an MLM gradient is back-propagated in one sweep; any other
+    pair part by part, positive, negative, then masked positive.  A stack
+    adds its members' gradients into each tensor in member order, so grads
+    gets the bits of one graph per packing back-propagated in that order.
     """
     if not pairs:
         raise TrainError("empty batch")
@@ -253,31 +257,48 @@ def joint_step(
     task_counts = {t: 0 for t in TASKS}
     mlm_sum = 0.0
 
-    w_mlm = weights.get("mlm", 1.0)
+    mlm_scale = weights.get("mlm", 1.0) / n
     for pair in pairs:
         pos_packed, neg_packed = pack_pair(pair, vocab, doc_tokens, enc_config.max_len)
-        if len(pos_packed[0]) == len(neg_packed[0]):
-            graphs = [EncoderGraph(params, enc_config, *zip(pos_packed, neg_packed), outputs=[0])]
-            s_pos, s_neg = graphs[0].cls_score()
+        masked_ids, labels = mask_tokens(pos_packed[0], enc_config.vocab_size, rng)
+        stacked = len(pos_packed[0]) == len(neg_packed[0])
+        packings = [pos_packed, neg_packed] if stacked else [pos_packed]
+        outputs = [[0]] * len(packings)
+        if labels:
+            packings.append((masked_ids, pos_packed[1]))
+            outputs.append([p for p, _ in labels])
+        if len(packings) == 1:
+            graph = EncoderGraph(params, enc_config, *pos_packed, outputs=[0])
         else:
-            graphs = [EncoderGraph(params, enc_config, *packed, outputs=[0]) for packed in (pos_packed, neg_packed)]
-            s_pos, s_neg = (g.cls_score() for g in graphs)
+            graph = EncoderGraph(params, enc_config, *zip(*packings), outputs=outputs)
+        if stacked:
+            scored = [graph.view(0, 2)]
+            s_pos, s_neg = scored[0].cls_score()
+        else:
+            scored = [graph.view(0), EncoderGraph(params, enc_config, *neg_packed, outputs=[0])]
+            s_pos, s_neg = (g.cls_score() for g in scored)
         hinge = hinge_loss(s_pos, s_neg)
         task_sums[pair.task] += hinge
         task_counts[pair.task] += 1
 
-        w_task = weights.get(pair.task, 1.0)
-        if hinge > 0.0 and w_task != 0.0:
-            d_scores = [-(w_task / n), w_task / n]
-            if len(graphs) == 1:
-                graphs[0].backward(grads, d_score=d_scores)
-            else:
-                for g, d in zip(graphs, d_scores):
-                    g.backward(grads, d_score=d)
-
-        pair_mlm = mlm_forward_backward(pos_packed, params, enc_config, rng, grads, w_mlm / n)
-        if pair_mlm is not None:
+        d_mlm = None
+        if labels:
+            masked = graph.view(len(packings) - 1)
+            pair_mlm, d_logits = mlm_loss_and_grad(masked.mlm_logits(outputs[-1]), labels)
             mlm_sum += pair_mlm
+            if mlm_scale != 0.0:
+                d_mlm = d_logits * mlm_scale
+
+        w_task = weights.get(pair.task, 1.0)
+        d_scores = [-(w_task / n), w_task / n] if hinge > 0.0 and w_task != 0.0 else None
+        if stacked and d_scores and d_mlm is not None:
+            graph.backward(grads, d_score=d_scores + [0.0], d_mlm_logits=[None, None, d_mlm])
+        else:
+            if d_scores:
+                for g, d in zip(scored, [d_scores] if stacked else d_scores):
+                    g.backward(grads, d_score=d)
+            if d_mlm is not None:
+                masked.backward(grads, d_mlm_logits=d_mlm)
 
     components = {t: task_sums[t] / n for t in TASKS}
     components["mlm"] = mlm_sum / n

@@ -674,6 +674,46 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             g.backward(grads, d_score=1.0)
 
+    @pytest.mark.parametrize(
+        "members, d_score",
+        [
+            (None, [0.1]),
+            (None, (0.1,)),
+            (None, np.array([0.1])),
+            (None, "0.1"),
+            (None, None),
+            (None, True),
+            (3, 0.1),
+            (3, [0.1, 0.2]),
+            (3, [0.1, "0.2", 0.3]),
+            (3, [0.1, None, 0.3]),
+            (3, [[0.1], [0.2], [0.3]]),
+            (3, np.zeros((3, 1))),
+            ((0, 2), 0.1),
+            ((0, 2), [0.1, 0.2, 0.3]),
+            (2, [0.1]),
+        ],
+    )
+    def test_d_score_is_one_real_number_per_member(self, params, members, d_score):
+        # a single sequence (None), a stack of 3, and views of that stack: a
+        # pair of members, (0, 2), and one member, 2
+        ids, segs = TestStackedGraph.case(CFG, np.random.default_rng(10), 3, 6)
+        if members is None:
+            g, good = EncoderGraph(params, CFG, ids[0], segs[0]), 0.5
+        else:
+            g = EncoderGraph(params, CFG, ids, segs, outputs=[[0], [0], [0, 3]])
+            g = g if members == 3 else g.view(*members) if isinstance(members, tuple) else g.view(members)
+            good = 0.5 if members == 2 else [0.5] * (3 if members == 3 else 2)
+        g.cls_score()
+        grads = zero_grads(params)
+        with pytest.raises(ValueError, match="d_score") as caught:
+            g.backward(grads, d_score=d_score)
+        assert repr(d_score) in str(caught.value)
+        # raised before grads or the graph changed
+        assert not any(np.any(v) for v in grads.values())
+        g.backward(grads, d_score=good)
+        assert np.any(grads["cls_w2"])
+
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_segment_rows_are_add_at_bitwise(self, dtype):
         rng = np.random.default_rng(6)
@@ -820,6 +860,141 @@ class TestStackedGraph:
             g.backward(zero_grads(params), **kwargs)
         # the rejected call left the graph able to back-propagate
         g.backward(zero_grads(params), d_score=[0.1, 0.2, 0.3])
+
+
+class TestPerMemberOutputs:
+    """A stack whose members read different rows runs its last layer once
+    per run of consecutive members with the same rows; the stack, and every
+    view of some of its members, gives the bits of those members' graphs
+    built and back-propagated one by one."""
+
+    # every member's outputs hold [CLS]; the rest are masked positions
+    CASES = (
+        [[0], [0], [0, 3, 5]],
+        [[0, 3, 5], [0]],
+        [[0], [0, 2], [0, 2]],
+        [[0], [0, 4, 8], [0]],
+    )
+
+    @staticmethod
+    def alone(outs):
+        """Which members form a run of their own."""
+        return [all(outs[j] != outs[b] for j in (b - 1, b + 1) if 0 <= j < len(outs)) for b in range(len(outs))]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_every_view_is_its_members_one_by_one(self, dtype, layers):
+        cfg = EncoderConfig(layers=layers, heads=2, hidden=32, ffn_dim=64, vocab_size=40, max_len=48)
+        rng = np.random.default_rng(60 + layers)
+        p = as_dtype({k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=layers).items()}, dtype)
+        # gradients that start away from zero, so the order in which the
+        # members' contributions are added shows in the bits
+        start = as_dtype({k: rng.normal(0.0, 1.0, v.shape) for k, v in p.items()}, dtype)
+        for outs in self.CASES:
+            ids, segs = TestStackedGraph.case(cfg, rng, len(outs), 9)
+            d_scores = rng.normal(0.0, 1.0, len(outs)).tolist()
+            d_logits = [rng.normal(0.0, 1.0, (len(o) - 1, cfg.vocab_size)).astype(dtype) for o in outs]
+            for a, c in [(a, c) for a in range(len(outs)) for c in range(a + 1, len(outs) + 1)]:
+                graph = EncoderGraph(p, cfg, ids, segs, outputs=outs)
+                view = graph.view(a) if c == a + 1 else graph.view(a, c)
+                alone = self.alone(outs[a:c])
+                # the MLM head attaches to a member alone in its run, through
+                # a view of that member
+                masked = [view.view(i).mlm_logits(outs[a + i][1:]) if alone[i] else None for i in range(c - a)]
+                scores = view.cls_score()
+                got = {k: v.copy() for k, v in start.items()}
+                d_mlm = [d_logits[a + i] if alone[i] else None for i in range(c - a)]
+                if c == a + 1:
+                    view.backward(got, d_score=d_scores[a], d_mlm_logits=d_mlm[0])
+                    hidden, scores = [view.hidden], [scores]
+                else:
+                    view.backward(got, d_score=d_scores[a:c], d_mlm_logits=d_mlm)
+                    hidden = view.hidden
+                want = {k: v.copy() for k, v in start.items()}
+                for i, b in enumerate(range(a, c)):
+                    one = EncoderGraph(p, cfg, ids[b], segs[b], outputs=outs[b])
+                    _assert_bitwise(hidden[i], one.hidden)
+                    _assert_bitwise(graph.hidden[b], one.hidden)
+                    assert scores[i] == one.cls_score(), (outs, a, c, b)
+                    if alone[i]:
+                        _assert_bitwise(masked[i], one.mlm_logits(outs[b][1:]))
+                    one.backward(want, d_score=d_scores[b], d_mlm_logits=d_mlm[i])
+                for k in want:
+                    _assert_bitwise(got[k], want[k])
+
+    @pytest.mark.parametrize("outer, inner", [((1, 4), (1, None)), ((0, 4), (1, 3)), ((1, 3), (1, None))])
+    def test_a_view_of_a_view_is_its_members(self, params, outer, inner):
+        ids, segs = TestStackedGraph.case(CFG, np.random.default_rng(11), 4, 8)
+        outs = [[0], [0], [0], [0, 2]]
+        view = EncoderGraph(params, CFG, ids, segs, outputs=outs).view(*outer).view(*inner)
+        first = outer[0] + inner[0]
+        members = range(first, first + 1 if inner[1] is None else outer[0] + inner[1])
+        single = inner[1] is None
+        scores = view.cls_score()
+        d_scores = [0.5 + b for b in members]
+        got, want = zero_grads(params), zero_grads(params)
+        view.backward(got, d_score=d_scores[0] if single else d_scores)
+        for i, b in enumerate(members):
+            one = EncoderGraph(params, CFG, ids[b], segs[b], outputs=outs[b])
+            _assert_bitwise(view.hidden if single else view.hidden[i], one.hidden)
+            assert (scores if single else scores[i]) == one.cls_score()
+            one.backward(want, d_score=d_scores[i])
+        for k in want:
+            _assert_bitwise(got[k], want[k])
+
+    def test_members_with_the_same_outputs_share_one_last_layer(self, params, monkeypatch):
+        layer_inputs = []
+
+        def layer(p, cfg, i, x, rows):
+            layer_inputs.append((i, x.shape[:-1]))
+            return real_layer(p, cfg, i, x, rows)
+
+        real_layer = model_module._layer
+        monkeypatch.setattr(model_module, "_layer", layer)
+        ids, segs = TestStackedGraph.case(CFG, np.random.default_rng(6), 3, 7)
+        g = EncoderGraph(params, CFG, ids, segs, outputs=[[0, 2], [0, 2], [0, 2]])
+        assert g.outputs.tolist() == [0, 2] and g.hidden.shape == (3, 2, CFG.hidden)
+        assert layer_inputs == [(0, (3, 7)), (1, (3, 7))]
+        layer_inputs.clear()
+        mixed = EncoderGraph(params, CFG, ids, segs, outputs=[[0], [0], [0, 2]])
+        assert [o.tolist() for o in mixed.outputs] == [[0], [0], [0, 2]]
+        assert [h.shape for h in mixed.hidden] == [(1, CFG.hidden)] * 2 + [(2, CFG.hidden)]
+        # a run of one member is a single sequence, and views run no layer
+        mixed.view(0, 2).cls_score()
+        mixed.view(2).mlm_logits([2])
+        assert layer_inputs == [(0, (3, 7)), (1, (2, 7)), (1, (7,))]
+
+    @pytest.mark.parametrize("outputs", [[[0], [0], [0]], [[0]], ([0], [0, 1], [0, 2])])
+    def test_wrong_number_of_lists_names_the_count(self, params, outputs):
+        ids, segs = TestStackedGraph.case(CFG, np.random.default_rng(7), 2, 5)
+        with pytest.raises(ValueError, match=f"{len(outputs)} position lists for a stack of 2 members"):
+            EncoderGraph(params, CFG, ids, segs, outputs=outputs)
+
+    @pytest.mark.parametrize("start, stop", [(-1, None), (3, None), (1, 1), (0, 4)])
+    def test_view_out_of_range_rejected(self, params, start, stop):
+        ids, segs = TestStackedGraph.case(CFG, np.random.default_rng(8), 3, 5)
+        with pytest.raises(ValueError, match="not among the graph's 3"):
+            EncoderGraph(params, CFG, ids, segs, outputs=[0]).view(start, stop)
+
+    def test_a_member_back_propagates_once(self, params):
+        ids, segs = TestStackedGraph.case(CFG, np.random.default_rng(9), 3, 6)
+        g = EncoderGraph(params, CFG, ids, segs, outputs=[[0], [0], [0, 3]])
+        g.cls_score()
+        grads = zero_grads(params)
+        # heads attach to the graph or view they are called on, and to the
+        # views of its whole runs: member 0 is part of a run of two
+        first = g.view(0)
+        first.cls_score()
+        first.backward(grads, d_score=1.0)
+        for again in (lambda: g.view(0).backward(grads, d_score=1.0), lambda: g.view(0, 2).backward(grads, d_score=[1.0, 1.0]), lambda: g.backward(grads, d_score=[1.0, 1.0, 1.0])):
+            with pytest.raises(RuntimeError, match="already called"):
+                again()
+        # the members not yet back-propagated still can be, once
+        rest = g.view(1, 3)
+        rest.cls_score()
+        rest.backward(grads, d_score=[1.0, 1.0])
+        with pytest.raises(RuntimeError, match="already called"):
+            g.view(2).backward(grads, d_score=1.0)
 
 
 class TestAdam:
@@ -1199,6 +1374,7 @@ class TestFloat32:
         grads = zero_grads(params)
         g.backward(grads, d_score=1.0, d_mlm_logits=d_logits)
         named = [("hidden", g.hidden), *_float_arrays(g._emb_ln_cache, "emb"), *_float_arrays(g._layer_caches, "layers")]
+        named += _float_arrays([run.cache for run in g._runs], "last")
         named += _float_arrays(grads, "grads")
         if logits is not None:
             named += [("logits", logits), ("d_logits", d_logits)]

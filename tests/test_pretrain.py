@@ -10,6 +10,8 @@ import pytest
 from anchorrank import pretrain
 from anchorrank.corpus import CLS_ID, MASK_ID, NUM_SPECIAL_TOKENS, SEP_ID, Vocabulary, build_vocab, clean_corpus, parse_corpus
 from anchorrank.encoder import EncoderConfig, EncoderGraph, cls_scores, init_params, param_shapes, zero_grads
+from anchorrank.encoder import layers as layers_module
+from anchorrank.encoder import model as model_module
 from anchorrank.pretrain import (
     PackError,
     TrainConfig,
@@ -236,9 +238,11 @@ class TestPackPair:
 
 
 def two_graph_step(pairs, params, enc_config, vocab, doc_tokens, config, grads, rng):
-    """joint_step as it was before equal-length pairs were stacked: the
-    positive and the negative each score as a graph of its own, back-
-    propagated positive first.  The bitwise reference for the stacked step."""
+    """joint_step with one graph per packing: the positive and the negative
+    each score as a graph of its own, and mlm_forward_backward masks the
+    positive after scoring and runs it alone; back-propagated positive,
+    negative, then masked positive.  The bitwise reference for joint_step,
+    which stacks a pair's packings into one graph."""
     weights = config.task_weights
     n = len(pairs)
     task_sums = {t: 0.0 for t in pretrain.TASKS}
@@ -282,6 +286,44 @@ def graph_shapes(monkeypatch):
     return shapes
 
 
+@pytest.fixture
+def graph_calls(monkeypatch):
+    """Record which layer calls run outside the graph calls the benchmark's
+    trace times.  A training step's forward is the span of
+    EncoderGraph.__init__ and its backward that of EncoderGraph.backward,
+    so every model._layer call must run inside the one and every backward
+    primitive inside the other.  Returns (calls, stray): the count of each
+    watched function's calls, and the names of those that ran outside."""
+    depth = {"__init__": 0, "backward": 0}
+    calls, stray = {}, []
+
+    def span(name, f):
+        def wrapped(*args, **kwargs):
+            depth[name] += 1
+            try:
+                return f(*args, **kwargs)
+            finally:
+                depth[name] -= 1
+
+        return wrapped
+
+    def inside(span_name, name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            if not depth[span_name]:
+                stray.append(name)
+            return f(*args, **kwargs)
+
+        return wrapped
+
+    for name in depth:
+        monkeypatch.setattr(EncoderGraph, name, span(name, getattr(EncoderGraph, name)))
+    monkeypatch.setattr(model_module, "_layer", inside("__init__", "_layer", model_module._layer))
+    for name in ("linear_backward", "layer_norm_backward", "gelu_backward", "softmax_backward"):
+        monkeypatch.setattr(layers_module, name, inside("backward", name, getattr(layers_module, name)))
+    return calls, stray
+
+
 class TestJointStep:
     CFG = EncoderConfig(layers=1, heads=2, hidden=16, ffn_dim=32, vocab_size=40, max_len=32)
     CLS_HEAD = ("cls_w1", "cls_b1", "cls_w2", "cls_b2")
@@ -294,83 +336,136 @@ class TestJointStep:
             "C": ["t9", "t10", "t11"],
             "D": ["t12", "t13", "t14"],
             "E": ["t15", "t16", "t17", "t18"],
+            # out-of-vocabulary words encode to [UNK], which is never masked
+            "U": ["zzz", "yyy", "xxx"],
         }
         self.lookup = lambda pid: self.docs[pid]
         self.tcfg = TrainConfig(lr=1e-3, epochs=1, batch_size=4, max_len=32, seed=0)
+
+    @pytest.fixture(params=[1, 2], ids=lambda layers: f"layers{layers}")
+    def cfg(self, request):
+        """The encoder at one layer, where a pair's stack shares only the
+        embeddings, and at two, where it also shares a layer's caches."""
+        return dataclasses.replace(self.CFG, layers=request.param)
 
     def equal_length(self, pair):
         pos, neg = pack_pair(pair, self.vocab, self.lookup, 32)
         return len(pos[0]) == len(neg[0])
 
-    def assert_same_bits_as_two_graphs(self, pairs, params, tcfg=None):
+    def assert_same_bits_as_two_graphs(self, pairs, cfg, params, tcfg=None):
         """joint_step's record and every gradient tensor, byte for byte
         those of two_graph_step; returns joint_step's (record, gradients)."""
         tcfg = tcfg or self.tcfg
         grads, want_grads = zero_grads(params), zero_grads(params)
-        got = joint_step(pairs, params, self.CFG, self.vocab, self.lookup, tcfg, grads, np.random.default_rng(3))
-        want = two_graph_step(pairs, params, self.CFG, self.vocab, self.lookup, tcfg, want_grads, np.random.default_rng(3))
+        got = joint_step(pairs, params, cfg, self.vocab, self.lookup, tcfg, grads, np.random.default_rng(3))
+        want = two_graph_step(pairs, params, cfg, self.vocab, self.lookup, tcfg, want_grads, np.random.default_rng(3))
         assert json.dumps(got) == json.dumps(want)
         for k in want_grads:
             assert grads[k].tobytes() == want_grads[k].tobytes(), k
         return got, grads
 
-    def test_equal_length_rqp_pair_keeps_the_bits(self):
+    def satisfy_every_margin(self, pairs, cfg, params):
+        """Solve cls_w2 so that each pair's positive outscores its negative
+        by 2, twice the hinge's margin."""
+        deltas = []
+        for pair in pairs:
+            acts = []
+            for packed in pack_pair(pair, self.vocab, self.lookup, 32):
+                hidden = EncoderGraph(params, cfg, *packed).hidden[0]
+                acts.append(np.tanh(hidden @ params["cls_w1"] + params["cls_b1"]))
+            deltas.append(acts[0] - acts[1])
+        solved = np.linalg.lstsq(np.array(deltas, dtype=np.float64), np.full(len(pairs), 2.0), rcond=None)[0]
+        params["cls_w2"] = solved.astype(params["cls_w2"].dtype)
+
+    MIXED = (
+        ("rqp", ["t0", "t1"], "A", None, ["t5", "t6"]),
+        ("qdm", ["t2"], "B", "C", None),
+        ("acm", ["t3"], "C", "D", None),
+        ("rdp", ["t0", "t4", "t6"], "A", "B", None),
+    )
+
+    def mixed_batch(self):
+        pairs = [make_pair(task, query, pos, neg, neg_query=neg_query) for task, query, pos, neg, neg_query in self.MIXED]
+        assert [self.equal_length(p) for p in pairs] == [True, False, True, False]
+        return pairs
+
+    def test_equal_length_rqp_pair_keeps_the_bits(self, cfg):
         pair = make_pair("rqp", ["t0", "t1"], "A", None, neg_query=["t5", "t6"])
         assert self.equal_length(pair)
-        record, grads = self.assert_same_bits_as_two_graphs([pair], init_params(self.CFG, seed=4))
+        record, grads = self.assert_same_bits_as_two_graphs([pair], cfg, init_params(cfg, seed=4))
         # the hinge was back-propagated (cls_b2's two additions cancel)
         assert record["components"]["rqp"] > 0.0 and np.any(grads["cls_w2"])
 
-    def test_unequal_length_qdm_pair_keeps_the_bits(self):
+    def test_unequal_length_qdm_pair_keeps_the_bits(self, cfg):
         pair = make_pair("qdm", ["t2"], "A", "B")
         assert not self.equal_length(pair)
-        self.assert_same_bits_as_two_graphs([pair], init_params(self.CFG, seed=5))
+        self.assert_same_bits_as_two_graphs([pair], cfg, init_params(cfg, seed=5))
 
-    def test_mixed_batch_keeps_the_bits(self):
-        pairs = [
-            make_pair("rqp", ["t0", "t1"], "A", None, neg_query=["t5", "t6"]),
-            make_pair("qdm", ["t2"], "B", "C"),
-            make_pair("acm", ["t3"], "C", "D"),
-            make_pair("rdp", ["t0", "t4", "t6"], "A", "B"),
-        ]
-        assert [self.equal_length(p) for p in pairs] == [True, False, True, False]
-        self.assert_same_bits_as_two_graphs(pairs, init_params(self.CFG, seed=6))
+    def test_mixed_batch_keeps_the_bits(self, cfg):
+        self.assert_same_bits_as_two_graphs(self.mixed_batch(), cfg, init_params(cfg, seed=6))
 
-    def test_equal_length_satisfied_margin_leaves_only_the_mlm_gradient(self):
+    def test_equal_length_satisfied_margin_leaves_only_the_mlm_gradient(self, cfg):
         pair = make_pair("qdm", ["t1"], "A", "E")
         assert self.equal_length(pair)
-        params = init_params(self.CFG, seed=7)
-        acts = []
-        for packed in pack_pair(pair, self.vocab, self.lookup, 32):
-            hidden = EncoderGraph(params, self.CFG, *packed).hidden[0]
-            acts.append(np.tanh(hidden @ params["cls_w1"] + params["cls_b1"]))
-        delta = acts[0] - acts[1]
-        params["cls_w2"] = 2.0 * delta / (delta @ delta)
-        record, grads = self.assert_same_bits_as_two_graphs([pair], params)
+        params = init_params(cfg, seed=7)
+        self.satisfy_every_margin([pair], cfg, params)
+        record, grads = self.assert_same_bits_as_two_graphs([pair], cfg, params)
         assert record["components"]["qdm"] == 0.0
         assert not any(np.any(grads[k]) for k in self.CLS_HEAD)
         assert np.any(grads["mlm_w"])
 
-    def test_equal_length_pair_at_task_weight_zero_keeps_the_bits(self):
+    def test_equal_length_pair_at_task_weight_zero_keeps_the_bits(self, cfg):
         pair = make_pair("rqp", ["t0", "t1"], "A", None, neg_query=["t5", "t6"])
         tcfg = dataclasses.replace(self.tcfg, task_weights={"rqp": 0.0})
-        record, grads = self.assert_same_bits_as_two_graphs([pair], init_params(self.CFG, seed=8), tcfg)
+        record, grads = self.assert_same_bits_as_two_graphs([pair], cfg, init_params(cfg, seed=8), tcfg)
         assert record["components"]["rqp"] > 0.0
         assert not any(np.any(grads[k]) for k in self.CLS_HEAD)
+
+    @pytest.mark.parametrize("neg", ["D", "B"], ids=["equal-length", "unequal-length"])
+    def test_positive_without_a_maskable_token_keeps_the_bits(self, cfg, neg):
+        pair = make_pair("qdm", ["qqq"], "U", neg)
+        assert self.equal_length(pair) == (neg == "D")
+        record, grads = self.assert_same_bits_as_two_graphs([pair], cfg, init_params(cfg, seed=9))
+        assert record["components"]["mlm"] == 0.0 and not np.any(grads["mlm_w"])
+        assert record["components"]["qdm"] > 0.0 and np.any(grads["cls_w2"])
+
+    def test_mlm_weight_zero_keeps_the_bits(self, cfg):
+        tcfg = dataclasses.replace(self.tcfg, task_weights={"mlm": 0.0})
+        record, grads = self.assert_same_bits_as_two_graphs(self.mixed_batch(), cfg, init_params(cfg, seed=10), tcfg)
+        # the MLM loss is still logged, and its head gets no gradient
+        assert record["components"]["mlm"] > 0.0
+        assert not np.any(grads["mlm_w"]) and not np.any(grads["mlm_b"])
+        assert np.any(grads["cls_w2"])
+
+    def test_batch_with_every_margin_satisfied_keeps_the_bits(self, cfg):
+        pairs = self.mixed_batch()
+        params = init_params(cfg, seed=11)
+        self.satisfy_every_margin(pairs, cfg, params)
+        record, grads = self.assert_same_bits_as_two_graphs(pairs, cfg, params)
+        assert all(record["components"][t] == 0.0 for t in pretrain.TASKS)
+        assert not any(np.any(grads[k]) for k in self.CLS_HEAD)
+        assert np.any(grads["mlm_w"])
+
+    def test_every_layer_runs_inside_the_graph_calls(self, cfg, graph_calls):
+        calls, stray = graph_calls
+        params = init_params(cfg, seed=6)
+        joint_step(self.mixed_batch(), params, cfg, self.vocab, self.lookup, self.tcfg, zero_grads(params), np.random.default_rng(3))
+        assert stray == []
+        assert set(calls) == {"_layer", "linear_backward", "layer_norm_backward", "gelu_backward", "softmax_backward"}
 
     def test_equal_length_pair_builds_one_stack(self, graph_shapes):
         pair = make_pair("rqp", ["t0", "t1"], "A", None, neg_query=["t5", "t6"])
         n = len(pack_pair(pair, self.vocab, self.lookup, 32)[0][0])
         params = init_params(self.CFG, seed=4)
         joint_step([pair], params, self.CFG, self.vocab, self.lookup, self.tcfg, zero_grads(params), np.random.default_rng(0))
-        assert graph_shapes == [(2, n), (n,)]
+        assert graph_shapes == [(3, n)]
 
-    def test_unequal_length_pair_builds_three_graphs(self, graph_shapes):
+    def test_unequal_length_pair_builds_a_positive_stack_and_a_negative(self, graph_shapes):
         pair = make_pair("qdm", ["t2"], "A", "B")
         pos, neg = pack_pair(pair, self.vocab, self.lookup, 32)
         params = init_params(self.CFG, seed=5)
         joint_step([pair], params, self.CFG, self.vocab, self.lookup, self.tcfg, zero_grads(params), np.random.default_rng(0))
-        assert graph_shapes == [pos[0].shape, neg[0].shape, pos[0].shape]
+        assert graph_shapes == [(2, len(pos[0])), neg[0].shape]
 
     def test_satisfied_margin_no_mlm_is_noop(self):
         # all-OOV tokens encode to [UNK] (special, never masked); the output
@@ -437,6 +532,18 @@ class TestJointStep:
 
         with pytest.raises(TrainError, match="unknown page"):
             joint_step([pair], params, self.CFG, self.vocab, lookup, self.tcfg, zero_grads(params), np.random.default_rng(0))
+
+
+def test_finetune_step_runs_every_layer_inside_the_graph_calls(corpus, graph_calls):
+    calls, stray = graph_calls
+    vocab = build_vocab(corpus, max_size=300)
+    enc = EncoderConfig(layers=2, heads=2, hidden=32, ffn_dim=64, vocab_size=len(vocab), max_len=48)
+    model = RankerModel(params=init_params(enc, seed=2), config=enc, vocab=vocab)
+    examples = [RankingExample(f"q{i}", "water stream", pid, int(pid == "river")) for i, pid in enumerate(["river", "mac", "fruit"])]
+    cfg = FinetuneConfig(lr=1e-3, epochs=1, batch_size=3, max_len=48, max_steps=1)
+    finetune(model, examples, collection_from_corpus(corpus), cfg)
+    assert stray == []
+    assert set(calls) == {"_layer", "linear_backward", "layer_norm_backward", "gelu_backward", "softmax_backward"}
 
 
 class TestTrainLoop:
