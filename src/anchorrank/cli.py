@@ -178,6 +178,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["workdir"] = args.workdir
     if cfg["seed"] is None:
         raise CommandError("a seed is mandatory: pass --seed or set it in the config file")
+    check_count("seed", cfg["seed"], 0)
     return cfg
 
 
@@ -389,6 +390,8 @@ def cmd_rerank(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
+    for i, k in enumerate(cfg["eval"]["ks"]):
+        check_count(f"eval.ks.{i}", k, 1)
     run = evalkit.read_run(input_path(cfg, "run"))
     qrels = evalkit.read_qrels(input_path(cfg, "eval_qrels"))
     report = evalkit.evaluate(run, qrels, ks=tuple(cfg["eval"]["ks"]))

@@ -6,13 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from anchorrank.encoder.params import FlatTree, Layout
+from anchorrank.encoder.params import FlatTree
 
 
 @dataclass
 class AdamState:
-    """The step count, and the parameters and both moments laid out alike:
-    each a FlatTree, views of one contiguous buffer in sorted-key order.
+    """The step count, and the parameters and both moments: FlatTrees that
+    share one layout, which zero_grads(params) lends its gradient tree.
     The two scratch rows hold a step's intermediates."""
 
     step: int
@@ -27,10 +27,11 @@ class AdamState:
         buffer: each value of the caller's dict is rebound, in place, to a
         view of a copy, and the arrays it held are not written.  A tree of
         mixed dtypes is a ValueError that leaves params alone."""
-        layout = Layout.of(params)
-        laid = FlatTree(layout, layout.gather(params))
+        laid = FlatTree(params)
+        for key, view in laid.items():
+            view[...] = params[key]
         params.update(laid)
-        return cls(0, laid, layout.zeros(), layout.zeros(), np.empty((2, layout.size), layout.dtype))
+        return cls(0, laid, FlatTree(laid), FlatTree(laid), np.empty((2, laid.flat.size), laid.flat.dtype))
 
 
 def adam_step(
@@ -47,20 +48,22 @@ def adam_step(
         m_t = b1 m + (1-b1) g        v_t = b2 v + (1-b2) g^2
         theta -= lr * (m_t / (1-b1^t)) / (sqrt(v_t / (1-b2^t)) + eps)
 
-    params must be the tree AdamState.zeros laid out; grads is zero_grads'
-    tree, or any dict of the same keys, shapes and dtype, which is copied
-    flat first.  A tree that does not fit is a ValueError naming its first
-    such tensor, raised before anything is written.
+    params must hold the views AdamState.zeros laid it out in, and grads
+    be a zero_grads tree of that layout, still holding its own views.
+    Anything else is a ValueError raised before anything is written; it
+    names the first tensor that does not fit the layout, if one does not.
 
     Each operation is elementwise, with the Python-float scalars of
     stepping one tensor at a time, in the same order: every element gets
     the bits that a walk over the keys gives it."""
     laid = state.params
     if not laid.holds_views(params):
-        laid.layout.check(params, "params")
+        laid.check(params, "params")
         raise ValueError("params does not hold the views AdamState.zeros laid it out in")
-    g = laid.layout.flatten(grads, "grads")
-    p, m, v = laid.flat, state.m.flat, state.v.flat
+    if not (isinstance(grads, FlatTree) and grads.layout == laid.layout and grads.holds_views(grads)):
+        laid.check(grads, "grads")
+        raise ValueError("grads is not a zero_grads tree of params' layout that holds its own views")
+    p, m, v, g = laid.flat, state.m.flat, state.v.flat, grads.flat
     s1, s2 = state.scratch
     b1, b2 = betas
     state.step += 1

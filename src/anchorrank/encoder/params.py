@@ -1,9 +1,7 @@
 from __future__ import annotations
 
 import itertools
-import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +66,7 @@ def init_params(config: EncoderConfig, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-# Each tensor of a Layout starts on an ALIGN-byte boundary of its buffer.
+# Each tensor of a FlatTree starts on an ALIGN-byte boundary of its buffer.
 # On a 2-core x86-64 host, OpenBLAS 0.3.31 (Haswell kernels, one thread)
 # took 117-126 us for an (8, 48, 64) @ (64, 256) product with the weight
 # 4-48 bytes past a 64-byte boundary and 79-82 us with it on one, for the
@@ -76,90 +74,55 @@ def init_params(config: EncoderConfig, seed: int) -> dict[str, np.ndarray]:
 ALIGN = 64
 
 
-@dataclass(frozen=True)
-class Layout:
-    """Where each tensor of a tree sits in one contiguous buffer: the
-    tree's keys in sorted order, each on an ALIGN-byte boundary, all of
-    one dtype, with zeros in the gaps between."""
-
-    keys: tuple[str, ...]
-    shapes: tuple[tuple[int, ...], ...]
-    slices: tuple[slice, ...]
-    dtype: np.dtype
-    size: int
-
-    @classmethod
-    def of(cls, tree: dict[str, np.ndarray]) -> "Layout":
-        """tree's layout.  A tree of mixed dtypes cannot share one buffer:
-        a ValueError naming the first tensor, in key order, whose dtype is
-        not the first one's."""
-        keys = tuple(sorted(tree))
-        dtype = tree[keys[0]].dtype if keys else np.dtype(PARAM_DTYPE)
-        for key in keys:
-            if tree[key].dtype != dtype:
-                raise ValueError(f"{key!r} is {tree[key].dtype} but {keys[0]!r} is {dtype}: a tree of mixed dtypes cannot share one buffer")
-        shapes = tuple(tree[key].shape for key in keys)
-        sizes = [math.prod(shape) for shape in shapes]
-        step = max(1, ALIGN // dtype.itemsize)
-        starts = [0, *itertools.accumulate(-(-n // step) * step for n in sizes)]
-        return cls(keys, shapes, tuple(slice(a, a + n) for a, n in zip(starts, sizes)), dtype, starts[-1])
-
-    def check(self, tree: dict[str, np.ndarray], name: str) -> None:
-        """A ValueError naming the first tensor, in key order, that tree
-        lacks, adds, or holds in another dtype or shape than the layout's."""
-        want = dict(zip(self.keys, self.shapes))
-        for key in sorted(want.keys() | tree.keys()):
-            got = f"{tree[key].dtype} {tree[key].shape}" if key in tree else "nothing"
-            expected = f"{self.dtype} {want[key]}" if key in want else "nothing"
-            if got != expected:
-                raise ValueError(f"{name}[{key!r}]: {got}, where the layout has {expected}")
-
-    def buffer(self) -> np.ndarray:
-        """A fresh zero buffer of the layout's size that starts on an
-        ALIGN-byte boundary."""
-        raw = np.zeros(self.size + ALIGN // self.dtype.itemsize, dtype=self.dtype)
-        start = (-raw.ctypes.data % ALIGN) // self.dtype.itemsize
-        return raw[start : start + self.size]
-
-    def gather(self, tree: dict[str, np.ndarray]) -> np.ndarray:
-        """A fresh buffer holding the arrays of tree, which fits the layout."""
-        flat = self.buffer()
-        for key, where in zip(self.keys, self.slices):
-            flat[where] = tree[key].reshape(-1)
-        return flat
-
-    def zeros(self) -> "FlatTree":
-        return FlatTree(self, self.buffer())
-
-    def flatten(self, tree: dict[str, np.ndarray], name: str) -> np.ndarray:
-        """tree's arrays as one flat array: the buffer of a FlatTree of this
-        layout that still holds its views, else a gathered copy of a tree
-        that passes check."""
-        if isinstance(tree, FlatTree) and tree.layout == self and tree.holds_views(tree):
-            return tree.flat
-        self.check(tree, name)
-        return self.gather(tree)
-
-
 class FlatTree(dict):
-    """A name -> array tree whose arrays are views, in `layout`'s order,
-    of one contiguous buffer `flat`: an elementwise operation over the
-    whole tree is one operation over `flat`."""
+    """A name -> array tree whose arrays are views of one contiguous buffer
+    `flat`: the keys in sorted order, each on an ALIGN-byte boundary, all of
+    one dtype, with zeros in the gaps between.  An elementwise operation
+    over the whole tree is one operation over `flat`.  `layout` is
+    (dtype, buffer size, the (key, shape, slice) of each tensor)."""
 
-    def __init__(self, layout: Layout, flat: np.ndarray) -> None:
-        super().__init__((key, flat[where].reshape(shape)) for key, where, shape in zip(layout.keys, layout.slices, layout.shapes))
-        self.layout = layout
-        self.flat = flat
+    def __init__(self, like: dict[str, np.ndarray]) -> None:
+        """A zero tree laid out like `like`: a FlatTree lends its own
+        layout, any other tree is laid out from its keys, shapes and dtype.
+        A tree of mixed dtypes cannot share one buffer: a ValueError naming
+        the first tensor, in key order, whose dtype is not the first one's."""
+        if isinstance(like, FlatTree):
+            self.layout = like.layout
+        else:
+            keys = sorted(like)
+            dtype = like[keys[0]].dtype if keys else np.dtype(PARAM_DTYPE)
+            for key in keys:
+                if like[key].dtype != dtype:
+                    raise ValueError(f"{key!r} is {like[key].dtype} but {keys[0]!r} is {dtype}: a tree of mixed dtypes cannot share one buffer")
+            step = max(1, ALIGN // dtype.itemsize)
+            starts = [0, *itertools.accumulate(-(-like[key].size // step) * step for key in keys)]
+            self.layout = (dtype, starts[-1], tuple((key, like[key].shape, slice(a, a + like[key].size)) for key, a in zip(keys, starts)))
+        dtype, size, tensors = self.layout
+        raw = np.zeros(size + ALIGN // dtype.itemsize, dtype=dtype)
+        start = (-raw.ctypes.data % ALIGN) // dtype.itemsize
+        self.flat = raw[start : start + size]
+        super().__init__((key, self.flat[where].reshape(shape)) for key, shape, where in tensors)
+        self._keys = tuple(self)
         self._views = tuple(self.values())
 
     def holds_views(self, tree: dict[str, np.ndarray]) -> bool:
         """Whether tree holds this tree's views and nothing else, so that
         writing `flat` writes every array of tree."""
-        return len(tree) == len(self._views) and all(map(operator.is_, map(tree.get, self.layout.keys), self._views))
+        return len(tree) == len(self._views) and all(map(operator.is_, map(tree.get, self._keys), self._views))
+
+    def check(self, tree: dict[str, np.ndarray], name: str) -> None:
+        """A ValueError naming the first tensor, in key order, that tree
+        lacks, adds, or holds in another dtype or shape than the layout's."""
+        dtype, _, tensors = self.layout
+        want = {key: f"{dtype} {shape}" for key, shape, _ in tensors}
+        for key in sorted(want.keys() | tree.keys()):
+            got = f"{tree[key].dtype} {tree[key].shape}" if key in tree else "nothing"
+            if got != want.get(key, "nothing"):
+                raise ValueError(f"{name}[{key!r}]: {got}, where the layout has {want.get(key, 'nothing')}")
 
 
 def zero_grads(params: dict[str, np.ndarray]) -> FlatTree:
     """A zero gradient tree in params' layout, in one fresh buffer: a
-    FlatTree lends its layout, any other tree is laid out by Layout.of."""
-    layout = params.layout if isinstance(params, FlatTree) else Layout.of(params)
-    return layout.zeros()
+    FlatTree lends its layout, any other tree is laid out afresh.  The one
+    gradient form adam_step takes."""
+    return FlatTree(params)

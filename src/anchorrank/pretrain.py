@@ -334,9 +334,10 @@ def run_steps(
     AdamState.zeros moves params into one flat buffer: each value of the
     dict is rebound to a view of a copy, and the arrays it held are not
     written.  Per step of batch_schedule, body(indices, grads) accumulates
-    the batch gradient into zero grads of that layout and returns a record
-    with its "total" loss; a non-finite total is a TrainError, else one
-    Adam step at config.lr, ramped linearly over the first `warmup`
+    the batch gradient into zero_grads(adam.params), a fresh FlatTree of
+    that layout and the one gradient form adam_step takes, and returns a
+    record with its "total" loss; a non-finite total is a TrainError, else
+    one Adam step at config.lr, ramped linearly over the first `warmup`
     portion of the steps.  Every log_every-th step and step max_steps log
     one line on `logger` and keep {"step", "epoch", **record}.  Returns
     (kept records, last step run); the Adam state starts at zero and is

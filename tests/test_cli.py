@@ -406,7 +406,15 @@ class TestEvalCommand:
     def test_cutoff_below_one_is_one_error(self, tmp_path, capsys):
         assert main(["eval", "--config", self.config(tmp_path, eval={"ks": [-1]})]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-        assert errors == ["error: k must be >= 1, got -1"]
+        assert errors == ["error: eval.ks.0 must be an integer >= 1, got -1"]
+        assert not (tmp_path / "m.json").exists()
+
+    def test_cutoff_below_one_is_refused_before_reading_the_run(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, eval={"ks": [10, 0]})
+        (tmp_path / "r.run").unlink()
+        assert main(["eval", "--config", cfg]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: eval.ks.1 must be an integer >= 1, got 0"]
         assert not (tmp_path / "m.json").exists()
 
     def test_empty_cutoff_list_is_one_error(self, tmp_path, capsys):
@@ -419,6 +427,20 @@ class TestEvalCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"workdir": str(tmp_path)}))
         assert main(["synth", "--config", cfg.as_posix()]) == 2
+
+    def test_negative_seed_flag_is_one_error_before_any_write(self, tmp_path, capsys):
+        assert main(["synth", "--seed", "-1", "--workdir", str(tmp_path / "w")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: seed must be an integer >= 0, got -1"]
+        assert not (tmp_path / "w").exists()
+
+    def test_negative_seed_in_config_file_is_one_error_before_any_write(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -3, "workdir": str(tmp_path / "w")}))
+        assert main(["synth", "--config", cfg.as_posix()]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: seed must be an integer >= 0, got -3"]
+        assert not (tmp_path / "w").exists()
 
     def test_unknown_profile_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

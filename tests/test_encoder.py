@@ -1007,8 +1007,9 @@ class TestAdam:
 
     def test_first_step_closed_form(self):
         p = {"w": np.array([1.0, -2.0, 3.0])}
-        g = {"w": np.array([0.5, -0.25, 0.0])}
         state = AdamState.zeros(p)
+        g = zero_grads(state.params)
+        g["w"][...] = [0.5, -0.25, 0.0]
         lr, eps = 1e-3, 1e-8
         adam_step(p, g, state, lr=lr, eps=eps)
         expected = np.array([1.0, -2.0, 3.0]) - lr * g["w"] / (np.abs(g["w"]) + eps)
@@ -1041,9 +1042,10 @@ class TestAdam:
         assert_one_buffer(p)
         flat = state.params.flat
         gaps = np.ones(flat.size, dtype=bool)
-        for k, where in zip(state.params.layout.keys, state.params.layout.slices):
-            assert p[k].ctypes.data == flat[where].ctypes.data
-            gaps[where] = False
+        for k in p:
+            assert p[k] is state.params[k] and np.shares_memory(p[k], flat)
+            start = (p[k].ctypes.data - flat.ctypes.data) // flat.itemsize
+            gaps[start : start + p[k].size] = False
         assert gaps.any() and not flat[gaps].any()
         for k in params:
             assert p[k] is not params[k]
@@ -1064,7 +1066,8 @@ class TestAdam:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_flat_step_is_the_per_key_step_bit_for_bit(self, params, dtype):
         # six steps with the learning rate ramped over the first three; odd
-        # steps pass a plain dict of the same gradients, which is gathered
+        # steps pass the same gradients copied into zero_grads of the
+        # state's own tree, even steps zero_grads of the caller's dict
         p, want = as_dtype(params, dtype), as_dtype(params, dtype)
         state, ref = AdamState.zeros(p), ReferenceAdamState.zeros(want)
         rng = np.random.default_rng(11)
@@ -1072,7 +1075,9 @@ class TestAdam:
             grads = self.noisy_grads(p, rng)
             assert np.any((grads.flat == 0.0) & np.signbit(grads.flat))
             lr = 1e-3 * min(1.0, step / 3)
-            adam_step(p, grads if step % 2 == 0 else {k: g.copy() for k, g in grads.items()}, state, lr=lr)
+            given = grads if step % 2 == 0 else zero_grads(state.params)
+            given.flat[...] = grads.flat
+            adam_step(p, given, state, lr=lr)
             reference_adam_step(want, grads, ref, lr=lr)
         assert state.step == ref.step == 6
         for name, got, exp in (("params", p, want), ("m", state.m, ref.m), ("v", state.v, ref.v)):
@@ -1147,6 +1152,37 @@ class TestAdam:
         with pytest.raises(ValueError, match="does not hold the views"):
             adam_step(p, zero_grads(state.params), state, lr=1e-3)
         self.assert_nothing_written(p, state, before)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda p, g: {k: a.copy() for k, a in g.items()}, "^grads is not a zero_grads tree"),
+            (lambda p, g: dict(g), "^grads is not a zero_grads tree"),
+            (lambda p, g: g.update(cls_b2=g["cls_b2"].copy()) or g, "^grads is not a zero_grads tree"),
+            (lambda p, g: zero_grads(as_dtype(p, np.float64)), r"^grads\['cls_b1'\]: float64 \(32,\), where the layout has float32 \(32,\)$"),
+            (lambda p, g: zero_grads({k: a for k, a in p.items() if k != "mlm_b"}), r"^grads\['mlm_b'\]: nothing, where the layout has float32 \(40,\)$"),
+        ],
+        ids=["plain_dict", "dict_of_the_views", "rebound_view", "other_dtype", "other_keys"],
+    )
+    def test_grads_not_zero_grads_of_the_layout_are_refused_before_any_write(self, params, make, message):
+        # a tree of the right keys, shapes and dtype is still refused unless
+        # it is zero_grads' own, whose buffer the step reads
+        p, state = self.stepped_once(params)
+        grads = make(p, self.noisy_grads(p, np.random.default_rng(6)))
+        before = self.snapshot(p, state)
+        with pytest.raises(ValueError, match=message):
+            adam_step(p, grads, state, lr=1e-3)
+        self.assert_nothing_written(p, state, before)
+
+    def test_zero_grads_of_the_state_shares_its_layout(self, params):
+        p = dict(params)
+        state = AdamState.zeros(p)
+        grads = zero_grads(state.params)
+        assert grads.layout is state.params.layout is state.m.layout is state.v.layout
+        assert not np.shares_memory(grads.flat, state.params.flat) and not grads.flat.any()
+        assert_one_buffer(grads)
+        # zero_grads of the caller's dict lays it out afresh, alike
+        assert zero_grads(p).layout == state.params.layout
 
     def test_backward_into_the_flat_layout(self, params):
         # tok_emb's gradient is scattered through its flat view (_add_rows),
