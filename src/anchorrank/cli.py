@@ -390,6 +390,8 @@ def cmd_rerank(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
+    if not cfg["eval"]["ks"]:
+        raise CommandError("eval.ks must name at least one cutoff")
     for i, k in enumerate(cfg["eval"]["ks"]):
         check_count(f"eval.ks.{i}", k, 1)
     run = evalkit.read_run(input_path(cfg, "run"))

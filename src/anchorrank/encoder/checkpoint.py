@@ -73,17 +73,24 @@ def _read_tensor(f) -> tuple[str, np.ndarray]:
         raise CheckpointError(f"tensor {name!r} has unusable shape {shape}") from None
 
 
+def _check_finite(path, name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"{path}: tensor {name!r} holds NaN or infinite values")
+
+
 def save_checkpoint(
     path: str | Path,
     params: dict[str, np.ndarray],
     config: EncoderConfig,
     extra: dict | None = None,
 ) -> None:
-    """Write params, each a PARAM_DTYPE tensor stored as it is.  Another dtype
-    is a CheckpointError before the file is opened: no value is rounded."""
+    """Write params, each a PARAM_DTYPE tensor stored as it is.  Another dtype,
+    or a NaN or infinite value, is a CheckpointError before the file is
+    opened: no value is rounded, and no stage reads a diverged model."""
     for name, arr in params.items():
         if arr.dtype != PARAM_DTYPE:
             raise CheckpointError(f"tensor {name!r} is {arr.dtype}, not {np.dtype(PARAM_DTYPE)}")
+        _check_finite(path, name, arr)
     header = {
         "version": VERSION,
         "config": config.to_dict(),
@@ -128,7 +135,8 @@ def _read_header(f) -> tuple[dict, EncoderConfig]:
 
 def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = None) -> Checkpoint:
     """Read a checkpoint; validates magic, header, version, and parameter
-    shapes.  Every unreadable or malformed file is a CheckpointError that
+    shapes and values.  Every unreadable or malformed file, and every
+    parameter that holds a NaN or infinite value, is a CheckpointError that
     names it.
 
     If expected_config is given, every differing field is an error (this is
@@ -161,6 +169,7 @@ def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = No
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
             )
+        _check_finite(path, name, tensors[name])
         params[name] = tensors[name]
 
     return Checkpoint(params=params, config=config, extra=header.get("extra", {}))

@@ -6,7 +6,8 @@ repeated terms, softmax-normalize over the allowed support, then draw a
 without-replacement word set whose length comes from a zero-truncated
 Poisson.  Attention always comes from the encoder's last layer.  The rows
 are memoised per sampler, so a sequence that several query units share is
-encoded once.
+encoded once, and `prime` encodes the sequences of many units ahead of
+their lookups in stacks of equal length.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from anchorrank.corpus import CLS_TOKEN, SEP_TOKEN, SPECIAL_TOKENS, AnchorSpan, Sentence, Vocabulary, numbered_lines
-from anchorrank.encoder import EncoderConfig, EncoderGraph
+from anchorrank.encoder import EncoderConfig, EncoderGraph, stack_runs
 
 
 class SamplerError(ValueError):
@@ -57,7 +58,11 @@ class TermDistribution:
     def __post_init__(self) -> None:
         if len(self.terms) != len(self.probs):
             raise ValueError("terms and probs must align")
-        if abs(float(np.sum(self.probs)) - 1.0) > 1e-9:
+        total = float(np.sum(self.probs))
+        # NaN fails every comparison, so the sum test alone would pass it
+        if len(self.probs) and not (np.min(self.probs) >= 0.0 and np.isfinite(total)):
+            raise ValueError("probabilities must be finite and non-negative")
+        if abs(total - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
 
     def prob_of(self, term: str) -> float:
@@ -145,9 +150,10 @@ class AttentionSampler:
 
     Sampling-time attention always comes from the encoder's last layer.
     Each head-averaged attention row is memoised by (sequence tokens, query
-    positions); `lookups` counts builder calls and `forwards` the encoder
-    forwards run to fill the memo.  Tests substitute attention by
-    overriding _sequence_attention.
+    positions); `lookups` counts builder calls and `forwards` the sequences
+    the encoder ran to fill the memo, whether `prime` stacked them or a
+    lookup missed.  Tests substitute attention by overriding
+    _stack_attention, which both paths call.
     """
 
     def __init__(
@@ -165,50 +171,81 @@ class AttentionSampler:
         self.forwards = 0
         self._rows: dict[tuple, np.ndarray] = {}
 
-    def _sequence_attention(self, seq_tokens: list[str]) -> np.ndarray:
-        """Encode the sequence _lookup_rows built and return the per-head
-        attention maps of the last layer, shape (heads, n, n)."""
-        ids = self.vocab.encode(seq_tokens)
+    def _stack_attention(self, sequences: list[tuple[str, ...]]) -> np.ndarray:
+        """The per-head attention maps of the last layer of equal-length
+        sequences (as _sequence builds them), shape (B, heads, n, n), from
+        one stacked graph.  Each member's maps are bitwise the ones a graph
+        of that sequence alone gives."""
+        ids = [self.vocab.encode(seq) for seq in sequences]
         return EncoderGraph(self.params, self.config, ids).attention[-1]
 
-    def _lookup_rows(self, tokens, wanted, fill=()) -> tuple[list[str], list[np.ndarray]]:
+    def _sequence(self, tokens) -> tuple[str, ...]:
+        """[CLS] + tokens + [SEP], with tokens cut to fit max_len."""
+        return (CLS_TOKEN, *tokens[: self.config.max_len - 2], SEP_TOKEN)
+
+    def _row_keys(self, seq, position_lists) -> list[tuple]:
+        """The memo key of each non-empty, in-range position list of seq."""
+        return [
+            (seq, tuple(sorted(set(positions))))
+            for positions in position_lists
+            if positions and all(0 <= p < len(seq) for p in positions)
+        ]
+
+    def _keep_rows(self, maps, keys) -> None:
+        """Memoise each row of keys the memo lacks from its sequence's
+        (heads, n, n) maps."""
+        for key in keys:
+            if key not in self._rows:
+                self._rows[key] = maps[:, list(key[1]), :].mean(axis=(0, 1))
+
+    def prime(self, units) -> None:
+        """Memoise the rows of (tokens, position lists) units ahead of their
+        lookups.  The sequences that lack the row of an in-range list are
+        sorted by length and cut by encoder.stack_runs, one graph per
+        stack, which dies before the next is built; every later lookup of
+        those rows hits.  A list that is empty or out of range is left to
+        its lookup, which refuses it."""
+        pending: dict[tuple, list] = {}
+        for tokens, position_lists in units:
+            seq = self._sequence(tokens)
+            keys = [k for k in self._row_keys(seq, position_lists) if k not in self._rows]
+            if keys:
+                pending.setdefault(seq, []).extend(keys)
+        order = sorted(pending, key=len)
+        for start, stop in stack_runs([len(seq) for seq in order]):
+            stack = order[start:stop]
+            for seq, maps in zip(stack, self._stack_attention(stack)):
+                self._keep_rows(maps, pending[seq])
+            self.forwards += len(stack)
+
+    def _lookup_rows(self, tokens, wanted, fill=()) -> tuple[tuple[str, ...], list[np.ndarray]]:
         """(sequence tokens, the head-averaged attention row of each position
-        list in `wanted`); the sequence is [CLS] + tokens + [SEP], with
-        tokens cut to fit max_len.
+        list in `wanted`); the sequence is _sequence(tokens).
 
         A row averages the maps over heads and over the sorted distinct
         positions of its list.  A miss runs one forward and memoises the
         rows of `wanted` and of the in-range position lists in `fill` (a
         sentence's other anchors), so that later lookups on the same
-        sequence hit; a lookup for positions that no earlier miss filled
-        encodes the sequence again.
+        sequence hit; a lookup for positions that neither `prime` nor an
+        earlier miss filled encodes the sequence again.
         Only rows are kept, never the (heads, n, n) maps.  The builders
         hand out new objects made from the rows (a TermDistribution, a list
         of floats), so no caller can write into the memo.
         """
         self.lookups += 1
-        seq_tokens = [CLS_TOKEN, *tokens[: self.config.max_len - 2], SEP_TOKEN]
-        n = len(seq_tokens)
+        seq = self._sequence(tokens)
         for positions in wanted:
             if not positions:
                 raise SamplerError("empty query position list")
             for pos in positions:
-                if not 0 <= pos < n:
+                if not 0 <= pos < len(seq):
                     raise SamplerError(f"query position {pos} truncated out of the sequence")
-        seq = tuple(seq_tokens)
-
-        def key(positions):
-            return seq, tuple(sorted(set(positions)))
-
-        keys = [key(positions) for positions in wanted]
+        keys = self._row_keys(seq, wanted)
         if any(k not in self._rows for k in keys):
-            maps = self._sequence_attention(seq_tokens)
+            (maps,) = self._stack_attention([seq])
             self.forwards += 1
-            in_range = [positions for positions in fill if all(0 <= p < n for p in positions)]
-            for k in map(key, [*wanted, *in_range]):
-                if k not in self._rows:
-                    self._rows[k] = maps[:, list(k[1]), :].mean(axis=(0, 1))
-        return seq_tokens, [self._rows[k] for k in keys]
+            self._keep_rows(maps, keys + self._row_keys(seq, fill))
+        return seq, [self._rows[k] for k in keys]
 
     def _distribution(self, tokens, query_positions, exclusions, fill=()) -> TermDistribution:
         seq_tokens, (alpha,) = self._lookup_rows(tokens, [query_positions], fill)
@@ -223,9 +260,9 @@ class AttentionSampler:
             raise SamplerError("anchor token range outside sentence")
         return self._distribution(
             list(sentence.tokens),
-            _anchor_positions(anchor),
+            anchor_positions(anchor),
             set(anchor.surface_tokens()),
-            fill=[_anchor_positions(a) for a in sentence.anchors],
+            fill=[anchor_positions(a) for a in sentence.anchors],
         )
 
     def cls_term_distribution(self, page_tokens, excluded_anchor_terms=()) -> TermDistribution:
@@ -236,11 +273,11 @@ class AttentionSampler:
     def anchor_cls_attention(self, sentence: Sentence) -> list[float]:
         """Per-anchor importance: head-averaged attention from the anchor's
         positions to the [CLS] position, one value per sentence anchor."""
-        positions = [_anchor_positions(a) for a in sentence.anchors]
+        positions = [anchor_positions(a) for a in sentence.anchors]
         _, rows = self._lookup_rows(list(sentence.tokens), positions)
         return [float(row[0]) for row in rows]
 
 
-def _anchor_positions(anchor: AnchorSpan) -> list[int]:
+def anchor_positions(anchor: AnchorSpan) -> list[int]:
     """The anchor's token positions in [CLS] + sentence + [SEP]."""
     return [p + 1 for p in range(anchor.token_start, anchor.token_end)]

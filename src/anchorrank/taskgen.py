@@ -26,7 +26,7 @@ from anchorrank.corpus import (
     numbered_lines,
     page_summary,
 )
-from anchorrank.sampler import AttentionSampler, SamplerError, poisson_length, sample_word_set
+from anchorrank.sampler import AttentionSampler, SamplerError, anchor_positions, poisson_length, sample_word_set
 
 log = logging.getLogger(__name__)
 
@@ -364,8 +364,27 @@ class PairGenerator:
             if pair is not None:
                 yield pair
 
+    def _prime_sampler(self) -> None:
+        """Encode, in stacks, the sequences the builders look up: each
+        sentence with a usable anchor, with the positions of all its anchors,
+        and each non-empty summary of a usable anchor's target, with [CLS].
+        Under a cap or a pair budget, this encodes sequences that the
+        stopped walk would not have looked up."""
+        units, targets = [], {}
+        for s in self.corpus.iter_sentences():
+            usable = [a.target_id for a in s.anchors if _usable_anchor(a, s, self.corpus)]
+            if usable:
+                units.append((s.tokens, [anchor_positions(a) for a in s.anchors]))
+                targets.update(dict.fromkeys(usable))
+        for target in targets:
+            summary = page_summary(self.corpus.pages[target], self.config.summary_max_tokens)
+            if summary:
+                units.append((summary, [[0]]))
+        self.sampler.prime(units)
+
     def generate(self) -> list[PretrainPair]:
         cfg = self.config
+        self._prime_sampler()
         sentences = self.corpus.iter_sentences
         index = anchor_occurrence_index(self.corpus)
         options = {"lam": cfg.lam, "summary_max_tokens": cfg.summary_max_tokens}

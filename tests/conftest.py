@@ -96,7 +96,10 @@ class TableAttentionSampler(AttentionSampler):
         self.row_toward_cls = dict(row_toward_cls or {})
         self.default = default
 
-    def _sequence_attention(self, seq):
+    def _stack_attention(self, sequences):
+        return [self._maps(seq) for seq in sequences]
+
+    def _maps(self, seq):
         n = len(seq)
         # rows are intentionally not normalized: tests drive the merged
         # weights directly

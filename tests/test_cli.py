@@ -420,7 +420,15 @@ class TestEvalCommand:
     def test_empty_cutoff_list_is_one_error(self, tmp_path, capsys):
         assert main(["eval", "--config", self.config(tmp_path, eval={"ks": []})]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-        assert errors == ["error: ks must name at least one cutoff"]
+        assert errors == ["error: eval.ks must name at least one cutoff"]
+        assert not (tmp_path / "m.json").exists()
+
+    def test_empty_cutoff_list_is_refused_before_reading_the_run(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, eval={"ks": []})
+        (tmp_path / "r.run").unlink()
+        assert main(["eval", "--config", cfg]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: eval.ks must name at least one cutoff"]
         assert not (tmp_path / "m.json").exists()
 
     def test_seed_mandatory(self, tmp_path):

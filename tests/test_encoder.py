@@ -1310,6 +1310,34 @@ class TestCheckpoint:
             save_checkpoint(path, wide, CFG)
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_tensor_refused_on_save_naming_file_and_tensor(self, params, tmp_path, bad):
+        path = tmp_path / "model.ckpt"
+        broken = {**params, "layer0.wq": params["layer0.wq"].copy()}
+        broken["layer0.wq"][3, 1] = bad
+        with pytest.raises(CheckpointError, match="'layer0.wq' holds NaN or infinite values") as info:
+            save_checkpoint(path, broken, CFG)
+        assert str(path) in str(info.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_tensor_refused_on_load_naming_file_and_tensor(self, params, tmp_path, capsys, bad):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, CFG, extra={"vocab": ["t"] * CFG.vocab_size})
+        raw = bytearray(path.read_bytes())
+        name = b"layer0.wq"
+        payload = raw.index(struct.pack("<H", len(name)) + name) + 2 + len(name) + 1 + 8 * 2
+        raw[payload + 4 : payload + 8] = np.float32(bad).astype("<f4").tobytes()
+        path.write_bytes(bytes(raw))
+
+        with pytest.raises(CheckpointError, match="'layer0.wq' holds NaN or infinite values") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+        capsys.readouterr()
+        assert main(["rerank", "--seed", "1", "--workdir", str(tmp_path), "--init", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(path) in errors[0] and "layer0.wq" in errors[0]
+
     def test_version_one_float64_file_refused_naming_it(self, params, tmp_path, capsys):
         # the layout before float32 payloads: version 1, every value widened
         # to <f8.  It is refused, not converted; rerunning the stage that

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from anchorrank.corpus import CLS_TOKEN, SEP_TOKEN, AnchorSpan, Sentence, Vocabulary, tokenize
-from anchorrank.encoder import EncoderConfig
+from anchorrank.encoder import EncoderConfig, stack_runs
 from anchorrank.sampler import (
     AttentionSampler,
     SamplerError,
     TermDistribution,
+    anchor_positions,
     default_stopwords,
     load_stopwords,
     merge_position_weights,
@@ -58,10 +59,9 @@ class FakeAttentionSampler(AttentionSampler):
         self.weights = dict(weights or {})
         self.default = default
 
-    def _sequence_attention(self, seq):
-        row = np.array([self.weights.get(t, self.default) for t in seq], dtype=float)
-        row = row / row.sum()
-        return np.tile(row, (1, len(seq), 1))
+    def _stack_attention(self, sequences):
+        rows = [np.array([self.weights.get(t, self.default) for t in seq], dtype=float) for seq in sequences]
+        return [np.tile(row / row.sum(), (1, len(row), 1)) for row in rows]
 
 
 class TestMerge:
@@ -204,6 +204,15 @@ class TestAttentionSampler:
         dist = sampler.cls_term_distribution(["one", "two", "three", "four", "five", "six"], ())
         assert abs(float(dist.probs.sum()) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.5, np.nan, 0.5], [1.0, np.inf, 0.0], [1.5, -0.5, 0.0], [1.0, 0.0, -np.inf]],
+        ids=["nan", "inf", "negative", "-inf"],
+    )
+    def test_non_finite_or_negative_probabilities_refused(self, probs):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            TermDistribution(terms=["a", "b", "c"], probs=np.array(probs))
+
     def test_first_draw_frequencies_match_probs(self):
         probs = {"a": 0.5, "b": 0.3, "c": 0.15, "d": 0.05}
         dist = TermDistribution(terms=list(probs), probs=np.array(list(probs.values())))
@@ -247,12 +256,12 @@ class TestRealEncoderPath:
             sampler.anchor_term_distribution(sent, sent.anchors[0])
 
 
-def small_encoder(vocab, max_len=24):
+def small_encoder(vocab, max_len=24, layers=2, dtype=np.float64):
     from anchorrank.encoder import EncoderConfig, init_params
 
-    cfg = EncoderConfig(layers=2, heads=2, hidden=16, ffn_dim=32, vocab_size=len(vocab), max_len=max_len)
+    cfg = EncoderConfig(layers=layers, heads=2, hidden=16, ffn_dim=32, vocab_size=len(vocab), max_len=max_len)
     rng = np.random.default_rng(0)
-    return {k: v + rng.normal(0.0, 0.5, v.shape) for k, v in init_params(cfg, seed=0).items()}, cfg
+    return {k: (v + rng.normal(0.0, 0.5, v.shape)).astype(dtype) for k, v in init_params(cfg, seed=0).items()}, cfg
 
 
 def reference_rows(params, cfg, vocab, tokens, position_lists):
@@ -269,18 +278,20 @@ def reference_rows(params, cfg, vocab, tokens, position_lists):
 class TestAttentionMemo:
     @pytest.fixture()
     def forwarded(self, monkeypatch):
-        """Token ids of every EncoderGraph the sampler builds."""
+        """Every EncoderGraph the sampler builds, as the token ids of each
+        of its members."""
         import anchorrank.sampler as sampler_module
 
-        calls = []
+        graphs = []
 
         class CountingGraph(sampler_module.EncoderGraph):
             def __init__(self, params, config, token_ids, *args, **kwargs):
-                calls.append(tuple(token_ids))
+                ids = np.asarray(token_ids)
+                graphs.append([tuple(row) for row in ids.reshape(-1, ids.shape[-1])])
                 super().__init__(params, config, token_ids, *args, **kwargs)
 
         monkeypatch.setattr(sampler_module, "EncoderGraph", CountingGraph)
-        return calls
+        return graphs
 
     @pytest.fixture()
     def setup(self, corpus):
@@ -316,10 +327,10 @@ class TestAttentionMemo:
         sequences |= {tuple(s.tokens) for page in corpus.iter_pages() for s in page.sentences if s.anchors}
         assert sampler.forwards == len(sequences) < sampler.lookups
 
-    def test_one_forward_per_distinct_sequence(self, setup, forwarded):
-        from anchorrank.taskgen import PairGenerator, TaskGenConfig
-
-        corpus, vocab, params, cfg = setup
+    @staticmethod
+    def recording_sampler(params, cfg, vocab):
+        """A sampler whose three builders record the token ids of the
+        sequence each one looks up, in call order."""
         looked_up = []
         sampler = AttentionSampler(params, cfg, vocab, stopwords=default_stopwords())
         for name, tokens_of in [
@@ -335,30 +346,122 @@ class TestAttentionMemo:
                 return method(*args, **kwargs)
 
             setattr(sampler, name, recorded)
-        pairs = PairGenerator(corpus, sampler, TaskGenConfig(lam=2.0, summary_max_tokens=32, seed=1)).generate()
-        assert pairs
-        assert len(looked_up) == sampler.lookups > len(set(looked_up))
-        assert len(forwarded) == sampler.forwards == len(set(looked_up))
-        assert set(forwarded) == set(looked_up)
+        return sampler, looked_up
 
-    def test_generate_builds_one_graph_per_sampler_forward(self, setup, monkeypatch):
-        # every forward generate() runs is an EncoderGraph the sampler counts
+    # summaries of 9 tokens make the fixture's three summaries as long as
+    # its first anchored sentence but not its second, so generate() stacks
+    # four sequences that only a sort by length brings together
+    GENERATE = {"lam": 2.0, "summary_max_tokens": 9, "seed": 1}
+
+    def test_one_forward_per_distinct_sequence(self, setup, forwarded):
+        from anchorrank.taskgen import PairGenerator, TaskGenConfig
+
+        corpus, vocab, params, cfg = setup
+        sampler, looked_up = self.recording_sampler(params, cfg, vocab)
+        assert PairGenerator(corpus, sampler, TaskGenConfig(**self.GENERATE)).generate()
+        encoded = [member for graph in forwarded for member in graph]
+        assert len(looked_up) == sampler.lookups > len(set(looked_up))
+        # each sequence looked up is encoded once, and none other
+        assert len(encoded) == sampler.forwards == len(set(looked_up))
+        assert set(encoded) == set(looked_up)
+
+    def test_generate_builds_one_graph_per_stack(self, setup, monkeypatch):
+        # every graph generate() builds is a stack of the sampler's, cut by
+        # stack_runs over the distinct sequences sorted by length
         from anchorrank.encoder import EncoderGraph
         from anchorrank.taskgen import PairGenerator, TaskGenConfig
 
         corpus, vocab, params, cfg = setup
-        built = 0
+        shapes = []
         init = EncoderGraph.__init__
 
-        def counting(graph, *args, **kwargs):
-            nonlocal built
-            built += 1
-            init(graph, *args, **kwargs)
+        def counting(graph, params, config, token_ids, *args, **kwargs):
+            shapes.append(np.shape(token_ids))
+            init(graph, params, config, token_ids, *args, **kwargs)
 
         monkeypatch.setattr(EncoderGraph, "__init__", counting)
-        sampler = AttentionSampler(params, cfg, vocab, stopwords=default_stopwords())
-        assert PairGenerator(corpus, sampler, TaskGenConfig(lam=2.0, summary_max_tokens=32, seed=1)).generate()
-        assert built == sampler.forwards > 0
+        sampler, looked_up = self.recording_sampler(params, cfg, vocab)
+        assert PairGenerator(corpus, sampler, TaskGenConfig(**self.GENERATE)).generate()
+        lengths = sorted(len(seq) for seq in set(looked_up))
+        assert shapes == [(stop - start, lengths[start]) for start, stop in stack_runs(lengths)]
+        assert len(shapes) < sampler.forwards == len(lengths)
+
+    def prime_units(self, corpus, summary_tokens):
+        """Every sentence with anchors, with all their positions, and every
+        page summary, with [CLS]: the units generate() primes and more."""
+        from anchorrank.corpus import page_summary
+
+        units = [(page_summary(page, summary_tokens), [[0]]) for page in corpus.iter_pages()]
+        units += [
+            (list(s.tokens), [anchor_positions(a) for a in s.anchors])
+            for page in corpus.iter_pages()
+            for s in page.sentences
+            if s.anchors
+        ]
+        return units
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_primed_rows_are_the_single_graph_rows(self, corpus, layers, dtype):
+        from anchorrank.corpus import build_vocab, page_summary
+
+        vocab = build_vocab(corpus, max_size=200)
+        params, cfg = small_encoder(vocab, layers=layers, dtype=dtype)
+        sampler = AttentionSampler(params, cfg, vocab, stopwords=frozenset())
+        units = self.prime_units(corpus, 10)
+        sampler.prime(units)
+        primed = sampler.forwards
+        assert primed == len({tuple(tokens) for tokens, _ in units}) and sampler.lookups == 0
+        for page in corpus.iter_pages():
+            summary = page_summary(page, 10)
+            seq, (row,) = reference_rows(params, cfg, vocab, summary, [[0]])
+            expected = normalize(merge_position_weights(row, seq), {"apple"})
+            dist = sampler.cls_term_distribution(summary, {"apple"})
+            assert dist.terms == expected.terms and dist.probs.tobytes() == expected.probs.tobytes()
+            for sent in page.sentences:
+                if not sent.anchors:
+                    continue
+                positions = [anchor_positions(a) for a in sent.anchors]
+                seq, rows = reference_rows(params, cfg, vocab, list(sent.tokens), positions)
+                for anchor, row in zip(sent.anchors, rows):
+                    expected = normalize(merge_position_weights(row, seq), set(anchor.surface_tokens()))
+                    dist = sampler.anchor_term_distribution(sent, anchor)
+                    assert dist.terms == expected.terms and dist.probs.tobytes() == expected.probs.tobytes()
+                gammas = sampler.anchor_cls_attention(sent)
+                assert np.array(gammas).tobytes() == np.array([float(row[0]) for row in rows]).tobytes()
+        assert sampler.forwards == primed  # every lookup hit
+
+    def test_prime_skips_what_the_memo_holds(self, setup, forwarded):
+        corpus, vocab, params, cfg = setup
+        sampler = AttentionSampler(params, cfg, vocab, stopwords=frozenset())
+        units = self.prime_units(corpus, 10)
+        sampler.prime(units)
+        graphs, forwards = len(forwarded), sampler.forwards
+        sampler.prime(units)
+        assert len(forwarded) == graphs and sampler.forwards == forwards
+
+    def test_a_miss_after_prime_still_encodes_lazily(self, setup, forwarded):
+        corpus, vocab, params, cfg = setup
+        sampler = AttentionSampler(params, cfg, vocab, stopwords=frozenset())
+        sent = next(s for p in corpus.iter_pages() for s in p.sentences if len(s.anchors) > 1)
+        sampler.prime([(list(sent.tokens), [anchor_positions(a) for a in sent.anchors])])
+        assert len(forwarded) == sampler.forwards == 1
+        sampler.anchor_term_distribution(sent, sent.anchors[1])
+        assert len(forwarded) == sampler.forwards == 1
+        # the sentence's [CLS] row was not primed: its lookup encodes again,
+        # as one sequence, to the single graph's bits
+        tokens = list(sent.tokens)
+        dist = sampler.cls_term_distribution(tokens)
+        seq, (row,) = reference_rows(params, cfg, vocab, tokens, [[0]])
+        expected = normalize(merge_position_weights(row, seq))
+        assert dist.terms == expected.terms and dist.probs.tobytes() == expected.probs.tobytes()
+        assert sampler.forwards == 2 and forwarded[-1] == [tuple(vocab.encode(seq))]
+        # a position list that is empty or out of range is left to its lookup
+        sampler.prime([(["laptop"], [[], [5]])])
+        assert sampler.forwards == 2
+        with pytest.raises(SamplerError, match="truncated"):
+            sampler._lookup_rows(["laptop"], [[5]])
+        assert sampler.forwards == 2
 
     def test_sequences_equal_after_truncation_share_a_forward(self, setup, forwarded):
         corpus, vocab, _, _ = setup
@@ -394,8 +497,8 @@ class MapSampler(AttentionSampler):
         super().__init__(params=None, config=EncoderConfig(vocab_size=len(vocab)), vocab=vocab, stopwords=frozenset())
         self.maps = np.asarray(maps, dtype=float)
 
-    def _sequence_attention(self, seq):
-        return self.maps
+    def _stack_attention(self, sequences):
+        return [self.maps for _ in sequences]
 
 
 class TestRowAveraging:
